@@ -5,8 +5,11 @@ in I already has an n-element subproduct in I; omega(I) is the least such n,
 with omega(R) = 0 by convention. The strong variant quantifies over ideal
 tuples instead of element tuples.
 
-Scans enumerate non-decreasing tuples (multisets) in index order with three
-sound prunings, each of which removes no violation:
+One scanner, ``multiset_scan``, decides the definition wherever it is read:
+over ring elements here, over the ideal lattice for the strong variant, and
+over bounded polynomials of R[X] in content_checks. It enumerates
+non-decreasing tuples (multisets) in index order with three sound
+prunings, each of which removes no violation:
 
 * elements of I are skipped (any tuple containing one has an n-subproduct
   containing it, which then lies in I);
@@ -15,14 +18,16 @@ sound prunings, each of which removes no violation:
 * a prefix whose partial product lies in I is cut (every completion has an
   n-subproduct containing the whole prefix).
 
-The first violation found is therefore the lexicographically least violating
-multiset. A pruning-free reference scan is kept for cross-checking.
+The callers apply the first two when they choose the candidates; the scan
+applies the third. The first violation found is therefore the
+lexicographically least violating multiset. A pruning-free reference scan
+is kept as the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .ideals import (
     DEFAULT_LATTICE_CAP,
@@ -38,6 +43,8 @@ __all__ = [
     "AbsorbingCheck",
     "OmegaResult",
     "is_n_absorbing",
+    "multiset_scan",
+    "violates",
     "reference_is_n_absorbing",
     "omega",
     "is_strongly_n_absorbing",
@@ -88,58 +95,90 @@ def _check_args(ideal: Ideal, n: int) -> None:
         raise ValueError("n-absorbing is defined for proper ideals only")
 
 
-def _element_violation(
-    ring: FiniteRing, members: frozenset[int], candidates: list[int], n: int
-) -> Optional[tuple[int, ...]]:
-    """First violating (n+1)-multiset over candidates, or None."""
-    k = n + 1
+def multiset_scan(
+    candidates: Sequence, one, table, inside, n: int
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """First violating (n+1)-multiset over candidates, and the leaves tried.
+
+    table[a][b] is the product of a and b, where a is a partial product and
+    b a candidate or a partial product; one is the empty product, and
+    ``p in inside`` tests whether p lies in the ideal I. A multiset whose
+    product lies in I violates when none of its n-subproducts does.
+    Multisets are walked as non-decreasing position tuples in lex order and
+    a prefix whose product lies in I is cut, so the first violation is the
+    lexicographically least. Returns (candidate positions or None, number
+    of (n+1)-th factors tried).
+    """
     count = len(candidates)
-    mtab = ring.mul_table()
-    mul = ring.mul
-    one = ring.one
-    chosen = [0] * k
-    prefix = [one] * (k + 1)  # prefix[t] = product of chosen[:t]
+    chosen = [0] * (n + 1)
+    prefix = [one] * (n + 1)  # prefix[t] = product of the first t chosen
+    leaves = 0
 
     def leaf_ok() -> bool:
-        # full product is in I; reject unless every n-subproduct is outside
+        # the full product is in I; reject unless every n-subproduct is out
         suffix = one
-        for t in range(k - 1, -1, -1):
-            # subproduct omitting position t
-            if t == k - 1 or chosen[t] != chosen[t + 1]:
-                if mtab is not None:
-                    sub = mtab[prefix[t]][suffix]
-                else:
-                    sub = mul(prefix[t], suffix)
-                if sub in members:
+        for t in range(n, -1, -1):
+            # subproduct omitting position t; equal neighbours give the same
+            if t == n or chosen[t] != chosen[t + 1]:
+                if table[prefix[t]][suffix] in inside:
                     return False
-            if mtab is not None:
-                suffix = mtab[suffix][chosen[t]]
-            else:
-                suffix = mul(suffix, chosen[t])
+            suffix = table[suffix][candidates[chosen[t]]]
         return True
 
     def rec(start: int, depth: int) -> Optional[tuple[int, ...]]:
-        acc = prefix[depth]
-        row = mtab[acc] if mtab is not None else None
-        last = depth == n
-        for ci in range(start, count):
-            x = candidates[ci]
-            p = row[x] if row is not None else mul(acc, x)
-            if last:
-                if p in members:
-                    chosen[depth] = x
-                    prefix[depth + 1] = p
+        nonlocal leaves
+        row = table[prefix[depth]]
+        if depth == n:
+            for ci in range(start, count):
+                if row[candidates[ci]] in inside:
+                    chosen[n] = ci
                     if leaf_ok():
+                        leaves += ci - start + 1
                         return tuple(chosen)
-            elif p not in members:
-                chosen[depth] = x
+            leaves += count - start
+            return None
+        for ci in range(start, count):
+            p = row[candidates[ci]]
+            if p not in inside:
+                chosen[depth] = ci
                 prefix[depth + 1] = p
                 found = rec(ci, depth + 1)
                 if found is not None:
                     return found
         return None
 
-    return rec(0, 0)
+    return rec(0, 0), leaves
+
+
+def violates(factors: Sequence, one, table, inside) -> bool:
+    """Whether the product of factors lies in I while no product omitting
+    one factor does; one, table and inside as for multiset_scan."""
+
+    def product(fs: Sequence):
+        acc = one
+        for f in fs:
+            acc = table[acc][f]
+        return acc
+
+    return product(factors) in inside and not any(
+        product(factors[:t] + factors[t + 1:]) in inside
+        for t in range(len(factors))
+    )
+
+
+class _LazyRow(dict):
+    """One row of a product table, each entry computed on first use."""
+
+    __slots__ = ("mul", "a")
+
+    def __init__(self, mul: Callable[[int, int], int], a: int):
+        super().__init__()
+        self.mul = mul
+        self.a = a
+
+    def __missing__(self, b: int) -> int:
+        got = self[b] = self.mul(self.a, b)
+        return got
 
 
 def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
@@ -151,10 +190,15 @@ def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
     candidates = [
         x for x in range(ring.order) if x not in members and x not in units
     ]
-    violation = _element_violation(ring, members, candidates, n)
-    if violation is None:
+    table = ring.mul_table()
+    if table is None:
+        table = [_LazyRow(ring.mul, a) for a in range(ring.order)]
+    found, _ = multiset_scan(candidates, ring.one, table, members, n)
+    if found is None:
         return AbsorbingCheck(holds=True)
-    return AbsorbingCheck(holds=False, violation=violation)
+    return AbsorbingCheck(
+        holds=False, violation=tuple(candidates[i] for i in found)
+    )
 
 
 def reference_is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
@@ -193,86 +237,28 @@ def reference_is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
     return AbsorbingCheck(holds=False, violation=violation)
 
 
-def omega(ideal: Ideal, cap: int = DEFAULT_CAP) -> OmegaResult:
-    """Least n such that I is n-absorbing; 0 iff I = R; None past cap."""
+def _degree(
+    ideal: Ideal, cap: int, check: Callable[[int], AbsorbingCheck]
+) -> OmegaResult:
+    """Least n <= cap with check(n).holds; 0 iff I = R; None past cap."""
     if not ideal.is_proper:
         return OmegaResult(0, cap)
     witness: Optional[tuple] = None
     for n in range(1, cap + 1):
-        check = is_n_absorbing(ideal, n)
-        if check.holds:
+        result = check(n)
+        if result.holds:
             return OmegaResult(n, cap, witness)
-        witness = check.violation
+        witness = result.violation
     return OmegaResult(None, cap, witness)
+
+
+def omega(ideal: Ideal, cap: int = DEFAULT_CAP) -> OmegaResult:
+    """Least n such that I is n-absorbing; 0 iff I = R; None past cap."""
+    return _degree(ideal, cap, lambda n: is_n_absorbing(ideal, n))
 
 
 # ---------------------------------------------------------------------------
 # strong variant over the ideal lattice
-
-
-def _lattice_context(ideal: Ideal, lattice_cap: int):
-    ring = ideal.ring
-    lattice = all_ideals(ring, lattice_cap)
-    sets = [iv.elements for iv in lattice]
-    id_of = {els: i for i, els in enumerate(sets)}
-    full_id = id_of[frozenset(range(ring.order))]
-
-    prod_cache: dict[tuple[int, int], int] = {}
-
-    def prod(a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        got = prod_cache.get(key)
-        if got is None:
-            got = id_of[product_elements(ring, sets[a], sets[b])]
-            prod_cache[key] = got
-        return got
-
-    contained = [els <= ideal.elements for els in sets]
-    return lattice, sets, prod, contained, full_id
-
-
-def _ideal_violation(
-    candidates: list[int],
-    contained: list[bool],
-    prod: Callable[[int, int], int],
-    full_id: int,
-    n: int,
-) -> Optional[tuple[int, ...]]:
-    k = n + 1
-    count = len(candidates)
-    chosen = [0] * k
-    prefix = [full_id] * (k + 1)
-
-    def leaf_ok() -> bool:
-        suffix = full_id
-        for t in range(k - 1, -1, -1):
-            if t == k - 1 or chosen[t] != chosen[t + 1]:
-                if contained[prod(prefix[t], suffix)]:
-                    return False
-            suffix = prod(suffix, chosen[t])
-        return True
-
-    def rec(start: int, depth: int) -> Optional[tuple[int, ...]]:
-        acc = prefix[depth]
-        last = depth == n
-        for ci in range(start, count):
-            x = candidates[ci]
-            p = prod(acc, x)
-            if last:
-                if contained[p]:
-                    chosen[depth] = x
-                    prefix[depth + 1] = p
-                    if leaf_ok():
-                        return tuple(chosen)
-            elif not contained[p]:
-                chosen[depth] = x
-                prefix[depth + 1] = p
-                found = rec(ci, depth + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return rec(0, 0)
 
 
 def is_strongly_n_absorbing(
@@ -282,15 +268,28 @@ def is_strongly_n_absorbing(
     n-subproduct inside I. Ideals contained in I and the full ring are
     skipped (mirrors of the element prunings, equally sound)."""
     _check_args(ideal, n)
-    lattice, _, prod, contained, full_id = _lattice_context(ideal, lattice_cap)
+    ring = ideal.ring
+    lattice = all_ideals(ring, lattice_cap)
+    sets = [iv.elements for iv in lattice]
+    id_of = {els: i for i, els in enumerate(sets)}
+    full_id = id_of[frozenset(range(ring.order))]
+
+    def prod(a: int, b: int) -> int:
+        got = table[b].get(a)  # the transposed entry, when already known
+        if got is None:
+            got = id_of[product_elements(ring, sets[a], sets[b])]
+        return got
+
+    table = [_LazyRow(prod, a) for a in range(len(lattice))]
+    inside = frozenset(i for i, els in enumerate(sets) if els <= ideal.elements)
     candidates = [
-        i for i in range(len(lattice)) if not contained[i] and i != full_id
+        i for i in range(len(lattice)) if i not in inside and i != full_id
     ]
-    violation = _ideal_violation(candidates, contained, prod, full_id, n)
-    if violation is None:
+    found, _ = multiset_scan(candidates, full_id, table, inside, n)
+    if found is None:
         return AbsorbingCheck(holds=True)
     return AbsorbingCheck(
-        holds=False, violation=tuple(lattice[i] for i in violation)
+        holds=False, violation=tuple(lattice[candidates[i]] for i in found)
     )
 
 
@@ -298,15 +297,9 @@ def strong_omega(
     ideal: Ideal, cap: int = DEFAULT_CAP, lattice_cap: int = DEFAULT_LATTICE_CAP
 ) -> OmegaResult:
     """Least n such that I is strongly n-absorbing; same conventions."""
-    if not ideal.is_proper:
-        return OmegaResult(0, cap)
-    witness: Optional[tuple] = None
-    for n in range(1, cap + 1):
-        check = is_strongly_n_absorbing(ideal, n, lattice_cap)
-        if check.holds:
-            return OmegaResult(n, cap, witness)
-        witness = check.violation
-    return OmegaResult(None, cap, witness)
+    return _degree(
+        ideal, cap, lambda n: is_strongly_n_absorbing(ideal, n, lattice_cap)
+    )
 
 
 # ---------------------------------------------------------------------------

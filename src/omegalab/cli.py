@@ -24,10 +24,8 @@ import argparse
 import csv
 import hashlib
 import io
-import itertools
 import json
 import os
-import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +42,7 @@ from .content_checks import (
     certify_pair_sweep,
     dm_exponent_table,
     gaussian_search,
+    plan_sweep,
     verify_poly_omega,
 )
 from .errors import SpecParseError
@@ -104,6 +103,15 @@ class Bounds:
     order_cap: int = 4096
     budget: int = DEFAULT_BUDGET
     lattice_cap: int = DEFAULT_LATTICE_CAP
+
+    def __post_init__(self):
+        # a degree bound of 0 means constants and a budget of 0 forces
+        # sampling; every other bound below 1 would check nothing
+        for key in BOUND_KEYS:
+            low = 0 if key in ("max_deg", "budget") else 1
+            value = getattr(self, key)
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
 
 
 class ConfigError(ValueError):
@@ -273,35 +281,17 @@ def _run_bezout_single(ring: FiniteRing, poly_text: str, bounds: Bounds):
 
 def _run_bezout_sweep(ring: FiniteRing, bounds: Bounds, seed: int):
     slots = monomials_up_to(bounds.vars, bounds.max_deg)
-    total = ring.order ** len(slots)
+    sweep = plan_sweep(
+        ring.order ** len(slots), bounds.budget, bounds.sample, seed
+    )
     checked = 0
-    if total <= bounds.budget:
-        mode = "exhaustive"
-        for coeffs in itertools.product(range(ring.order), repeat=len(slots)):
-            if all(c == ring.zero for c in coeffs):
-                continue
-            g = make_poly(
-                ring,
-                bounds.vars,
-                {e: c for e, c in zip(slots, coeffs) if c != ring.zero},
-            )
-            bezout_factor(g)
-            checked += 1
-    else:
-        mode = f"sampled:{bounds.sample}"
-        rng = random.Random(seed)
-        for _ in range(bounds.sample):
-            coeffs = [rng.randrange(ring.order) for _ in slots]
-            if all(c == ring.zero for c in coeffs):
-                continue
-            g = make_poly(
-                ring,
-                bounds.vars,
-                {e: c for e, c in zip(slots, coeffs) if c != ring.zero},
-            )
-            bezout_factor(g)
-            checked += 1
-    return mode, f"checked={checked} invariants=ok", None, "pass"
+    for (coeffs,) in sweep.tuples(ring.order, len(slots), 1):
+        if all(c == ring.zero for c in coeffs):
+            continue
+        # make_poly drops the zero coefficients
+        bezout_factor(make_poly(ring, bounds.vars, dict(zip(slots, coeffs))))
+        checked += 1
+    return sweep.mode, f"checked={checked} invariants=ok", None, "pass"
 
 
 def _run_certify_single(
@@ -577,6 +567,10 @@ def load_campaign_config(path: str) -> dict:
     for key, value in bounds_raw.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"bounds.{key} must be an integer")
+    try:
+        bounds = Bounds(**bounds_raw)
+    except ValueError as exc:
+        raise ConfigError(f"bounds.{exc}") from exc
     seed = raw.get("seed")
     if seed is None and any(c in SAMPLING_CHECKS for c in checks):
         raise ConfigError(
@@ -594,7 +588,7 @@ def load_campaign_config(path: str) -> dict:
     return {
         "rings": rings,
         "checks": checks,
-        "bounds": Bounds(**bounds_raw),
+        "bounds": bounds,
         "seed": 0 if seed is None else seed,
         "jobs": jobs,
         "output": output,
@@ -820,6 +814,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "campaign":
+        if args.jobs is not None and args.jobs < 1:
+            print(f"omegalab: error: --jobs must be >= 1, got {args.jobs}",
+                  file=sys.stderr)
+            return 1
         try:
             config = load_campaign_config(args.config)
         except (ConfigError, OSError) as exc:
@@ -840,7 +838,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write_output(text, out_path)
         return _exit_code(summary)
 
-    bounds = _bounds_from_args(args)
     seed = getattr(args, "seed", 0)
     echo = {"command": args.command}
     for key in ("ring", "ideal", "poly", "vars", "max_deg", "cap", "height",
@@ -849,6 +846,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             echo[key] = getattr(args, key)
 
     try:
+        bounds = _bounds_from_args(args)
         if args.command in ("omega", "strong-omega", "conjecture1", "gaussian",
                             "armendariz", "dm", "bezout", "certify",
                             "poly-omega", "int"):

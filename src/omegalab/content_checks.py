@@ -10,6 +10,13 @@ peeling certificates for products landing in an ideal; and the bounded
 search for violations of the absorbing-degree identity between I and its
 polynomial extension.
 
+Every DM exponent comes from ``ContentSpace.dm_exponent``, memoized on the
+content ids of f, g and fg. Every sweep is planned by one driver,
+``plan_sweep``: it goes exhaustive when the caller's exhaustive enumeration
+fits the budget, and otherwise draws seeded coefficient tuples and records
+the mode and seed. The poly-omega check runs absorbing.multiset_scan, the
+scanner behind omega, over bounded polynomials of R[X].
+
 Search enumeration order is fixed: coefficient tuples over the graded-lex
 slot list, ascending lexicographically; pairs run f <= g (both predicates
 are symmetric), so a returned witness is the canonically first one.
@@ -22,12 +29,13 @@ the Dedekind-Mertens law). Pruned and unpruned scans are compared in tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .absorbing import DEFAULT_CAP, OmegaResult, omega
+from .absorbing import DEFAULT_CAP, OmegaResult, multiset_scan, omega, violates
 from .errors import CapExceededError, UnsupportedRingError
 from .ideals import (
     DEFAULT_LATTICE_CAP,
@@ -40,6 +48,7 @@ from .ideals import (
 )
 from .polys import (
     Polynomial,
+    _poly_dict_mul,
     constant_poly,
     content,
     make_poly,
@@ -58,6 +67,8 @@ __all__ = [
     "SearchOutcome",
     "gaussian_search",
     "armendariz_search",
+    "Sweep",
+    "plan_sweep",
     "DmTable",
     "dm_exponent_table",
     "BezoutFactorization",
@@ -97,6 +108,7 @@ class ContentSpace:
         self._coeffs_cache: dict[tuple[int, ...], int] = {}
         self._prod: dict[tuple[int, int], int] = {}
         self._pow: dict[tuple[int, int], int] = {}
+        self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
 
     def _register(self, els: frozenset[int]) -> int:
         got = self._ids.get(els)
@@ -123,9 +135,13 @@ class ContentSpace:
             add = self.ring.add
             base = self._sets[ideal_id]
             extra = self._sets[self.principal_id(elem)]
-            got = self._register(
-                frozenset(add(x, y) for x in base for y in extra)
-            )
+            # I + (c) is the union of the cosets y + I over y in (c); a y
+            # already covered brings no new coset
+            acc = set(base)
+            for y in extra:
+                if y not in acc:
+                    acc.update(add(x, y) for x in base)
+            got = self._register(frozenset(acc))
             self._sum_elem[key] = got
         return got
 
@@ -166,6 +182,20 @@ class ContentSpace:
             self._pow[key] = got
         return got
 
+    def dm_exponent(self, cf: int, cg: int, cfg: int, cap: int) -> Optional[int]:
+        """Least n in 1..cap with c(f)^n c(g) = c(f)^(n-1) c(fg), from the
+        content ids of f, g and fg; None past cap."""
+        key = (cf, cg, cfg, cap)
+        if key not in self._dm:
+            got = None
+            for n in range(1, cap + 1):
+                left = self.product(self.power(cf, n), cg)
+                if left == self.product(self.power(cf, n - 1), cfg):
+                    got = n
+                    break
+            self._dm[key] = got
+        return self._dm[key]
+
 
 def content_space(ring: FiniteRing) -> ContentSpace:
     space = ring.caches.get("content_space")
@@ -175,35 +205,36 @@ def content_space(ring: FiniteRing) -> ContentSpace:
     return space
 
 
-def content_subset_property(f: Polynomial, g: Polynomial) -> bool:
-    """c(fg) <= c(f)c(g); holds in every commutative ring."""
+def _content_ids(f: Polynomial, g: Polynomial):
+    """(space, c(f), c(g), c(fg)) with the contents as ids of f's ring."""
     space = content_space(f.ring)
-    cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
     cf = space.id_of_coeffs(f.coefficients())
     cg = space.id_of_coeffs(g.coefficients())
+    cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
+    return space, cf, cg, cfg
+
+
+def content_subset_property(f: Polynomial, g: Polynomial) -> bool:
+    """c(fg) <= c(f)c(g); holds in every commutative ring."""
+    space, cf, cg, cfg = _content_ids(f, g)
     return space.set_of(cfg) <= space.set_of(space.product(cf, cg))
 
 
 def dm_exponent(f: Polynomial, g: Polynomial, cap: int = DEFAULT_CAP) -> Optional[int]:
     """Least n >= 1 with c(f)^n c(g) = c(f)^(n-1) c(fg); None past cap."""
-    space = content_space(f.ring)
-    cf = space.id_of_coeffs(f.coefficients())
-    cg = space.id_of_coeffs(g.coefficients())
-    cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
-    for n in range(1, cap + 1):
-        left = space.product(space.power(cf, n), cg)
-        right = space.product(space.power(cf, n - 1), cfg)
-        if left == right:
-            return n
-    return None
+    space, cf, cg, cfg = _content_ids(f, g)
+    return space.dm_exponent(cf, cg, cfg, cap)
 
 
 # ---------------------------------------------------------------------------
 # coefficient-tuple enumeration helpers
 
 
-def _convolver(ring: FiniteRing, slots, prod_slots):
-    """Convolution over coefficient tuples: returns list of product coeffs."""
+def _convolver(ring: FiniteRing, num_vars: int, max_deg: int):
+    """(slots, convolve): the graded-lex slots up to max_deg, and the
+    convolution of two coefficient tuples over them (product coeffs)."""
+    slots = monomials_up_to(num_vars, max_deg)
+    prod_slots = monomials_up_to(num_vars, 2 * max_deg)
     pos_of = {exp: i for i, exp in enumerate(prod_slots)}
     L = len(slots)
     pairpos = [
@@ -253,52 +284,96 @@ def _convolver(ring: FiniteRing, slots, prod_slots):
                                 out[pos] = add(out[pos], p)
             return out
 
-    return convolve
+    return slots, convolve
 
 
-def _tuple_to_poly(ring: FiniteRing, num_vars: int, slots, coeffs) -> Polynomial:
-    return make_poly(
-        ring,
-        num_vars,
-        {exp: c for exp, c in zip(slots, coeffs) if c != ring.zero},
-    )
+def _to_polys(ring: FiniteRing, num_vars: int, slots, tuples) -> tuple:
+    """The polynomials with the given coefficient tuples over the slots."""
+    return tuple(make_poly(ring, num_vars, dict(zip(slots, t))) for t in tuples)
 
 
-def _iter_coeff_tuples(order: int, length: int):
-    """All coefficient tuples in ascending lex order."""
-    tup = [0] * length
-    while True:
-        yield tuple(tup)
-        i = length - 1
-        while i >= 0 and tup[i] == order - 1:
-            tup[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        tup[i] += 1
+@dataclass(frozen=True)
+class Sweep:
+    """How one sweep covers its space: exhaustively, or by seeded draws."""
+
+    mode: str
+    seed: Optional[int]
+    sample: int
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.mode == "exhaustive"
+
+    def tuples(self, order: int, length: int, arity: int):
+        """The sweep's items, each a tuple of arity coefficient tuples of the
+        given length over range(order): all of them in lex order when
+        exhaustive, else the seeded draws, drawn tuple by tuple."""
+        if self.exhaustive:
+            tuples = itertools.product(range(order), repeat=length)
+            return itertools.product(tuples, repeat=arity)
+        randrange = random.Random(self.seed).randrange
+        return (
+            tuple(
+                tuple(randrange(order) for _ in range(length))
+                for _ in range(arity)
+            )
+            for _ in range(self.sample)
+        )
 
 
-def _admissible_polys(ring: FiniteRing, slots, skip_inside: Optional[frozenset[int]]):
-    """Coefficient tuples whose content is proper and not inside skip_inside.
+def plan_sweep(
+    size: Optional[int], budget: int, sample: int, seed: int
+) -> Sweep:
+    """Exhaustive when the caller's exhaustive enumeration has size <= budget
+    items (None: too large even to list), else sample seeded draws."""
+    if size is not None and size <= budget:
+        return Sweep("exhaustive", None, sample)
+    return Sweep(f"sampled:{sample}", seed, sample)
+
+
+def _admissible(
+    space: ContentSpace, cid: int, skip_inside: Optional[frozenset[int]]
+) -> bool:
+    """Whether a content id is proper and not skipped.
 
     skip_inside=None means skip only the zero content (search variant);
     otherwise contents contained in the given ideal element set are skipped
     (poly-omega variant, where skip_inside contains zero anyway).
     """
+    if cid == space.full_id:
+        return False
+    if skip_inside is None:
+        return cid != space.zero_id
+    return not space.set_of(cid) <= skip_inside
+
+
+def _admissible_polys(
+    ring: FiniteRing, slots, skip_inside: Optional[frozenset[int]], budget: int
+):
+    """(coeffs, content id) of every coefficient tuple with admissible
+    content, in lex order; None when the order**len(slots) tuples exceed the
+    budget."""
+    if ring.order ** len(slots) > budget:
+        return None
     space = content_space(ring)
     out = []
-    full = space.full_id
-    for coeffs in _iter_coeff_tuples(ring.order, len(slots)):
+    for coeffs in itertools.product(range(ring.order), repeat=len(slots)):
         cid = space.id_of_coeffs(coeffs)
-        if cid == full:
-            continue
-        if skip_inside is None:
-            if cid == space.zero_id:
-                continue
-        elif space.set_of(cid) <= skip_inside:
-            continue
-        out.append((coeffs, cid))
+        if _admissible(space, cid, skip_inside):
+            out.append((coeffs, cid))
     return out
+
+
+def _admissible_draws(
+    sweep: Sweep, ring: FiniteRing, slots, arity: int, skip_inside
+):
+    """The sweep's draws whose every content is admissible, each a tuple of
+    (coeffs, content id) pairs."""
+    space = content_space(ring)
+    for draw in sweep.tuples(ring.order, len(slots), arity):
+        ids = [space.id_of_coeffs(t) for t in draw]
+        if all(_admissible(space, cid, skip_inside) for cid in ids):
+            yield tuple(zip(draw, ids))
 
 
 @dataclass(frozen=True)
@@ -316,54 +391,30 @@ def _pair_search(
     ring: FiniteRing,
     num_vars: int,
     max_deg: int,
-    violates: Callable,
+    is_violation: Callable,
     budget: int,
     sample: int,
     seed: int,
 ) -> SearchOutcome:
-    slots = monomials_up_to(num_vars, max_deg)
-    prod_slots = monomials_up_to(num_vars, 2 * max_deg)
-    convolve = _convolver(ring, slots, prod_slots)
+    """Exhaustive over unordered admissible pairs when they fit the budget."""
+    slots, convolve = _convolver(ring, num_vars, max_deg)
     space = content_space(ring)
-    exhaustive = ring.order ** len(slots) <= budget
-    if exhaustive:
-        adm = _admissible_polys(ring, slots, None)
-        checked = 0
-        for ia in range(len(adm)):
-            fa, ca = adm[ia]
-            for ib in range(ia, len(adm)):
-                fb, cb = adm[ib]
-                checked += 1
-                if violates(space, convolve(fa, fb), ca, cb):
-                    witness = (
-                        _tuple_to_poly(ring, num_vars, slots, fa),
-                        _tuple_to_poly(ring, num_vars, slots, fb),
-                    )
-                    return SearchOutcome(True, witness, "exhaustive", checked)
-        return SearchOutcome(False, None, "exhaustive", checked)
-    rng = random.Random(seed)
-    order = ring.order
-    L = len(slots)
-    full = space.full_id
-    zero_id = space.zero_id
+    adm = _admissible_polys(ring, slots, None, budget)
+    size = None if adm is None else len(adm) * (len(adm) + 1) // 2
+    sweep = plan_sweep(size, budget, sample, seed)
+
+    pairs = (
+        itertools.combinations_with_replacement(adm, 2)
+        if sweep.exhaustive
+        else _admissible_draws(sweep, ring, slots, 2, None)
+    )
     checked = 0
-    for _ in range(sample):
-        fa = tuple(rng.randrange(order) for _ in range(L))
-        fb = tuple(rng.randrange(order) for _ in range(L))
-        ca = space.id_of_coeffs(fa)
-        cb = space.id_of_coeffs(fb)
-        if ca in (full, zero_id) or cb in (full, zero_id):
-            continue
+    for (fa, ca), (fb, cb) in pairs:
         checked += 1
-        if violates(space, convolve(fa, fb), ca, cb):
-            if fb < fa:
-                fa, fb = fb, fa
-            witness = (
-                _tuple_to_poly(ring, num_vars, slots, fa),
-                _tuple_to_poly(ring, num_vars, slots, fb),
-            )
-            return SearchOutcome(True, witness, f"sampled:{sample}", checked, seed)
-    return SearchOutcome(False, None, f"sampled:{sample}", checked, seed)
+        if is_violation(space, convolve(fa, fb), ca, cb):
+            witness = _to_polys(ring, num_vars, slots, sorted((fa, fb)))
+            return SearchOutcome(True, witness, sweep.mode, checked, sweep.seed)
+    return SearchOutcome(False, None, sweep.mode, checked, sweep.seed)
 
 
 def _gaussian_violation(space: ContentSpace, prod_coeffs, ca: int, cb: int) -> bool:
@@ -438,82 +489,52 @@ def dm_exponent_table(
     deg(0) treated as 0); None for multivariate sweeps where the classical
     degree bound statement does not apply.
     """
-    slots = monomials_up_to(num_vars, max_deg)
-    prod_slots = monomials_up_to(num_vars, 2 * max_deg)
-    convolve = _convolver(ring, slots, prod_slots)
+    slots, convolve = _convolver(ring, num_vars, max_deg)
     space = content_space(ring)
     slot_degs = [sum(e) for e in slots]
     zero = ring.zero
-    order = ring.order
-    L = len(slots)
 
     hist: dict[int, int] = {}
     max_exp = 0
-    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    witness: Optional[tuple] = None
     cap_exceeded = 0
     checked = 0
     bound_ok: Optional[bool] = True if num_vars == 1 else None
 
-    def dm_of(fa, fb) -> Optional[int]:
-        ca = space.id_of_coeffs(fa)
-        cb = space.id_of_coeffs(fb)
-        cab = space.id_of_coeffs(convolve(fa, fb))
-        for n in range(1, cap + 1):
-            if space.product(space.power(ca, n), cb) == space.product(
-                space.power(ca, n - 1), cab
-            ):
-                return n
-        return None
-
-    def record(fa, fb) -> None:
-        nonlocal max_exp, witness, cap_exceeded, checked, bound_ok
+    sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
+    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
         checked += 1
-        n = dm_of(fa, fb)
+        n = space.dm_exponent(
+            space.id_of_coeffs(fa),
+            space.id_of_coeffs(fb),
+            space.id_of_coeffs(convolve(fa, fb)),
+            cap,
+        )
         if n is None:
             cap_exceeded += 1
-            return
+            continue
         hist[n] = hist.get(n, 0) + 1
         if n > max_exp:
             max_exp = n
             witness = (fa, fb)
-        if bound_ok is not None and bound_ok:
+        if bound_ok:
             deg_g = max(
                 (d for c, d in zip(fb, slot_degs) if c != zero), default=0
             )
             if n > deg_g + 1:
                 bound_ok = False
 
-    exhaustive = order ** (2 * L) <= budget
-    used_seed: Optional[int] = None
-    if exhaustive:
-        mode = "exhaustive"
-        for fa in _iter_coeff_tuples(order, L):
-            for fb in _iter_coeff_tuples(order, L):
-                record(fa, fb)
-    else:
-        mode = f"sampled:{sample}"
-        used_seed = seed
-        rng = random.Random(seed)
-        for _ in range(sample):
-            fa = tuple(rng.randrange(order) for _ in range(L))
-            fb = tuple(rng.randrange(order) for _ in range(L))
-            record(fa, fb)
-
-    witness_polys = None
     if witness is not None:
-        witness_polys = (
-            _tuple_to_poly(ring, num_vars, slots, witness[0]),
-            _tuple_to_poly(ring, num_vars, slots, witness[1]),
-        )
+        witness = _to_polys(ring, num_vars, slots, witness)
     return DmTable(
         histogram=tuple(sorted(hist.items())),
         max_exponent=max_exp,
-        witness=witness_polys,
+        witness=witness,
         bound_holds=bound_ok,
         cap_exceeded=cap_exceeded,
         checked=checked,
-        mode=mode,
-        seed=used_seed,
+        mode=sweep.mode,
+        seed=sweep.seed,
     )
 
 
@@ -777,12 +798,8 @@ def certify_pair_sweep(
     machinery only runs on qualifying pairs, which are sparse.
     """
     ring = ideal.ring
-    slots = monomials_up_to(num_vars, max_deg)
-    prod_slots = monomials_up_to(num_vars, 2 * max_deg)
-    convolve = _convolver(ring, slots, prod_slots)
+    slots, convolve = _convolver(ring, num_vars, max_deg)
     members = ideal.elements
-    L = len(slots)
-    order = ring.order
     space = content_space(ring)
 
     qualifying = 0
@@ -792,91 +809,43 @@ def certify_pair_sweep(
     final_ok = True
     witness: Optional[tuple[Polynomial, Polynomial]] = None
 
-    # the pair certificate depends only on the content ids of f, g and fg,
-    # so identical triples share one computation; the arithmetic is the
-    # same peeling as certify_content_product (tests pin the equivalence)
-    memo: dict[tuple[int, int, int], tuple[int, bool, bool]] = {}
-
-    def id_certificate(cf: int, cg: int, cfg: int) -> tuple[int, bool, bool]:
-        got = memo.get((cf, cg, cfg))
-        if got is None:
-            l = None
-            for n in range(1, cap + 1):
-                if space.product(space.power(cf, n), cg) == space.product(
-                    space.power(cf, n - 1), cfg
-                ):
-                    l = n
-                    break
-            if l is None:
-                raise CapExceededError(
-                    f"dm exponent not found within cap {cap}"
-                )
-            chain = space.set_of(space.product(space.power(cf, l), cg)) <= members
-            final = space.set_of(space.product(cf, cg)) <= members
-            got = (l, chain, final)
-            memo[(cf, cg, cfg)] = got
-        return got
-
-    def handle(fa, fb) -> None:
-        nonlocal qualifying, max_exp, exp_ok, chain_ok, final_ok, witness
+    # the pair certificate depends only on the content ids of f, g and fg;
+    # the arithmetic is the same peeling as certify_content_product (tests
+    # pin the equivalence)
+    total_pairs = ring.order ** (2 * len(slots))
+    sweep = plan_sweep(total_pairs, budget, sample, seed)
+    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
         prod_coeffs = convolve(fa, fb)
         if any(c not in members for c in prod_coeffs):
-            return
+            continue
         qualifying += 1
-        l, chain, final = id_certificate(
-            space.id_of_coeffs(fa),
-            space.id_of_coeffs(fb),
-            space.id_of_coeffs(prod_coeffs),
-        )
-        bad = False
-        if l > max_exp:
-            max_exp = l
-        if l > max_deg + 1:
-            exp_ok = False
-            bad = True
-        if not chain:
-            chain_ok = False
-            bad = True
-        if not final:
-            final_ok = False
-            bad = True
-        if bad and witness is None:
-            witness = (
-                _tuple_to_poly(ring, num_vars, slots, fa),
-                _tuple_to_poly(ring, num_vars, slots, fb),
-            )
-
-    total_pairs = order ** (2 * L)
-    if total_pairs <= budget:
-        mode = "exhaustive"
-        used_seed = None
-        tuples = list(_iter_coeff_tuples(order, L))
-        for fa in tuples:
-            for fb in tuples:
-                handle(fa, fb)
-        pairs = total_pairs
-    else:
-        mode = f"sampled:{sample}"
-        used_seed = seed
-        rng = random.Random(seed)
-        for _ in range(sample):
-            fa = tuple(rng.randrange(order) for _ in range(L))
-            fb = tuple(rng.randrange(order) for _ in range(L))
-            handle(fa, fb)
-        pairs = sample
+        cf = space.id_of_coeffs(fa)
+        cg = space.id_of_coeffs(fb)
+        l = space.dm_exponent(cf, cg, space.id_of_coeffs(prod_coeffs), cap)
+        if l is None:
+            raise CapExceededError(f"dm exponent not found within cap {cap}")
+        chain = space.set_of(space.product(space.power(cf, l), cg)) <= members
+        final = space.set_of(space.product(cf, cg)) <= members
+        bounded = l <= max_deg + 1
+        max_exp = max(max_exp, l)
+        exp_ok = exp_ok and bounded
+        chain_ok = chain_ok and chain
+        final_ok = final_ok and final
+        if witness is None and not (bounded and chain and final):
+            witness = _to_polys(ring, num_vars, slots, (fa, fb))
 
     return CertifySweep(
         ideal=ideal,
         max_deg=max_deg,
-        pairs=pairs,
+        pairs=total_pairs if sweep.exhaustive else sample,
         qualifying=qualifying,
         max_exponent=max_exp,
         exp_bound_holds=exp_ok,
         chain_holds=chain_ok,
         final_holds=final_ok,
         witness=witness,
-        mode=mode,
-        seed=used_seed,
+        mode=sweep.mode,
+        seed=sweep.seed,
     )
 
 
@@ -906,23 +875,42 @@ class PolyOmegaReport:
     seed: Optional[int] = None
 
 
-def _poly_dict_mul(ring: FiniteRing, a: dict, b: dict) -> dict:
-    add = ring.add
-    mul = ring.mul
-    zero = ring.zero
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            p = mul(ca, cb)
-            if p == zero:
-                continue
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            s = add(out.get(exp, zero), p)
-            if s == zero:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-    return out
+class _PolyRow:
+    """Row a of the product table of R[X] over sparse coefficient dicts:
+    row[b] = a*b. Nothing is stored; each entry is one sparse product."""
+
+    __slots__ = ("ring", "a")
+
+    def __init__(self, ring: FiniteRing, a: dict):
+        self.ring = ring
+        self.a = a
+
+    def __getitem__(self, b: dict) -> dict:
+        return _poly_dict_mul(self.ring, self.a, b)
+
+
+class _PolyTable:
+    """table[a][b] = a*b over sparse coefficient dicts, for multiset_scan."""
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+
+    def __getitem__(self, a: dict) -> _PolyRow:
+        return _PolyRow(self.ring, a)
+
+
+class _IdealX:
+    """Membership in I[X]: every coefficient of the sparse dict lies in I."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: frozenset[int]):
+        self.members = members
+
+    def __contains__(self, poly: dict) -> bool:
+        return self.members.issuperset(poly.values())
 
 
 def verify_poly_omega(
@@ -946,168 +934,50 @@ def verify_poly_omega(
         )
     n = base.value
 
+    members = ideal.elements
+    slots = monomials_up_to(num_vars, max_deg)
+    one = {(0,) * num_vars: ring.one}
+    table = _PolyTable(ring)
+    in_ix = _IdealX(members)
+
     witness_valid: Optional[bool] = None
     if n == 1:
         witness_valid = True  # proper ideals are at least 1-absorbing targets
     elif base.lower_witness is not None:
-        witness_valid = _constant_witness_valid(ideal, base.lower_witness, n)
-    members = ideal.elements
-    slots = monomials_up_to(num_vars, max_deg)
-    space = content_space(ring)
-    # exhaustive only when the whole tuple space fits the budget: the DFS
-    # walks (n+1)-tuples of admissible polynomials, not single polynomials
-    exhaustive = ring.order ** len(slots) <= budget
-    adm = None
-    if exhaustive:
-        adm = _admissible_polys(ring, slots, members)
-        exhaustive = len(adm) ** (n + 1) <= budget
-
-    def violation_of(dicts: list[dict]) -> bool:
-        full = dicts[0]
-        for d in dicts[1:]:
-            full = _poly_dict_mul(ring, full, d)
-        if any(c not in members for c in full.values()):
-            return False
-        k = len(dicts)
-        for omit in range(k):
-            sub: dict = {(0,) * num_vars: ring.one}
-            for t, d in enumerate(dicts):
-                if t != omit:
-                    sub = _poly_dict_mul(ring, sub, d)
-            if all(c in members for c in sub.values()):
-                return False
-        return True
-
-    if exhaustive:
-        cand_dicts = [
-            {exp: c for exp, c in zip(slots, coeffs) if c != ring.zero}
-            for coeffs, _ in adm
-        ]
-        found = _nondecreasing_tuple_scan(ring, members, cand_dicts, n, num_vars)
-        checked = found[1]
-        if found[0] is not None:
-            witness = tuple(
-                _tuple_to_poly(ring, num_vars, slots, adm[i][0]) for i in found[0]
-            )
-            return PolyOmegaReport(
-                ideal, max_deg, base, witness_valid, witness, "exhaustive", checked
-            )
-        return PolyOmegaReport(
-            ideal, max_deg, base, witness_valid, None, "exhaustive", checked
+        # the base witness read as constant polynomials: its product lies in
+        # I[X] and no (n-1)-subproduct does
+        constants = [{(0,) * num_vars: x} for x in base.lower_witness]
+        witness_valid = len(constants) == n and violates(
+            constants, one, table, in_ix
         )
-
-    rng = random.Random(seed)
-    order = ring.order
-    L = len(slots)
-    full_id = space.full_id
-    checked = 0
-    for _ in range(sample):
-        tuples = [
-            tuple(rng.randrange(order) for _ in range(L)) for _ in range(n + 1)
-        ]
-        ok = True
-        for t in tuples:
-            cid = space.id_of_coeffs(t)
-            if cid == full_id or space.set_of(cid) <= members:
-                ok = False
-                break
-        if not ok:
-            continue
-        checked += 1
-        dicts = [
-            {exp: c for exp, c in zip(slots, t) if c != ring.zero} for t in tuples
-        ]
-        if violation_of(dicts):
-            witness = tuple(
-                _tuple_to_poly(ring, num_vars, slots, t) for t in sorted(tuples)
-            )
-            return PolyOmegaReport(
-                ideal,
-                max_deg,
-                base,
-                witness_valid,
-                witness,
-                f"sampled:{sample}",
-                checked,
-                seed,
-            )
-    return PolyOmegaReport(
-        ideal, max_deg, base, witness_valid, None, f"sampled:{sample}", checked, seed
+    # exhaustive only when the whole tuple space fits the budget: the scan
+    # walks (n+1)-tuples of admissible polynomials, not single polynomials
+    adm = _admissible_polys(ring, slots, members, budget)
+    sweep = plan_sweep(
+        None if adm is None else len(adm) ** (n + 1), budget, sample, seed
     )
 
+    def as_dict(coeffs) -> dict:
+        return {exp: c for exp, c in zip(slots, coeffs) if c != ring.zero}
 
-def _constant_witness_valid(ideal: Ideal, witness: tuple, n: int) -> bool:
-    """The base lower witness, read as constant polynomials: product in
-    I[X], no (n-1)-subproduct in I[X]; same arithmetic as the base ring."""
-    ring = ideal.ring
-    mul = ring.mul
-    full = ring.one
-    for x in witness:
-        full = mul(full, x)
-    if full not in ideal.elements:
-        return False
-    if len(witness) != n:
-        return False
-    for omit in range(n):
-        sub = ring.one
-        for t, x in enumerate(witness):
-            if t != omit:
-                sub = mul(sub, x)
-        if sub in ideal.elements:
-            return False
-    return True
-
-
-def _nondecreasing_tuple_scan(
-    ring: FiniteRing,
-    members: frozenset[int],
-    candidates: list[dict],
-    n: int,
-    num_vars: int,
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """(first violating candidate-index tuple or None, leaves checked)."""
-    k = n + 1
-    count = len(candidates)
-    one_dict = {(0,) * num_vars: ring.one}
-    chosen = [0] * k
-    prefix: list[dict] = [one_dict] * (k + 1)
-    checked = 0
-
-    def in_ideal(d: dict) -> bool:
-        return all(c in members for c in d.values())
-
-    def leaf_ok() -> bool:
-        suffix = one_dict
-        for t in range(k - 1, -1, -1):
-            if t == k - 1 or chosen[t] != chosen[t + 1]:
-                sub = _poly_dict_mul(ring, prefix[t], suffix)
-                if in_ideal(sub):
-                    return False
-            suffix = _poly_dict_mul(ring, suffix, candidates[chosen[t]])
-        return True
-
-    def rec(start: int, depth: int) -> Optional[tuple[int, ...]]:
-        nonlocal checked
-        acc = prefix[depth]
-        last = depth == n
-        for ci in range(start, count):
-            p = _poly_dict_mul(ring, acc, candidates[ci])
-            if last:
-                checked += 1
-                if in_ideal(p):
-                    chosen[depth] = ci
-                    prefix[depth + 1] = p
-                    if leaf_ok():
-                        return tuple(chosen)
-            elif not in_ideal(p):
-                chosen[depth] = ci
-                prefix[depth + 1] = p
-                found = rec(ci, depth + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return rec(0, 0), checked
+    witness = None
+    if sweep.exhaustive:
+        cands = [as_dict(coeffs) for coeffs, _ in adm]
+        found, checked = multiset_scan(cands, one, table, in_ix, n)
+        if found is not None:
+            witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
+    else:
+        checked = 0
+        for draw in _admissible_draws(sweep, ring, slots, n + 1, members):
+            checked += 1
+            tuples = [t for t, _ in draw]
+            if violates([as_dict(t) for t in tuples], one, table, in_ix):
+                witness = _to_polys(ring, num_vars, slots, sorted(tuples))
+                break
+    return PolyOmegaReport(
+        ideal, max_deg, base, witness_valid, witness, sweep.mode, checked,
+        sweep.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1229,8 +1099,5 @@ def gaussian_iff_armendariz_quotients(
 
 
 def _contents_multiply(f: Polynomial, g: Polynomial) -> bool:
-    space = content_space(f.ring)
-    cf = space.id_of_coeffs(f.coefficients())
-    cg = space.id_of_coeffs(g.coefficients())
-    cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
+    space, cf, cg, cfg = _content_ids(f, g)
     return cfg == space.product(cf, cg)

@@ -147,25 +147,30 @@ def scalar_mul(r: int, a: Polynomial) -> Polynomial:
     return make_poly(a.ring, a.num_vars, acc)
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    _same_space(a, b)
-    ring = a.ring
+def _poly_dict_mul(ring: FiniteRing, a: dict, b: dict) -> dict:
+    """Sparse product of exponent->coefficient dicts; zero terms dropped."""
     add = ring.add
     mul = ring.mul
     zero = ring.zero
-    acc: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
             p = mul(ca, cb)
             if p == zero:
                 continue
             exp = tuple(x + y for x, y in zip(ea, eb))
-            s = add(acc.get(exp, zero), p)
+            s = add(out.get(exp, zero), p)
             if s == zero:
-                acc.pop(exp, None)
+                out.pop(exp, None)
             else:
-                acc[exp] = s
-    return make_poly(ring, a.num_vars, acc)
+                out[exp] = s
+    return out
+
+
+def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    _same_space(a, b)
+    product = _poly_dict_mul(a.ring, a.as_dict(), b.as_dict())
+    return make_poly(a.ring, a.num_vars, product)
 
 
 def poly_product(polys: Iterable[Polynomial], ring: FiniteRing, num_vars: int) -> Polynomial:

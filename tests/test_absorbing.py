@@ -84,7 +84,14 @@ def test_absorbing_is_monotone():
 
 
 def test_pruned_scan_matches_reference():
-    rings = [make_zmod(8), make_zmod(12), make_truncated_local(2, 2, 2)]
+    # the pruned scan must return the reference's lexicographically least
+    # violating multiset, not only the same verdict
+    rings = [
+        make_zmod(8),
+        make_zmod(12),
+        make_truncated_local(2, 2, 2),
+        make_product(make_zmod(2), make_zmod(4)),
+    ]
     for ring in rings:
         for ideal in all_ideals(ring):
             if not ideal.is_proper:
@@ -93,6 +100,20 @@ def test_pruned_scan_matches_reference():
                 fast = is_n_absorbing(ideal, n)
                 slow = reference_is_n_absorbing(ideal, n)
                 assert fast.holds == slow.holds, (ring.descriptor, ideal.generators, n)
+                assert fast.violation == slow.violation, (
+                    ring.descriptor, ideal.generators, n
+                )
+
+
+def test_scan_above_table_limit_matches_reference():
+    # rings above TABLE_LIMIT have no multiplication table; the scan fills
+    # its products lazily and must still agree with the reference
+    for m in (289, 323):
+        zero = _zero(make_zmod(m))
+        fast = is_n_absorbing(zero, 1)
+        assert fast == reference_is_n_absorbing(zero, 1)
+        assert fast.violation == (17, 17 if m == 289 else 19)
+    assert omega(_zero(make_zmod(289))).value == 2
 
 
 def test_strong_omega_frozen():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from omegalab.cli import load_campaign_config, main
+from omegalab.cli import ConfigError, load_campaign_config, main
 
 CUBE = "trunc:p=2,vars=2,nil=3"
 
@@ -255,6 +255,29 @@ def test_config_rejects_bad_jobs(tmp_path):
     path = _write_config(tmp_path, jobs=0)
     with pytest.raises(ValueError, match="jobs"):
         load_campaign_config(path)
+
+
+def test_out_of_range_bound_argument_exit_code(capsys):
+    code, out, err = run_cli(
+        capsys, "gaussian", "--ring", "zmod:12", "--max-deg", "-1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "max_deg must be >= 0" in err
+
+
+def test_config_rejects_out_of_range_bound(tmp_path):
+    path = _write_config(tmp_path, bounds={"sample": 0})
+    with pytest.raises(ConfigError, match="sample must be >= 1"):
+        load_campaign_config(path)
+
+
+def test_campaign_jobs_zero_exit_code(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    code, out, err = run_cli(capsys, "campaign", "--config", path, "--jobs", "0")
+    assert code == 1
+    assert out == ""
+    assert "--jobs must be >= 1" in err
 
 
 def test_campaign_config_error_exit_code(tmp_path, capsys):

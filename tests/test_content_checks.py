@@ -159,6 +159,14 @@ def test_gaussian_search_sampled_mode():
     assert cfg.elements != ideal_product(content(f), content(g)).elements
 
 
+def test_gaussian_search_budget_counts_pairs():
+    # 360^2 single polynomials fit the default budget, but their ~1.1e9
+    # unordered admissible pairs do not, so the search must sample
+    out = gaussian_search(make_zmod(360), sample=500, seed=1)
+    assert out.mode == "sampled:500"
+    assert out.seed == 1
+
+
 def test_armendariz_search_clean_rings():
     out = armendariz_search(M2, num_vars=1, max_deg=1)
     assert not out.found
