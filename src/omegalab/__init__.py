@@ -4,6 +4,9 @@ finite commutative rings, their polynomial extensions, and the integers.
 The public surface re-exports the main entry points of each layer: ring
 construction and parsing, the ideal lattice, absorbing-degree scans,
 polynomial content checks, the integer leg, and the CLI main.
+``poly_add``, ``poly_product``, ``scalar_mul``, ``ideal_sum`` and
+``ideal_intersect`` are public helpers kept for library users and tests;
+no check calls them.
 """
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .ideals import (
     ideal_display,
     product_elements,
 )
-from .rings import FiniteRing
+from .rings import FiniteRing, LazyRow
 
 __all__ = [
     "DEFAULT_CAP",
@@ -166,21 +166,6 @@ def violates(factors: Sequence, one, table, inside) -> bool:
     )
 
 
-class _LazyRow(dict):
-    """One row of a product table, each entry computed on first use."""
-
-    __slots__ = ("mul", "a")
-
-    def __init__(self, mul: Callable[[int, int], int], a: int):
-        super().__init__()
-        self.mul = mul
-        self.a = a
-
-    def __missing__(self, b: int) -> int:
-        got = self[b] = self.mul(self.a, b)
-        return got
-
-
 def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
     """Scan for a violating (n+1)-element multiset; I must be proper."""
     _check_args(ideal, n)
@@ -190,10 +175,7 @@ def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
     candidates = [
         x for x in range(ring.order) if x not in members and x not in units
     ]
-    table = ring.mul_table()
-    if table is None:
-        table = [_LazyRow(ring.mul, a) for a in range(ring.order)]
-    found, _ = multiset_scan(candidates, ring.one, table, members, n)
+    found, _ = multiset_scan(candidates, ring.one, ring.mul_rows(), members, n)
     if found is None:
         return AbsorbingCheck(holds=True)
     return AbsorbingCheck(
@@ -280,7 +262,7 @@ def is_strongly_n_absorbing(
             got = id_of[product_elements(ring, sets[a], sets[b])]
         return got
 
-    table = [_LazyRow(prod, a) for a in range(len(lattice))]
+    table = [LazyRow(prod, a) for a in range(len(lattice))]
     inside = frozenset(i for i, els in enumerate(sets) if els <= ideal.elements)
     candidates = [
         i for i in range(len(lattice)) if i not in inside and i != full_id

@@ -30,7 +30,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .absorbing import DEFAULT_CAP, omega, omega_agreement_table, strong_omega
 from .content_checks import (
@@ -48,6 +48,7 @@ from .content_checks import (
 from .errors import SpecParseError
 from .ideals import (
     DEFAULT_LATTICE_CAP,
+    Ideal,
     all_ideals,
     ideal_display,
     ideal_from_generators,
@@ -58,29 +59,16 @@ from .ideals import (
 from .integers import conjecture_check_int, omega_int
 from .polys import (
     Polynomial,
+    display_mono,
     display_poly,
     make_poly,
     monomials_up_to,
     parse_poly,
 )
-from .rings import FiniteRing, ZmodRing, parse_ring_spec, var_names
+from .rings import FiniteRing, ZmodRing, parse_ring_spec
 
 VERSION = "0.1.0"
 
-CAMPAIGN_CHECKS = (
-    "omega-table",
-    "conjecture1",
-    "gaussian",
-    "armendariz",
-    "dm-bound",
-    "poly-omega",
-    "bezout",
-    "certify-radical",
-    "int-conjecture",
-)
-SAMPLING_CHECKS = frozenset(
-    {"gaussian", "armendariz", "dm-bound", "poly-omega", "bezout", "int-conjecture"}
-)
 BOUND_KEYS = (
     "max_deg",
     "cap",
@@ -165,34 +153,29 @@ def _poly_pair(f: Polynomial, g: Polynomial) -> str:
     return f"f={display_poly(f)}; g={display_poly(g)}"
 
 
-def _mono_display(exp: tuple[int, ...]) -> str:
-    names = var_names(len(exp))
-    parts = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(names, exp)
-        if e > 0
-    ]
-    return "*".join(parts) if parts else "1"
-
-
 def _derive_seed(base: int, *parts: str) -> int:
     key = ":".join([str(base), *parts]).encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def _timed(fn):
+def _timed(fn, *args):
     start = time.perf_counter()
-    out = fn()
+    out = fn(*args)
     millis = int((time.perf_counter() - start) * 1000)
     return out, millis
 
 
 # ---------------------------------------------------------------------------
-# check runners; each returns (mode, result, witness, status)
+# check runners
+#
+# Every runner takes (ring, ideal, bounds, seed, polys) and returns
+# (mode, result, witness, status). ideal is the parsed --ideal or the
+# campaign's fan-out ideal (None for ring-level checks); polys are the
+# --poly literals (empty in campaigns). Runners call the library through
+# module globals at call time, so a rebound module attribute is seen.
 
 
-def _run_omega(ring: FiniteRing, ideal_text: str, bounds: Bounds):
-    ideal = parse_ideal_spec(ring, ideal_text)
+def _run_omega(ring, ideal, bounds, seed, polys):
     res = omega(ideal, bounds.cap)
     witness = (
         _elements_tuple(ring, res.lower_witness) if res.lower_witness else None
@@ -201,15 +184,26 @@ def _run_omega(ring: FiniteRing, ideal_text: str, bounds: Bounds):
     return "exact", f"omega={res.describe()}", witness, status
 
 
-def _run_strong_omega(ring: FiniteRing, ideal_text: str, bounds: Bounds):
-    ideal = parse_ideal_spec(ring, ideal_text)
+def _run_omega_table(ring, ideal, bounds, seed, polys):
+    """omega of the ideal; on zmod:m also compared with Omega(m)."""
+    mode, result, witness, status = _run_omega(ring, ideal, bounds, seed, polys)
+    if isinstance(ring, ZmodRing):
+        arith = omega_int(ring.modulus).value
+        agree = result == f"omega={arith}"  # a capped omega never agrees
+        result += f" arithmetic={arith} agree={'yes' if agree else 'NO'}"
+        if status == "pass" and not agree:
+            status = "counterexample"
+    return mode, result, witness, status
+
+
+def _run_strong_omega(ring, ideal, bounds, seed, polys):
     res = strong_omega(ideal, bounds.cap, bounds.lattice_cap)
     witness = _ideal_tuple(res.lower_witness) if res.lower_witness else None
     status = "pass" if res.is_exact else "cap"
     return "exact", f"strong-omega={res.describe()}", witness, status
 
 
-def _run_conjecture1(ring: FiniteRing, bounds: Bounds):
+def _run_conjecture1(ring, ideal, bounds, seed, polys):
     report = omega_agreement_table(ring, bounds.cap, bounds.lattice_cap)
     agreeing = sum(1 for row in report.rows if row.agree is True)
     result = (
@@ -227,18 +221,26 @@ def _run_conjecture1(ring: FiniteRing, bounds: Bounds):
     return "exact", result, None, status
 
 
-def _run_pair_search(kind: str, ring: FiniteRing, bounds: Bounds, seed: int):
-    search = gaussian_search if kind == "gaussian" else armendariz_search
-    out = search(
-        ring, bounds.vars, bounds.max_deg, bounds.budget, bounds.sample, seed
-    )
+def _search_record(out):
     result = f"found={'yes' if out.found else 'no'} checked={out.checked}"
     witness = _poly_pair(*out.witness) if out.witness else None
     status = "counterexample" if out.found else "pass"
     return out.mode, result, witness, status
 
 
-def _run_dm(ring: FiniteRing, bounds: Bounds, seed: int):
+def _run_gaussian(ring, ideal, bounds, seed, polys):
+    return _search_record(gaussian_search(
+        ring, bounds.vars, bounds.max_deg, bounds.budget, bounds.sample, seed
+    ))
+
+
+def _run_armendariz(ring, ideal, bounds, seed, polys):
+    return _search_record(armendariz_search(
+        ring, bounds.vars, bounds.max_deg, bounds.budget, bounds.sample, seed
+    ))
+
+
+def _run_dm(ring, ideal, bounds, seed, polys):
     table = dm_exponent_table(
         ring,
         bounds.vars,
@@ -264,8 +266,9 @@ def _run_dm(ring: FiniteRing, bounds: Bounds, seed: int):
     return table.mode, result, witness, status
 
 
-def _run_bezout_single(ring: FiniteRing, poly_text: str, bounds: Bounds):
-    g = parse_poly(ring, bounds.vars, poly_text)
+def _run_bezout_poly(ring, ideal, bounds, seed, polys):
+    (text,) = polys
+    g = parse_poly(ring, bounds.vars, text)
     fact = bezout_factor(g)
     result = (
         f"b={ring.display(fact.b.index)} d={ring.display(fact.d.index)} "
@@ -273,13 +276,13 @@ def _run_bezout_single(ring: FiniteRing, poly_text: str, bounds: Bounds):
     )
     witness = (
         f"r={_elements_tuple(ring, fact.r)}; s={_elements_tuple(ring, fact.s)}; "
-        f"fresh={_mono_display(fact.fresh_exponent)}; "
+        f"fresh={display_mono(fact.fresh_exponent) or '1'}; "
         f"g'={display_poly(fact.unit_part)}"
     )
     return "exact", result, witness, "pass"
 
 
-def _run_bezout_sweep(ring: FiniteRing, bounds: Bounds, seed: int):
+def _run_bezout_sweep(ring, ideal, bounds, seed, polys):
     slots = monomials_up_to(bounds.vars, bounds.max_deg)
     sweep = plan_sweep(
         ring.order ** len(slots), bounds.budget, bounds.sample, seed
@@ -294,12 +297,9 @@ def _run_bezout_sweep(ring: FiniteRing, bounds: Bounds, seed: int):
     return sweep.mode, f"checked={checked} invariants=ok", None, "pass"
 
 
-def _run_certify_single(
-    ring: FiniteRing, ideal_text: str, poly_texts: Sequence[str], bounds: Bounds
-):
-    ideal = parse_ideal_spec(ring, ideal_text)
-    polys = [parse_poly(ring, bounds.vars, t) for t in poly_texts]
-    cert = certify_content_product(ideal, polys, bounds.cap)
+def _run_certify_polys(ring, ideal, bounds, seed, polys):
+    factors = [parse_poly(ring, bounds.vars, t) for t in polys]
+    cert = certify_content_product(ideal, factors, bounds.cap)
     exps = ",".join(str(l) for l in cert.exponents)
     result = (
         f"exponents=({exps}) chain={'ok' if cert.chain_containment else 'FAIL'} "
@@ -315,7 +315,7 @@ def _run_certify_single(
     return "exact", result, None, status
 
 
-def _run_certify_sweep(ring: FiniteRing, ideal, bounds: Bounds, seed: int):
+def _run_certify_sweep(ring, ideal, bounds, seed, polys):
     sweep = certify_pair_sweep(
         ideal,
         bounds.vars,
@@ -337,7 +337,7 @@ def _run_certify_sweep(ring: FiniteRing, ideal, bounds: Bounds, seed: int):
     return sweep.mode, result, witness, "pass" if ok else "counterexample"
 
 
-def _run_poly_omega(ring: FiniteRing, ideal, bounds: Bounds, seed: int):
+def _run_poly_omega(ring, ideal, bounds, seed, polys):
     report = verify_poly_omega(
         ideal,
         bounds.max_deg,
@@ -367,9 +367,12 @@ def _run_poly_omega(ring: FiniteRing, ideal, bounds: Bounds, seed: int):
     return report.mode, result, witness, status
 
 
-def _run_int(m: int, bounds: Bounds, seed: int):
+def _run_int(ring, ideal, bounds, seed, polys):
+    if not isinstance(ring, ZmodRing):
+        raise ValueError("int-conjecture needs a zmod ring spec as its modulus")
     report = conjecture_check_int(
-        m, bounds.max_deg, bounds.height, bounds.sample, seed, bounds.budget
+        ring.modulus, bounds.max_deg, bounds.height, bounds.sample, seed,
+        bounds.budget,
     )
     factors = "(" + ",".join(str(p) for p in report.omega.factors) + ")"
     viol = "found" if report.violation else "none"
@@ -389,144 +392,112 @@ def _run_int(m: int, bounds: Bounds, seed: int):
 
 
 # ---------------------------------------------------------------------------
+# the check registry
+
+
+def _zero_ideal(ring: FiniteRing, bounds: Bounds) -> list[Ideal]:
+    return [ideal_from_generators(ring, ())]
+
+
+def _proper_ideals(ring: FiniteRing, bounds: Bounds) -> list[Ideal]:
+    return [i for i in all_ideals(ring, bounds.lattice_cap) if i.is_proper]
+
+
+def _proper_radical_ideals(ring: FiniteRing, bounds: Bounds) -> list[Ideal]:
+    return [i for i in _proper_ideals(ring, bounds) if is_radical_ideal(i)]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A campaign check: its runner, the ideals a campaign runs it on
+    (None: once per ring, with no ideal), and whether it can sample."""
+
+    run: Callable
+    ideals: Optional[Callable[[FiniteRing, Bounds], list[Ideal]]] = None
+    samples: bool = False
+
+
+CHECKS = {
+    "omega-table": Check(_run_omega_table, _zero_ideal),
+    "conjecture1": Check(_run_conjecture1),
+    "gaussian": Check(_run_gaussian, samples=True),
+    "armendariz": Check(_run_armendariz, samples=True),
+    "dm-bound": Check(_run_dm, samples=True),
+    "poly-omega": Check(_run_poly_omega, _proper_ideals, samples=True),
+    "bezout": Check(_run_bezout_sweep, samples=True),
+    "certify-radical": Check(_run_certify_sweep, _proper_radical_ideals),
+    "int-conjecture": Check(_run_int, samples=True),
+}
+CAMPAIGN_CHECKS = tuple(CHECKS)
+SAMPLING_CHECKS = frozenset(name for name, c in CHECKS.items() if c.samples)
+
+# subcommand -> runner; a subcommand named after a check runs that check
+COMMANDS = {
+    "omega": _run_omega,
+    "strong-omega": _run_strong_omega,
+    "conjecture1": _run_conjecture1,
+    "gaussian": _run_gaussian,
+    "armendariz": _run_armendariz,
+    "dm": _run_dm,
+    "bezout": _run_bezout_poly,
+    "certify": _run_certify_polys,
+    "poly-omega": _run_poly_omega,
+    "int": _run_int,
+}
+
+
+# ---------------------------------------------------------------------------
 # campaign execution
+
+
+def _error_record(ring: str, ideal: str, check: str, exc: Exception) -> dict:
+    return _record(
+        ring, ideal, check, "error", f"error={type(exc).__name__}: {exc}",
+        None, "error", 0,
+    )
 
 
 def _campaign_records(
     spec_text: str, checks: Sequence[str], bounds: Bounds, seed: int
 ) -> list[dict]:
-    """All records for one ring, sequentially (shared caches stay safe)."""
-    records: list[dict] = []
+    """All records for one ring, sequentially (shared caches stay safe).
 
-    def add(ideal_text: str, check: str, fn) -> None:
-        try:
-            (mode, result, witness, status), millis = _timed(fn)
-        except Exception as exc:  # per-record isolation
-            mode, result, witness, status = (
-                "error",
-                f"error={type(exc).__name__}: {exc}",
-                None,
-                "error",
-            )
-            millis = 0
-        records.append(
-            _record(spec_text, ideal_text, check, mode, result, witness, status, millis)
-        )
-
+    Each record is isolated: an exception, also one raised while listing a
+    check's ideals, becomes an error record and the campaign goes on.
+    """
     try:
         ring = parse_ring_spec(spec_text, bounds.order_cap)
     except Exception as exc:
-        for check in checks:
+        return [_error_record(spec_text, "-", check, exc) for check in checks]
+
+    records: list[dict] = []
+    for name in checks:
+        try:
+            check = CHECKS.get(name)
+            if check is None:  # load_campaign_config validates names
+                raise ValueError(f"unknown check {name}")
+            if check.ideals is None:
+                targets = [("-", None, _derive_seed(seed, spec_text, name))]
+            else:
+                targets = []
+                for ideal in check.ideals(ring, bounds):
+                    itext = ideal_spec(ideal)
+                    s = _derive_seed(seed, spec_text, name, itext)
+                    targets.append((itext, ideal, s))
+        except Exception as exc:
+            records.append(_error_record(spec_text, "-", name, exc))
+            continue
+        for itext, ideal, s in targets:
+            try:
+                (mode, result, witness, status), millis = _timed(
+                    check.run, ring, ideal, bounds, s, ()
+                )
+            except Exception as exc:  # per-record isolation
+                records.append(_error_record(spec_text, itext, name, exc))
+                continue
             records.append(
-                _record(
-                    spec_text,
-                    "-",
-                    check,
-                    "error",
-                    f"error={type(exc).__name__}: {exc}",
-                    None,
-                    "error",
-                    0,
-                )
-            )
-        return records
-
-    for check in checks:
-        rec_seed = _derive_seed(seed, spec_text, check)
-        if check == "omega-table":
-
-            def run_table(ring=ring):
-                zero_ideal = ideal_from_generators(ring, ())
-                res = omega(zero_ideal, bounds.cap)
-                if isinstance(ring, ZmodRing):
-                    arith = omega_int(ring.modulus)
-                    agree = res.value == arith.value
-                    result = (
-                        f"omega={res.describe()} arithmetic={arith.value} "
-                        f"agree={'yes' if agree else 'NO'}"
-                    )
-                    witness = (
-                        _elements_tuple(ring, res.lower_witness)
-                        if res.lower_witness
-                        else None
-                    )
-                    if res.value is None:
-                        return "exact", result, witness, "cap"
-                    return (
-                        "exact",
-                        result,
-                        witness,
-                        "pass" if agree else "counterexample",
-                    )
-                witness = (
-                    _elements_tuple(ring, res.lower_witness)
-                    if res.lower_witness
-                    else None
-                )
-                status = "pass" if res.is_exact else "cap"
-                return "exact", f"omega={res.describe()}", witness, status
-
-            add("gen:none", "omega-table", run_table)
-        elif check == "conjecture1":
-            add("-", check, lambda ring=ring: _run_conjecture1(ring, bounds))
-        elif check in ("gaussian", "armendariz"):
-            add(
-                "-",
-                check,
-                lambda ring=ring, check=check, s=rec_seed: _run_pair_search(
-                    check, ring, bounds, s
-                ),
-            )
-        elif check == "dm-bound":
-            add("-", check, lambda ring=ring, s=rec_seed: _run_dm(ring, bounds, s))
-        elif check == "bezout":
-            add(
-                "-",
-                check,
-                lambda ring=ring, s=rec_seed: _run_bezout_sweep(ring, bounds, s),
-            )
-        elif check == "poly-omega":
-            for ideal in all_ideals(ring, bounds.lattice_cap):
-                if not ideal.is_proper:
-                    continue
-                itext = ideal_spec(ideal)
-                s = _derive_seed(seed, spec_text, check, itext)
-                add(
-                    itext,
-                    check,
-                    lambda ring=ring, ideal=ideal, s=s: _run_poly_omega(
-                        ring, ideal, bounds, s
-                    ),
-                )
-        elif check == "certify-radical":
-            for ideal in all_ideals(ring, bounds.lattice_cap):
-                if not ideal.is_proper or not is_radical_ideal(ideal):
-                    continue
-                itext = ideal_spec(ideal)
-                s = _derive_seed(seed, spec_text, check, itext)
-                add(
-                    itext,
-                    check,
-                    lambda ring=ring, ideal=ideal, s=s: _run_certify_sweep(
-                        ring, ideal, bounds, s
-                    ),
-                )
-        elif check == "int-conjecture":
-
-            def run_int(ring=ring, s=rec_seed):
-                if not isinstance(ring, ZmodRing):
-                    raise ValueError(
-                        "int-conjecture needs a zmod ring spec as its modulus"
-                    )
-                return _run_int(ring.modulus, bounds, s)
-
-            add("-", check, run_int)
-        else:  # load_campaign_config validates names; defensive
-            records.append(
-                _record(
-                    spec_text, "-", check, "error",
-                    f"error=ValueError: unknown check {check}", None, "error", 0,
-                )
+                _record(spec_text, itext, name, mode, result, witness, status,
+                        millis)
             )
     return records
 
@@ -847,40 +818,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         bounds = _bounds_from_args(args)
-        if args.command in ("omega", "strong-omega", "conjecture1", "gaussian",
-                            "armendariz", "dm", "bezout", "certify",
-                            "poly-omega", "int"):
-            ring = parse_ring_spec(args.ring, bounds.order_cap)
-        else:  # unreachable; subparsers are required
-            raise ValueError(args.command)
-
-        def run():
-            if args.command == "omega":
-                return _run_omega(ring, args.ideal, bounds)
-            if args.command == "strong-omega":
-                return _run_strong_omega(ring, args.ideal, bounds)
-            if args.command == "conjecture1":
-                return _run_conjecture1(ring, bounds)
-            if args.command in ("gaussian", "armendariz"):
-                return _run_pair_search(args.command, ring, bounds, seed)
-            if args.command == "dm":
-                return _run_dm(ring, bounds, seed)
-            if args.command == "bezout":
-                return _run_bezout_single(ring, args.poly, bounds)
-            if args.command == "certify":
-                if len(args.poly) < 2:
-                    raise ValueError("certify needs at least two --poly factors")
-                return _run_certify_single(ring, args.ideal, args.poly, bounds)
-            if args.command == "poly-omega":
-                ideal = parse_ideal_spec(ring, args.ideal)
-                return _run_poly_omega(ring, ideal, bounds, seed)
-            if args.command == "int":
-                if not isinstance(ring, ZmodRing):
-                    raise ValueError("the int check takes its modulus from a zmod ring spec")
-                return _run_int(ring.modulus, bounds, seed)
-            raise ValueError(args.command)
-
-        (mode, result, witness, status), millis = _timed(run)
+        ring = parse_ring_spec(args.ring, bounds.order_cap)
+        ideal = (
+            parse_ideal_spec(ring, args.ideal) if hasattr(args, "ideal") else None
+        )
+        poly = getattr(args, "poly", ())
+        polys = [poly] if isinstance(poly, str) else poly
+        (mode, result, witness, status), millis = _timed(
+            COMMANDS[args.command], ring, ideal, bounds, seed, polys
+        )
     except SpecParseError as exc:
         print(f"omegalab: parse error: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,7 @@ the Dedekind-Mertens law). Pruned and unpruned scans are compared in tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -245,44 +246,24 @@ def _convolver(ring: FiniteRing, num_vars: int, max_deg: int):
         for i in range(L)
     ]
     zero = ring.zero
-    mtab = ring.mul_table()
-    atab = ring.add_table()
-    if mtab is not None and atab is not None:
+    mtab = ring.mul_rows()
+    atab = ring.add_rows()
 
-        def convolve(fa: Sequence[int], fb: Sequence[int]) -> list[int]:
-            out = [zero] * len(prod_slots)
-            for i in range(L):
-                ca = fa[i]
-                if ca != zero:
-                    mrow = mtab[ca]
-                    row = pairpos[i]
-                    for j in range(L):
-                        cb = fb[j]
-                        if cb != zero:
-                            p = mrow[cb]
-                            if p != zero:
-                                pos = row[j]
-                                out[pos] = atab[out[pos]][p]
-            return out
-
-    else:
-        mul = ring.mul
-        add = ring.add
-
-        def convolve(fa: Sequence[int], fb: Sequence[int]) -> list[int]:
-            out = [zero] * len(prod_slots)
-            for i in range(L):
-                ca = fa[i]
-                if ca != zero:
-                    row = pairpos[i]
-                    for j in range(L):
-                        cb = fb[j]
-                        if cb != zero:
-                            p = mul(ca, cb)
-                            if p != zero:
-                                pos = row[j]
-                                out[pos] = add(out[pos], p)
-            return out
+    def convolve(fa: Sequence[int], fb: Sequence[int]) -> list[int]:
+        out = [zero] * len(prod_slots)
+        for i in range(L):
+            ca = fa[i]
+            if ca != zero:
+                mrow = mtab[ca]
+                row = pairpos[i]
+                for j in range(L):
+                    cb = fb[j]
+                    if cb != zero:
+                        p = mrow[cb]
+                        if p != zero:
+                            pos = row[j]
+                            out[pos] = atab[out[pos]][p]
+        return out
 
     return slots, convolve
 
@@ -501,12 +482,15 @@ def dm_exponent_table(
     checked = 0
     bound_ok: Optional[bool] = True if num_vars == 1 else None
 
+    # f and g repeat across the sweep, so their ids are memoized for this
+    # call; products rarely repeat and are looked up directly
+    id_of_factor = functools.cache(space.id_of_coeffs)
     sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
     for fa, fb in sweep.tuples(ring.order, len(slots), 2):
         checked += 1
         n = space.dm_exponent(
-            space.id_of_coeffs(fa),
-            space.id_of_coeffs(fb),
+            id_of_factor(fa),
+            id_of_factor(fb),
             space.id_of_coeffs(convolve(fa, fb)),
             cap,
         )

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
+from .content_checks import plan_sweep
+
 __all__ = [
     "INT_LIMIT",
     "IntPolynomial",
@@ -221,20 +223,22 @@ def _in_mzx(f: IntPolynomial, m: int) -> bool:
     return all(c % m == 0 for c in f.coefficients())
 
 
-def _tuple_violates(polys: Sequence[IntPolynomial], m: int) -> bool:
-    full = polys[0]
+def _product(polys: Sequence[IntPolynomial]) -> IntPolynomial:
+    if not polys:
+        return int_poly((1,))
+    out = polys[0]
     for p in polys[1:]:
-        full = full * p
-    if not _in_mzx(full, m):
-        return False
-    for omit in range(len(polys)):
-        sub = int_poly((1,))
-        for t, p in enumerate(polys):
-            if t != omit:
-                sub = sub * p
-        if _in_mzx(sub, m):
-            return False
-    return True
+        out = out * p
+    return out
+
+
+def _violates(polys: Sequence[IntPolynomial], full: IntPolynomial, m: int) -> bool:
+    """Whether full, the product of polys, lies in mZ[X] while no product
+    omitting one factor does."""
+    return _in_mzx(full, m) and not any(
+        _in_mzx(_product(polys[:t] + polys[t + 1:]), m)
+        for t in range(len(polys))
+    )
 
 
 def _split_draws(
@@ -276,42 +280,34 @@ def conjecture_check_int(
     k = n + 1
 
     witness = [int_poly((p,)) for p in base.factors]
-    full = int_poly((1,))
-    for w in witness:
-        full = full * w
-    witness_valid = _in_mzx(full, m) and not any(
-        _in_mzx(_drop_product(witness, i), m) for i in range(len(witness))
-    )
+    witness_valid = _violates(witness, _product(witness), m)
 
     box_size = (2 * height + 1) ** (max_deg + 1)
-    exhaustive = box_size**k <= budget
-    if exhaustive:
+    sweep = plan_sweep(box_size**k, budget, sample, seed)
+
+    def report(violation, checked, drawn) -> IntConjectureReport:
+        return IntConjectureReport(
+            m, base, max_deg, height, witness_valid, violation, sweep.mode,
+            checked, drawn, sweep.seed,
+        )
+
+    checked = 0
+    drawn = 0
+    if sweep.exhaustive:
         polys = _box_polys(max_deg, height, m)
-        checked = 0
-        drawn = 0
         for combo in combinations_with_replacement(range(len(polys)), k):
             drawn += 1
             tup = [polys[i] for i in combo]
-            prod = tup[0]
-            for p in tup[1:]:
-                prod = prod * p
-            if not _in_mzx(prod, m):
+            full = _product(tup)
+            if not _in_mzx(full, m):
                 continue
             checked += 1
-            if _tuple_violates(tup, m):
-                return IntConjectureReport(
-                    m, base, max_deg, height, witness_valid,
-                    tuple(tup), "exhaustive", checked, drawn,
-                )
-        return IntConjectureReport(
-            m, base, max_deg, height, witness_valid,
-            None, "exhaustive", checked, drawn,
-        )
+            if _violates(tup, full, m):
+                return report(tuple(tup), checked, drawn)
+        return report(None, checked, drawn)
 
-    rng = random.Random(seed)
+    rng = random.Random(sweep.seed)
     span = 2 * height + 1
-    checked = 0
-    drawn = 0
 
     def draw_uniform() -> list[IntPolynomial]:
         return [
@@ -339,26 +335,10 @@ def conjecture_check_int(
             continue
         if any(_in_mzx(p, m) for p in tup):
             continue
-        prod = tup[0]
-        for p in tup[1:]:
-            prod = prod * p
-        if not _in_mzx(prod, m):
+        full = _product(tup)
+        if not _in_mzx(full, m):
             continue
         checked += 1
-        if _tuple_violates(tup, m):
-            return IntConjectureReport(
-                m, base, max_deg, height, witness_valid,
-                tuple(tup), f"sampled:{sample}", checked, drawn, seed,
-            )
-    return IntConjectureReport(
-        m, base, max_deg, height, witness_valid,
-        None, f"sampled:{sample}", checked, drawn, seed,
-    )
-
-
-def _drop_product(polys: Sequence[IntPolynomial], omit: int) -> IntPolynomial:
-    out = int_poly((1,))
-    for t, p in enumerate(polys):
-        if t != omit:
-            out = out * p
-    return out
+        if _violates(tup, full, m):
+            return report(tuple(tup), checked, drawn)
+    return report(None, checked, drawn)

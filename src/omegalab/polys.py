@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import SpecParseError
 from .ideals import Ideal, ideal_from_generators
-from .rings import FiniteRing, var_names
+from .rings import FiniteRing, parse_var, var_names
 
 __all__ = [
     "Polynomial",
@@ -37,6 +37,7 @@ __all__ = [
     "monomials_up_to",
     "grlex_key",
     "parse_poly",
+    "display_mono",
     "display_poly",
 ]
 
@@ -200,18 +201,21 @@ def monomials_up_to(num_vars: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
 # literal syntax
 
 
+def display_mono(exp: tuple[int, ...]) -> str:
+    """Literal form of a monomial, e.g. x^2*y; "" for the constant one."""
+    names = var_names(len(exp))
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e > 0
+    )
+
+
 def display_poly(f: Polynomial) -> str:
     """Literal form with coefficient indices; round-trips via parse_poly."""
     if f.is_zero:
         return "0"
-    names = var_names(f.num_vars)
     parts = []
     for exp, coeff in f.terms:
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, exp)
-            if e > 0
-        )
+        mono = display_mono(exp)
         if not mono:
             parts.append(str(coeff))
         elif coeff == f.ring.one:
@@ -263,7 +267,7 @@ def _parse_term(
             if term[pos] != "*":
                 raise SpecParseError(f"expected '*' between variables in {term!r}")
             pos += 1
-        var_idx, pos = _parse_var(names, term, pos)
+        var_idx, pos = parse_var(names, term, pos)
         exp = 1
         if pos < len(term) and term[pos] == "^":
             pos += 1
@@ -284,13 +288,3 @@ def _parse_term(
             raise SpecParseError(f"cannot parse term {term!r}")
         coeff = ring.one
     return coeff, tuple(exps)
-
-
-def _parse_var(names: tuple[str, ...], term: str, pos: int) -> tuple[int, int]:
-    for idx, name in enumerate(names):
-        if term.startswith(name, pos):
-            end = pos + len(name)
-            if name[-1].isdigit() and end < len(term) and term[end].isdigit():
-                continue
-            return idx, end
-    raise SpecParseError(f"unknown variable at {term[pos:]!r} (names: {names})")

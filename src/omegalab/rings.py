@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import RingConstructionError, SpecParseError
 
@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_ORDER_CAP",
     "TABLE_LIMIT",
     "FiniteRing",
+    "LazyRow",
     "ZmodRing",
     "ProductRing",
     "TruncatedLocalRing",
@@ -55,6 +56,34 @@ def var_names(k: int) -> tuple[str, ...]:
     if k <= len(_VAR_LETTERS):
         return _VAR_LETTERS[:k]
     return tuple(f"x{i + 1}" for i in range(k))
+
+
+def parse_var(names: Sequence[str], term: str, pos: int) -> tuple[int, int]:
+    """(index into names, end position) of the variable at term[pos:]."""
+    for idx, name in enumerate(names):
+        if term.startswith(name, pos):
+            # longest-match guard for x1/x10 style names
+            end = pos + len(name)
+            if name[-1].isdigit() and end < len(term) and term[end].isdigit():
+                continue
+            return idx, end
+    raise SpecParseError(f"unknown variable at {term[pos:]!r} (names: {names})")
+
+
+class LazyRow(dict):
+    """Row a of the table of a binary operation, row[b] = op(a, b), each
+    entry computed on first use."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op: Callable[[int, int], int], a: int):
+        super().__init__()
+        self.op = op
+        self.a = a
+
+    def __missing__(self, b: int) -> int:
+        got = self[b] = self.op(self.a, b)
+        return got
 
 
 class FiniteRing:
@@ -121,6 +150,21 @@ class FiniteRing:
             n = self.order
             self._mul_table = [[mul(i, j) for j in range(n)] for i in range(n)]
         return self._mul_table
+
+    def add_rows(self) -> list:
+        """Rows of the addition table: the full table up to TABLE_LIMIT,
+        else fresh rows filled on first use (never kept on the ring)."""
+        table = self.add_table()
+        if table is None:
+            table = [LazyRow(self.add, a) for a in range(self.order)]
+        return table
+
+    def mul_rows(self) -> list:
+        """Rows of the multiplication table, as for add_rows."""
+        table = self.mul_table()
+        if table is None:
+            table = [LazyRow(self.mul, a) for a in range(self.order)]
+        return table
 
     def units(self) -> frozenset[int]:
         """Indices of invertible elements (computed once, by scan)."""
@@ -357,7 +401,7 @@ class TruncatedLocalRing(FiniteRing):
                 return coeff, (0,) * self.num_vars
         exps = [0] * self.num_vars
         while pos < len(term):
-            var, pos = self._parse_var(term, pos)
+            var, pos = parse_var(self._names, term, pos)
             exp = 1
             if pos < len(term) and term[pos] == "^":
                 pos += 1
@@ -371,16 +415,6 @@ class TruncatedLocalRing(FiniteRing):
                 raise SpecParseError(f"repeated variable in {term!r}")
             exps[var] = exp
         return coeff, tuple(exps)
-
-    def _parse_var(self, term: str, pos: int) -> tuple[int, int]:
-        for idx, name in enumerate(self._names):
-            if term.startswith(name, pos):
-                # longest-match guard for x1/x10 style names
-                end = pos + len(name)
-                if name[-1].isdigit() and end < len(term) and term[end].isdigit():
-                    continue
-                return idx, end
-        raise SpecParseError(f"unknown variable at {term[pos:]!r}")
 
 
 class TableRing(FiniteRing):

@@ -1,10 +1,19 @@
 """Command line surface: wire formats, exit codes, campaign determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from omegalab.cli import ConfigError, load_campaign_config, main
+from omegalab.cli import (
+    CAMPAIGN_CHECKS,
+    COMMANDS,
+    SAMPLING_CHECKS,
+    ConfigError,
+    build_parser,
+    load_campaign_config,
+    main,
+)
 
 CUBE = "trunc:p=2,vars=2,nil=3"
 
@@ -369,3 +378,40 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "omegalab" in capsys.readouterr().out
+
+
+def test_campaign_isolates_lattice_overflow(tmp_path, capsys):
+    # listing poly-omega's ideals overflows the lattice cap on zmod:12 only
+    path = _campaign_path(
+        tmp_path, rings=["zmod:12", "zmod:2"], checks=["poly-omega"],
+        bounds={"lattice_cap": 2}, seed=1,
+    )
+    code, payload, _ = run_json(capsys, "campaign", "--config", path)
+    assert code == 1
+    errors = [r for r in payload["records"] if r["status"] == "error"]
+    assert [(r["ring"], r["ideal"], r["check"]) for r in errors] == [
+        ("zmod:12", "-", "poly-omega")
+    ]
+    assert "LatticeOverflowError" in errors[0]["result"]
+    assert [r["ideal"] for r in payload["records"] if r["ring"] == "zmod:2"] == [
+        "gen:none"
+    ]
+
+
+def test_check_registry_names():
+    assert SAMPLING_CHECKS == {
+        "gaussian", "armendariz", "dm-bound", "poly-omega", "bezout",
+        "int-conjecture",
+    }
+    assert CAMPAIGN_CHECKS == (
+        "omega-table", "conjecture1", "gaussian", "armendariz", "dm-bound",
+        "poly-omega", "bezout", "certify-radical", "int-conjecture",
+    )
+
+
+def test_every_subcommand_has_a_runner():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) - {"campaign"} == set(COMMANDS)
