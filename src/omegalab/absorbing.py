@@ -34,7 +34,7 @@ from .ideals import (
     Ideal,
     all_ideals,
     ideal_display,
-    product_elements,
+    ideal_space,
 )
 from .rings import FiniteRing, LazyRow
 
@@ -252,26 +252,23 @@ def is_strongly_n_absorbing(
     _check_args(ideal, n)
     ring = ideal.ring
     lattice = all_ideals(ring, lattice_cap)
-    sets = [iv.elements for iv in lattice]
-    id_of = {els: i for i, els in enumerate(sets)}
-    full_id = id_of[frozenset(range(ring.order))]
-
-    def prod(a: int, b: int) -> int:
-        got = table[b].get(a)  # the transposed entry, when already known
-        if got is None:
-            got = id_of[product_elements(ring, sets[a], sets[b])]
-        return got
-
-    table = [LazyRow(prod, a) for a in range(len(lattice))]
-    inside = frozenset(i for i, els in enumerate(sets) if els <= ideal.elements)
-    candidates = [
-        i for i in range(len(lattice)) if i not in inside and i != full_id
+    space = ideal_space(ring)
+    ids = [space.intern(iv.elements) for iv in lattice]
+    inside = frozenset(i for i, iv in zip(ids, lattice) if iv <= ideal)
+    # candidates keep their lattice order, so the first violation found is
+    # the lexicographically least in lattice positions
+    positions = [
+        p for p, i in enumerate(ids) if i not in inside and i != space.full_id
     ]
-    found, _ = multiset_scan(candidates, full_id, table, inside, n)
+    # rows of the registry's product over ideal ids, filled on first use
+    table = LazyRow(lambda _, a: LazyRow(space.product, a), None)
+    found, _ = multiset_scan(
+        [ids[p] for p in positions], space.full_id, table, inside, n
+    )
     if found is None:
         return AbsorbingCheck(holds=True)
     return AbsorbingCheck(
-        holds=False, violation=tuple(lattice[candidates[i]] for i in found)
+        holds=False, violation=tuple(lattice[positions[i]] for i in found)
     )
 
 

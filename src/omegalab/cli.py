@@ -570,6 +570,8 @@ def run_campaign(config: dict, jobs_override: Optional[int] = None) -> list[dict
     bounds: Bounds = config["bounds"]
     seed: int = config["seed"]
     jobs = jobs_override if jobs_override is not None else config["jobs"]
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     ring_specs = list(dict.fromkeys(config["rings"]))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         chunks = list(

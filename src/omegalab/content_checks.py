@@ -10,12 +10,14 @@ peeling certificates for products landing in an ideal; and the bounded
 search for violations of the absorbing-degree identity between I and its
 polynomial extension.
 
-Every DM exponent comes from ``ContentSpace.dm_exponent``, memoized on the
-content ids of f, g and fg. Every sweep is planned by one driver,
-``plan_sweep``: it goes exhaustive when the caller's exhaustive enumeration
-fits the budget, and otherwise draws seeded coefficient tuples and records
-the mode and seed. The poly-omega check runs absorbing.multiset_scan, the
-scanner behind omega, over bounded polynomials of R[X].
+Content ideals are ids of the ring's ideal registry (``ideals.IdealSpace``),
+which also holds their sums, products and powers; every DM exponent comes
+from ``IdealSpace.dm_exponent``, memoized on the content ids of f, g and
+fg. Every sweep is planned by one driver, ``plan_sweep``: it goes
+exhaustive when the caller's exhaustive enumeration fits the budget, and
+otherwise draws seeded coefficient tuples and records the mode and seed.
+The poly-omega check runs absorbing.multiset_scan, the scanner behind
+omega, over bounded polynomials of R[X].
 
 Search enumeration order is fixed: coefficient tuples over the graded-lex
 slot list, ascending lexicographically; pairs run f <= g (both predicates
@@ -41,12 +43,13 @@ from .errors import CapExceededError, UnsupportedRingError
 from .ideals import (
     DEFAULT_LATTICE_CAP,
     Ideal,
+    IdealSpace,
     all_ideals,
-    closure_elements,
+    ideal_space,
     is_radical_ideal,
-    product_elements,
     quotient_by,
 )
+from .ideals import ideal_space as content_space  # the name tests import
 from .polys import (
     Polynomial,
     _poly_dict_mul,
@@ -61,8 +64,6 @@ from .rings import FiniteRing, ProductRing, QuotientRing, RingElement, ZmodRing
 __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_SAMPLE",
-    "ContentSpace",
-    "content_space",
     "content_subset_property",
     "dm_exponent",
     "SearchOutcome",
@@ -90,125 +91,9 @@ DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLE = 10000
 
 
-class ContentSpace:
-    """Per-ring registry of content ideals with small integer ids.
-
-    Content ideals repeat massively across search sweeps; this interns each
-    distinct element set once and memoizes sums with principal ideals (the
-    building block of content lookup), products, and powers.
-    """
-
-    def __init__(self, ring: FiniteRing):
-        self.ring = ring
-        self._ids: dict[frozenset[int], int] = {}
-        self._sets: list[frozenset[int]] = []
-        self.zero_id = self._register(frozenset({ring.zero}))
-        self.full_id = self._register(frozenset(range(ring.order)))
-        self._principal: dict[int, int] = {}
-        self._sum_elem: dict[tuple[int, int], int] = {}
-        self._coeffs_cache: dict[tuple[int, ...], int] = {}
-        self._prod: dict[tuple[int, int], int] = {}
-        self._pow: dict[tuple[int, int], int] = {}
-        self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
-
-    def _register(self, els: frozenset[int]) -> int:
-        got = self._ids.get(els)
-        if got is None:
-            got = len(self._sets)
-            self._ids[els] = got
-            self._sets.append(els)
-        return got
-
-    def set_of(self, ideal_id: int) -> frozenset[int]:
-        return self._sets[ideal_id]
-
-    def principal_id(self, elem: int) -> int:
-        got = self._principal.get(elem)
-        if got is None:
-            got = self._register(closure_elements(self.ring, (elem,)))
-            self._principal[elem] = got
-        return got
-
-    def _extend(self, ideal_id: int, elem: int) -> int:
-        key = (ideal_id, elem)
-        got = self._sum_elem.get(key)
-        if got is None:
-            add = self.ring.add
-            base = self._sets[ideal_id]
-            extra = self._sets[self.principal_id(elem)]
-            # I + (c) is the union of the cosets y + I over y in (c); a y
-            # already covered brings no new coset
-            acc = set(base)
-            for y in extra:
-                if y not in acc:
-                    acc.update(add(x, y) for x in base)
-            got = self._register(frozenset(acc))
-            self._sum_elem[key] = got
-        return got
-
-    def id_of_coeffs(self, coeffs: Sequence[int]) -> int:
-        """Id of the ideal generated by the given coefficients."""
-        zero = self.ring.zero
-        key = tuple(sorted(set(c for c in coeffs if c != zero)))
-        got = self._coeffs_cache.get(key)
-        if got is None:
-            got = self.zero_id
-            for c in key:
-                got = self._extend(got, c)
-            self._coeffs_cache[key] = got
-        return got
-
-    def id_of_ideal(self, ideal: Ideal) -> int:
-        return self._register(ideal.elements)
-
-    def product(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        got = self._prod.get(key)
-        if got is None:
-            got = self._register(
-                product_elements(self.ring, self._sets[a], self._sets[b])
-            )
-            self._prod[key] = got
-        return got
-
-    def power(self, a: int, n: int) -> int:
-        if n == 0:
-            return self.full_id
-        key = (a, n)
-        got = self._pow.get(key)
-        if got is None:
-            got = a
-            for _ in range(n - 1):
-                got = self.product(got, a)
-            self._pow[key] = got
-        return got
-
-    def dm_exponent(self, cf: int, cg: int, cfg: int, cap: int) -> Optional[int]:
-        """Least n in 1..cap with c(f)^n c(g) = c(f)^(n-1) c(fg), from the
-        content ids of f, g and fg; None past cap."""
-        key = (cf, cg, cfg, cap)
-        if key not in self._dm:
-            got = None
-            for n in range(1, cap + 1):
-                left = self.product(self.power(cf, n), cg)
-                if left == self.product(self.power(cf, n - 1), cfg):
-                    got = n
-                    break
-            self._dm[key] = got
-        return self._dm[key]
-
-
-def content_space(ring: FiniteRing) -> ContentSpace:
-    space = ring.caches.get("content_space")
-    if space is None:
-        space = ContentSpace(ring)
-        ring.caches["content_space"] = space
-    return space
-
-
 def _content_ids(f: Polynomial, g: Polynomial):
     """(space, c(f), c(g), c(fg)) with the contents as ids of f's ring."""
-    space = content_space(f.ring)
+    space = ideal_space(f.ring)
     cf = space.id_of_coeffs(f.coefficients())
     cg = space.id_of_coeffs(g.coefficients())
     cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
@@ -312,37 +197,37 @@ def plan_sweep(
     return Sweep(f"sampled:{sample}", seed, sample)
 
 
-def _admissible(
-    space: ContentSpace, cid: int, skip_inside: Optional[frozenset[int]]
-) -> bool:
-    """Whether a content id is proper and not skipped.
-
-    skip_inside=None means skip only the zero content (search variant);
-    otherwise contents contained in the given ideal element set are skipped
-    (poly-omega variant, where skip_inside contains zero anyway).
-    """
-    if cid == space.full_id:
-        return False
-    if skip_inside is None:
-        return cid != space.zero_id
-    return not space.set_of(cid) <= skip_inside
+def _admissible(space: IdealSpace, cid: int, skip_inside: frozenset[int]) -> bool:
+    """Whether a content id is proper and not contained in skip_inside (the
+    zero ideal for the pair searches, I for poly-omega)."""
+    return cid != space.full_id and not space.set_of(cid) <= skip_inside
 
 
-def _admissible_polys(
-    ring: FiniteRing, slots, skip_inside: Optional[frozenset[int]], budget: int
+def _admissible_sweep(
+    ring: FiniteRing,
+    slots,
+    skip_inside: frozenset[int],
+    size: Callable[[int], int],
+    budget: int,
+    sample: int,
+    seed: int,
 ):
-    """(coeffs, content id) of every coefficient tuple with admissible
-    content, in lex order; None when the order**len(slots) tuples exceed the
-    budget."""
-    if ring.order ** len(slots) > budget:
-        return None
-    space = content_space(ring)
-    out = []
-    for coeffs in itertools.product(range(ring.order), repeat=len(slots)):
-        cid = space.id_of_coeffs(coeffs)
-        if _admissible(space, cid, skip_inside):
-            out.append((coeffs, cid))
-    return out
+    """(admissible, sweep): exhaustive when the order**len(slots) tuples and
+    the size(a) items over the a admissible ones fit the budget, admissible
+    then being (coeffs, content id) of each in lex order; else (None,
+    sampled). size grows with a, so the listing stops once it is over."""
+    if ring.order ** len(slots) <= budget:
+        space = ideal_space(ring)
+        adm = []
+        for coeffs in itertools.product(range(ring.order), repeat=len(slots)):
+            cid = space.id_of_coeffs(coeffs)
+            if _admissible(space, cid, skip_inside):
+                adm.append((coeffs, cid))
+                if size(len(adm)) > budget:
+                    break
+        else:
+            return adm, plan_sweep(size(len(adm)), budget, sample, seed)
+    return None, plan_sweep(None, budget, sample, seed)
 
 
 def _admissible_draws(
@@ -350,7 +235,7 @@ def _admissible_draws(
 ):
     """The sweep's draws whose every content is admissible, each a tuple of
     (coeffs, content id) pairs."""
-    space = content_space(ring)
+    space = ideal_space(ring)
     for draw in sweep.tuples(ring.order, len(slots), arity):
         ids = [space.id_of_coeffs(t) for t in draw]
         if all(_admissible(space, cid, skip_inside) for cid in ids):
@@ -379,15 +264,16 @@ def _pair_search(
 ) -> SearchOutcome:
     """Exhaustive over unordered admissible pairs when they fit the budget."""
     slots, convolve = _convolver(ring, num_vars, max_deg)
-    space = content_space(ring)
-    adm = _admissible_polys(ring, slots, None, budget)
-    size = None if adm is None else len(adm) * (len(adm) + 1) // 2
-    sweep = plan_sweep(size, budget, sample, seed)
+    space = ideal_space(ring)
+    zero = frozenset({ring.zero})
+    adm, sweep = _admissible_sweep(
+        ring, slots, zero, lambda a: a * (a + 1) // 2, budget, sample, seed
+    )
 
     pairs = (
         itertools.combinations_with_replacement(adm, 2)
         if sweep.exhaustive
-        else _admissible_draws(sweep, ring, slots, 2, None)
+        else _admissible_draws(sweep, ring, slots, 2, zero)
     )
     checked = 0
     for (fa, ca), (fb, cb) in pairs:
@@ -398,11 +284,11 @@ def _pair_search(
     return SearchOutcome(False, None, sweep.mode, checked, sweep.seed)
 
 
-def _gaussian_violation(space: ContentSpace, prod_coeffs, ca: int, cb: int) -> bool:
+def _gaussian_violation(space: IdealSpace, prod_coeffs, ca: int, cb: int) -> bool:
     return space.id_of_coeffs(prod_coeffs) != space.product(ca, cb)
 
 
-def _armendariz_violation(space: ContentSpace, prod_coeffs, ca: int, cb: int) -> bool:
+def _armendariz_violation(space: IdealSpace, prod_coeffs, ca: int, cb: int) -> bool:
     zero = space.ring.zero
     if any(c != zero for c in prod_coeffs):
         return False
@@ -471,7 +357,7 @@ def dm_exponent_table(
     degree bound statement does not apply.
     """
     slots, convolve = _convolver(ring, num_vars, max_deg)
-    space = content_space(ring)
+    space = ideal_space(ring)
     slot_degs = [sum(e) for e in slots]
     zero = ring.zero
 
@@ -643,10 +529,8 @@ def bezout_factor(g: Polynomial) -> BezoutFactorization:
     reconstructed = poly_mul(unit_part, constant_poly(ring, b, g.num_vars))
     if reconstructed != g:
         raise RuntimeError("principal-content factorization failed to reconstruct g")
-    content_ok = closure_elements(ring, unit_part.coefficients()) == frozenset(
-        range(ring.order)
-    )
-    if not content_ok:
+    space = ideal_space(ring)
+    if space.id_of_coeffs(unit_part.coefficients()) != space.full_id:
         raise RuntimeError("unit part does not have unit content")
     if fresh in support:
         raise RuntimeError("fresh exponent collided with the support")
@@ -713,7 +597,7 @@ def certify_content_product(
     if any(c not in members for c in full.coefficients()):
         raise ValueError("product of the polynomials does not lie in I[X]")
 
-    space = content_space(ring)
+    space = ideal_space(ring)
     exponents: list[int] = []
     for i in range(len(fs) - 1):
         l = dm_exponent(fs[i], suffix[i + 1], cap)
@@ -784,7 +668,7 @@ def certify_pair_sweep(
     ring = ideal.ring
     slots, convolve = _convolver(ring, num_vars, max_deg)
     members = ideal.elements
-    space = content_space(ring)
+    space = ideal_space(ring)
 
     qualifying = 0
     max_exp = 0
@@ -936,9 +820,8 @@ def verify_poly_omega(
         )
     # exhaustive only when the whole tuple space fits the budget: the scan
     # walks (n+1)-tuples of admissible polynomials, not single polynomials
-    adm = _admissible_polys(ring, slots, members, budget)
-    sweep = plan_sweep(
-        None if adm is None else len(adm) ** (n + 1), budget, sample, seed
+    adm, sweep = _admissible_sweep(
+        ring, slots, members, lambda a: a ** (n + 1), budget, sample, seed
     )
 
     def as_dict(coeffs) -> dict:
@@ -1050,11 +933,9 @@ def gaussian_iff_armendariz_quotients(
         if q is not None:
             fq = project_poly(q, f)
             gq = project_poly(q, g)
-            image_zero = poly_mul(fq, gq).is_zero
-            cf = closure_elements(q, fq.coefficients())
-            cg = closure_elements(q, gq.coefficients())
-            prod = product_elements(q, cf, cg)
-            nonzero = prod != frozenset({q.zero})
+            space, cf, cg, cfg = _content_ids(fq, gq)
+            image_zero = cfg == space.zero_id
+            nonzero = space.product(cf, cg) != space.zero_id
             row_found = any(
                 out.found for ideal, out in rows if ideal.elements == prod_content.elements
             )
@@ -1067,8 +948,8 @@ def gaussian_iff_armendariz_quotients(
             fq, gq = out.witness
             fr = lift_poly(q, fq)
             gr = lift_poly(q, gq)
-            lifted_violation = not _contents_multiply(fr, gr)
-            backward = lifted_violation and g_out.found
+            space, cf, cg, cfg = _content_ids(fr, gr)
+            backward = cfg != space.product(cf, cg) and g_out.found
             break
 
     return QuotientAgreementReport(
@@ -1080,8 +961,3 @@ def gaussian_iff_armendariz_quotients(
         forward_verified=forward,
         backward_verified=backward,
     )
-
-
-def _contents_multiply(f: Polynomial, g: Polynomial) -> bool:
-    space, cf, cg, cfg = _content_ids(f, g)
-    return cfg == space.product(cf, cg)

@@ -5,13 +5,20 @@ generators it was built from. Closure is a worklist fixpoint (close under
 addition and multiplication by arbitrary ring elements); zmod and product
 rings get structured fast paths behind the same interface, cross-checked by
 tests against the generic route.
+
+All ideal arithmetic goes through one registry per ring, ``IdealSpace``
+(``ideal_space(ring)``): it interns element sets as ids and memoizes
+I + (c), products, powers, minimal generators and the Dedekind-Mertens
+exponent. The lattice BFS, the strong absorbing scan and the content
+formulas of content_checks all use it, so ``ring.caches`` holds only the
+registry and the sorted lattice (``"all_ideals"``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import LatticeOverflowError, SpecParseError
 from .rings import FiniteRing, ProductRing, QuotientRing, ZmodRing, make_quotient
@@ -22,6 +29,8 @@ __all__ = [
     "closure_elements",
     "generic_closure",
     "minimal_generators",
+    "IdealSpace",
+    "ideal_space",
     "ideal_sum",
     "ideal_product",
     "product_elements",
@@ -126,29 +135,156 @@ def minimal_generators(ring: FiniteRing, elements: frozenset[int]) -> tuple[int,
     """Lexicographically least greedy generating subset of an element set.
 
     Deterministic: scan indices in ascending order, keep an element iff it is
-    not already generated, stop once the whole set is generated.
+    not already generated, stop once the whole set is generated. Memoized on
+    the ring's ideal registry.
     """
-    cache = ring.caches.setdefault("min_gens", {})
-    got = cache.get(elements)
-    if got is not None:
+    space = ideal_space(ring)
+    key = space.intern(elements)
+    got = space.gens.get(key)
+    if got is None:
+        gens: list[int] = []
+        current = space.set_of(space.zero_id)
+        for x in sorted(elements):
+            if current == elements:
+                break
+            if x not in current:
+                gens.append(x)
+                current = closure_elements(ring, gens)
+        if current != elements:
+            raise ValueError("element set is not an ideal")
+        got = space.gens[key] = tuple(gens)
+    return got
+
+
+class IdealSpace:
+    """The ring's ideal registry: one id per ideal, one sum, product, power.
+
+    Element sets are interned as small integer ids (the zero ideal and R
+    first), and the arithmetic is memoized on ids: I + (c), which also
+    builds I + J and content ideals, IJ, I^n, minimal generators and the
+    Dedekind-Mertens exponent. The lattice, the strong scan and the content
+    formulas share the registry of their ring (``ideal_space``), so one
+    ideal has one id everywhere. Closure and generators are computed
+    through the module's ``closure_elements`` and ``minimal_generators``.
+    """
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+        self._ids: dict[frozenset[int], int] = {}
+        self._sets: list[frozenset[int]] = []
+        self.zero_id = self.intern(frozenset({ring.zero}))
+        self.full_id = self.intern(frozenset(range(ring.order)))
+        self.gens: dict[int, tuple[int, ...]] = {}  # filled by minimal_generators
+        self._principal: dict[int, int] = {}
+        self._extended: dict[tuple[int, int], int] = {}
+        self._coeffs: dict[tuple[int, ...], int] = {}
+        self._prod: dict[tuple[int, int], int] = {}
+        self._pow: dict[tuple[int, int], int] = {}
+        self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
+
+    def intern(self, els: frozenset[int]) -> int:
+        got = self._ids.get(els)
+        if got is None:
+            got = self._ids[els] = len(self._sets)
+            self._sets.append(els)
         return got
-    gens: list[int] = []
-    current = frozenset({ring.zero})
-    if current == elements:
-        cache[elements] = ()
-        return ()
-    for x in sorted(elements):
-        if x in current:
-            continue
-        gens.append(x)
-        current = closure_elements(ring, gens)
-        if current == elements:
-            break
-    if current != elements:
-        raise ValueError("element set is not an ideal")
-    result = tuple(gens)
-    cache[elements] = result
-    return result
+
+    def set_of(self, ideal_id: int) -> frozenset[int]:
+        return self._sets[ideal_id]
+
+    def id_of_ideal(self, ideal: Ideal) -> int:
+        return self.intern(ideal.elements)
+
+    def principal_id(self, elem: int) -> int:
+        got = self._principal.get(elem)
+        if got is None:
+            got = self._principal[elem] = self.intern(
+                closure_elements(self.ring, (elem,))
+            )
+        return got
+
+    def extend(self, ideal_id: int, elem: int) -> int:
+        """I + (elem)."""
+        key = (ideal_id, elem)
+        got = self._extended.get(key)
+        if got is None:
+            add = self.ring.add
+            base = self._sets[ideal_id]
+            # I + (c) is the union of the cosets y + I over y in (c); a y
+            # already covered brings no new coset
+            acc = set(base)
+            for y in self._sets[self.principal_id(elem)]:
+                if y not in acc:
+                    acc.update(add(x, y) for x in base)
+            got = self._extended[key] = self.intern(frozenset(acc))
+        return got
+
+    def sum(self, a: int, b: int) -> int:
+        """I + J: I extended by each minimal generator of J."""
+        for g in minimal_generators(self.ring, self._sets[b]):
+            a = self.extend(a, g)
+        return a
+
+    def id_of_coeffs(self, coeffs: Sequence[int]) -> int:
+        """Id of the ideal generated by the given coefficients."""
+        zero = self.ring.zero
+        key = tuple(sorted(set(c for c in coeffs if c != zero)))
+        got = self._coeffs.get(key)
+        if got is None:
+            got = self.zero_id
+            for c in key:
+                got = self.extend(got, c)
+            self._coeffs[key] = got
+        return got
+
+    def product(self, a: int, b: int) -> int:
+        """IJ: generated by the products of the minimal generators."""
+        key = (a, b) if a <= b else (b, a)
+        got = self._prod.get(key)
+        if got is None:
+            ring = self.ring
+            mul = ring.mul
+            ga = minimal_generators(ring, self._sets[a])
+            gb = minimal_generators(ring, self._sets[b])
+            got = self._prod[key] = self.intern(
+                closure_elements(ring, (mul(x, y) for x in ga for y in gb))
+            )
+        return got
+
+    def power(self, a: int, n: int) -> int:
+        """I^n, with I^0 = R."""
+        if n == 0:
+            return self.full_id
+        key = (a, n)
+        got = self._pow.get(key)
+        if got is None:
+            got = a
+            for _ in range(n - 1):
+                got = self.product(got, a)
+            self._pow[key] = got
+        return got
+
+    def dm_exponent(self, cf: int, cg: int, cfg: int, cap: int) -> Optional[int]:
+        """Least n in 1..cap with c(f)^n c(g) = c(f)^(n-1) c(fg), from the
+        content ids of f, g and fg; None past cap."""
+        key = (cf, cg, cfg, cap)
+        if key not in self._dm:
+            got = None
+            for n in range(1, cap + 1):
+                left = self.product(self.power(cf, n), cg)
+                if left == self.product(self.power(cf, n - 1), cfg):
+                    got = n
+                    break
+            self._dm[key] = got
+        return self._dm[key]
+
+
+def ideal_space(ring: FiniteRing) -> IdealSpace:
+    """The ring's ideal registry, made on first use."""
+    space = ring.caches.get("ideal_space")
+    if space is None:
+        space = ring.caches["ideal_space"] = IdealSpace(ring)
+    return space
 
 
 def ideal_from_generators(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
@@ -163,44 +299,25 @@ def _from_elements(ring: FiniteRing, elements: frozenset[int]) -> Ideal:
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    """I + J: pairwise sums (both sets are already ideals)."""
+    """I + J, through the ring's ideal registry."""
     _same_ring(a, b)
-    add = a.ring.add
-    elements = frozenset(add(x, y) for x in a.elements for y in b.elements)
-    return _from_elements(a.ring, elements)
+    space = ideal_space(a.ring)
+    total = space.sum(space.intern(a.elements), space.intern(b.elements))
+    return _from_elements(a.ring, space.set_of(total))
 
 
 def product_elements(
     ring: FiniteRing, a: frozenset[int], b: frozenset[int]
 ) -> frozenset[int]:
-    """Element set of the ideal product, memoized per ring."""
-    cache = ring.caches.setdefault("ideal_product", {})
-    key = frozenset((a, b))
-    got = cache.get(key)
-    if got is not None:
-        return got
-    ga = minimal_generators(ring, a)
-    gb = minimal_generators(ring, b)
-    mul = ring.mul
-    result = closure_elements(ring, (mul(x, y) for x in ga for y in gb))
-    cache[key] = result
-    return result
+    """Element set of the ideal product, through the ring's ideal registry."""
+    space = ideal_space(ring)
+    return space.set_of(space.product(space.intern(a), space.intern(b)))
 
 
 def power_elements(ring: FiniteRing, a: frozenset[int], n: int) -> frozenset[int]:
-    """I^n with I^0 = R, memoized per ring."""
-    if n == 0:
-        return frozenset(range(ring.order))
-    cache = ring.caches.setdefault("ideal_power", {})
-    key = (a, n)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    result = a
-    for _ in range(n - 1):
-        result = product_elements(ring, result, a)
-    cache[key] = result
-    return result
+    """I^n with I^0 = R, through the ring's ideal registry."""
+    space = ideal_space(ring)
+    return space.set_of(space.power(space.intern(a), n))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -256,8 +373,9 @@ def is_radical_ideal(ideal: Ideal) -> bool:
 def all_ideals(ring: FiniteRing, count_cap: int = DEFAULT_LATTICE_CAP) -> list[Ideal]:
     """Every ideal of the ring, sorted by (cardinality, element tuple).
 
-    BFS over principal-ideal extensions: start from (0), repeatedly add one
-    principal ideal via ideal sum until no new element sets appear. Raises
+    BFS over principal-ideal extensions: start from (0), repeatedly extend
+    by one principal ideal (``IdealSpace.extend``) until no new element
+    sets appear. Raises
     LatticeOverflowError when more than count_cap ideals are found.
     """
     cache = ring.caches.get("all_ideals")
@@ -268,23 +386,21 @@ def all_ideals(ring: FiniteRing, count_cap: int = DEFAULT_LATTICE_CAP) -> list[I
                 len(cache),
             )
         return list(cache)
-    principal = {}
+    space = ideal_space(ring)
+    # one representative per principal ideal: its least generator
+    reps = {}
     for e in range(ring.order):
-        els = closure_elements(ring, (e,))
-        principal.setdefault(els, e)
-    zero = frozenset({ring.zero})
-    known = {zero}
-    frontier = [zero]
-    add = ring.add
+        reps.setdefault(space.principal_id(e), e)
+    known = {space.zero_id}
+    frontier = [space.zero_id]
     while frontier:
         new_frontier = []
         for current in frontier:
-            for els in principal:
-                if els <= current:
+            members = space.set_of(current)
+            for e in reps.values():
+                if e in members:  # (e) is inside current: nothing to add
                     continue
-                combined = frozenset(
-                    add(x, y) for x in current for y in els
-                )
+                combined = space.extend(current, e)
                 if combined not in known:
                     known.add(combined)
                     if len(known) > count_cap:
@@ -294,7 +410,7 @@ def all_ideals(ring: FiniteRing, count_cap: int = DEFAULT_LATTICE_CAP) -> list[I
                         )
                     new_frontier.append(combined)
         frontier = new_frontier
-    result = [_from_elements(ring, els) for els in known]
+    result = [_from_elements(ring, space.set_of(i)) for i in known]
     result.sort(key=Ideal.sort_key)
     ring.caches["all_ideals"] = tuple(result)
     return list(result)

@@ -13,6 +13,7 @@ from omegalab.cli import (
     build_parser,
     load_campaign_config,
     main,
+    run_campaign,
 )
 
 CUBE = "trunc:p=2,vars=2,nil=3"
@@ -287,6 +288,14 @@ def test_campaign_jobs_zero_exit_code(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "--jobs must be >= 1" in err
+
+
+def test_run_campaign_rejects_jobs_below_one(tmp_path):
+    config = load_campaign_config(_write_config(tmp_path))
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        run_campaign(config, 0)
+    with pytest.raises(ValueError, match="jobs must be >= 1, got -2"):
+        run_campaign(dict(config, jobs=-2))
 
 
 def test_campaign_config_error_exit_code(tmp_path, capsys):

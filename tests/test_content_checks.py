@@ -167,6 +167,27 @@ def test_gaussian_search_budget_counts_pairs():
     assert out.seed == 1
 
 
+def test_pair_search_stops_listing_once_sampling_is_certain(monkeypatch):
+    # the listing gives up once a*(a+1)/2 exceeds the budget (at a = 4472
+    # of the 46,655 admissible polynomials, after 12,281 of the 129,600
+    # lookups a full listing makes); the 500 draws then add 1,076 more
+    ring = make_zmod(360)
+    space = content_space(ring)
+    lookups = 0
+    lookup = space.id_of_coeffs
+
+    def counted(coeffs):
+        nonlocal lookups
+        lookups += 1
+        return lookup(coeffs)
+
+    monkeypatch.setattr(space, "id_of_coeffs", counted)
+    out = gaussian_search(ring, 1, 1, sample=500, seed=1)
+    assert out.mode == "sampled:500"
+    assert (out.found, out.checked) == (False, 76)
+    assert lookups < 20000
+
+
 def test_armendariz_search_clean_rings():
     out = armendariz_search(M2, num_vars=1, max_deg=1)
     assert not out.found
