@@ -659,12 +659,24 @@ def _write_output(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def _exit_code(summary: dict) -> int:
+def _emit(text: str, path: Optional[str], summary: dict) -> int:
+    """Write the report and return the exit code (1 if it cannot be written)."""
+    try:
+        _write_output(text, path)
+    except OSError as exc:
+        print(f"omegalab: error: cannot write report: {path or '<stdout>'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
     if summary["counterexamples"]:
         return 2
     if summary["errors"]:
@@ -808,8 +820,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         text, summary = render_report(records, echo, args.format)
         out_path = args.out if args.out is not None else config["output"]
-        _write_output(text, out_path)
-        return _exit_code(summary)
+        return _emit(text, out_path, summary)
 
     seed = getattr(args, "seed", 0)
     echo = {"command": args.command}
@@ -842,8 +853,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 status, millis)
     ]
     text, summary = render_report(records, echo, args.format)
-    _write_output(text, args.out)
-    return _exit_code(summary)
+    return _emit(text, args.out, summary)
 
 
 if __name__ == "__main__":

@@ -1,27 +1,31 @@
 """Ideals of finite commutative rings.
 
 An ideal is stored as its full element set (a frozenset of indices) plus the
-generators it was built from. Closure is a worklist fixpoint (close under
-addition and multiplication by arbitrary ring elements); zmod and product
-rings get structured fast paths behind the same interface, cross-checked by
-tests against the generic route.
+generators it was built from.
 
 All ideal arithmetic goes through one registry per ring, ``IdealSpace``
 (``ideal_space(ring)``): it interns element sets as ids and memoizes
 I + (c), products, powers, minimal generators and the Dedekind-Mertens
-exponent. The lattice BFS, the strong absorbing scan and the content
-formulas of content_checks all use it, so ``ring.caches`` holds only the
-registry and the sorted lattice (``"all_ideals"``).
+exponent. Closure has one route: (c) is the ring's ``principal(c)``,
+I + (c) is the union of the cosets y + I over y in (c), and the ideal
+generated by a set is a fold of ``IdealSpace.extend`` from the zero ideal,
+so this module never branches on the ring family. ``generic_closure``,
+the worklist fixpoint, is only the reference that tests compare against.
+The lattice BFS, the strong scan and the content formulas all use the
+registry, so ``ring.caches`` holds only the registry and the sorted
+lattice (``"all_ideals"``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import LatticeOverflowError, SpecParseError
-from .rings import FiniteRing, ProductRing, QuotientRing, ZmodRing, make_quotient
+from .rings import FiniteRing, make_quotient, take_digits
+
+if TYPE_CHECKING:  # closure never depends on the ring family
+    from .rings import QuotientRing
 
 __all__ = [
     "Ideal",
@@ -80,7 +84,10 @@ class Ideal:
 
 
 def generic_closure(ring: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
-    """Reference worklist fixpoint: close under + and ring multiplication."""
+    """Reference worklist fixpoint: close under + and ring multiplication.
+
+    Independent of the registry and of ``FiniteRing.principal``; tests
+    compare ``closure_elements`` and ``principal`` against it."""
     closed = {ring.zero}
     work = []
     for g in gens:
@@ -107,50 +114,33 @@ def generic_closure(ring: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
 
 
 def closure_elements(ring: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
-    """Element set of the ideal generated by gens (structured fast paths)."""
-    gens = tuple(gens)
-    if isinstance(ring, ZmodRing):
-        g = ring.modulus
-        for v in gens:
-            ring.check_index(v)
-            g = math.gcd(g, v)
-        if g == 0:
-            g = ring.modulus
-        return frozenset(range(0, ring.modulus, g)) if g < ring.modulus else frozenset({0})
-    if isinstance(ring, ProductRing):
-        lefts = []
-        rights = []
-        for v in gens:
-            a, b = ring.decode(ring.check_index(v))
-            lefts.append(a)
-            rights.append(b)
-        la = closure_elements(ring.left, lefts)
-        rb = closure_elements(ring.right, rights)
-        size = ring.right.order
-        return frozenset(a * size + b for a in la for b in rb)
-    return generic_closure(ring, gens)
+    """Element set of the ideal generated by gens, through the ring's
+    ideal registry (``IdealSpace.id_of_coeffs``)."""
+    gens = [ring.check_index(g) for g in gens]
+    space = ideal_space(ring)
+    return space.set_of(space.id_of_coeffs(gens))
 
 
 def minimal_generators(ring: FiniteRing, elements: frozenset[int]) -> tuple[int, ...]:
     """Lexicographically least greedy generating subset of an element set.
 
     Deterministic: scan indices in ascending order, keep an element iff it is
-    not already generated, stop once the whole set is generated. Memoized on
-    the ring's ideal registry.
+    not already generated, stop once the whole set is generated. The ideal
+    grows by ``IdealSpace.extend``; memoized on the ring's ideal registry.
     """
     space = ideal_space(ring)
     key = space.intern(elements)
     got = space.gens.get(key)
     if got is None:
         gens: list[int] = []
-        current = space.set_of(space.zero_id)
+        current = space.zero_id
         for x in sorted(elements):
-            if current == elements:
+            if current == key:
                 break
-            if x not in current:
+            if x not in space.set_of(current):
                 gens.append(x)
-                current = closure_elements(ring, gens)
-        if current != elements:
+                current = space.extend(current, x)
+        if current != key:
             raise ValueError("element set is not an ideal")
         got = space.gens[key] = tuple(gens)
     return got
@@ -164,8 +154,9 @@ class IdealSpace:
     builds I + J and content ideals, IJ, I^n, minimal generators and the
     Dedekind-Mertens exponent. The lattice, the strong scan and the content
     formulas share the registry of their ring (``ideal_space``), so one
-    ideal has one id everywhere. Closure and generators are computed
-    through the module's ``closure_elements`` and ``minimal_generators``.
+    ideal has one id everywhere. Every ideal given by generators is a fold
+    of ``extend`` from the zero ideal, starting from the ring's
+    ``principal``; generators come from the module's ``minimal_generators``.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -198,9 +189,7 @@ class IdealSpace:
     def principal_id(self, elem: int) -> int:
         got = self._principal.get(elem)
         if got is None:
-            got = self._principal[elem] = self.intern(
-                closure_elements(self.ring, (elem,))
-            )
+            got = self._principal[elem] = self.intern(self.ring.principal(elem))
         return got
 
     def extend(self, ideal_id: int, elem: int) -> int:
@@ -246,8 +235,8 @@ class IdealSpace:
             mul = ring.mul
             ga = minimal_generators(ring, self._sets[a])
             gb = minimal_generators(ring, self._sets[b])
-            got = self._prod[key] = self.intern(
-                closure_elements(ring, (mul(x, y) for x in ga for y in gb))
+            got = self._prod[key] = self.id_of_coeffs(
+                [mul(x, y) for x in ga for y in gb]
             )
         return got
 
@@ -427,9 +416,9 @@ def parse_ideal_spec(ring: FiniteRing, text: str) -> Ideal:
         raise SpecParseError("empty generator list (use gen:none)", text, 4)
     gens = []
     for part in body.split(","):
-        if not part.isdigit():
+        idx, end = take_digits(part, 0)
+        if idx is None or end != len(part):
             raise SpecParseError(f"bad generator index {part!r}", text, 4)
-        idx = int(part)
         if idx >= ring.order:
             raise SpecParseError(
                 f"generator {idx} out of range for {ring.descriptor}", text, 4

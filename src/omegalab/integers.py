@@ -136,14 +136,13 @@ def _factor(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def omega_int(m: int, oracle_limit: int = 0) -> IntOmegaResult:
+def omega_int(m: int) -> IntOmegaResult:
     """Absorbing degree of the ideal mZ inside Z.
 
     m = 1 gives 0 (the improper ideal), m = 0 gives 1 (the zero ideal is
     prime), and otherwise the value is the number of prime factors of m
-    counted with multiplicity. With oracle_limit > 0, values for
-    2 <= m <= oracle_limit are cross-checked against the exhaustive scan
-    of the zero ideal of the residue ring; disagreement is a hard error.
+    counted with multiplicity. tests/test_integers.py checks it against the
+    exhaustive scan of the zero ideal of Z/m for every m in 2..60.
     """
     if m < 0:
         raise ValueError("modulus must be nonnegative")
@@ -154,20 +153,7 @@ def omega_int(m: int, oracle_limit: int = 0) -> IntOmegaResult:
     if m == 0:
         return IntOmegaResult(0, 1, ())
     factors = _factor(m)
-    result = IntOmegaResult(m, len(factors), factors)
-    if oracle_limit and 2 <= m <= oracle_limit:
-        from .absorbing import omega
-        from .ideals import ideal_from_generators
-        from .rings import make_zmod
-
-        ring = make_zmod(m)
-        scan = omega(ideal_from_generators(ring, ()), cap=max(result.value, 1))
-        if scan.value != result.value:
-            raise RuntimeError(
-                f"arithmetic degree {result.value} disagrees with the "
-                f"exhaustive scan {scan.describe()} for m={m}"
-            )
-    return result
+    return IntOmegaResult(m, len(factors), factors)
 
 
 def content_int(f: IntPolynomial) -> int:

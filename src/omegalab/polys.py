@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import SpecParseError
 from .ideals import Ideal, ideal_from_generators
-from .rings import FiniteRing, parse_var, var_names
+from .rings import FiniteRing, parse_var, take_digits, var_names
 
 __all__ = [
     "Polynomial",
@@ -252,13 +252,8 @@ def parse_poly(ring: FiniteRing, num_vars: int, text: str) -> Polynomial:
 def _parse_term(
     ring: FiniteRing, names: tuple[str, ...], term: str
 ) -> tuple[int, tuple[int, ...]]:
-    pos = 0
-    coeff: Optional[int] = None
-    if term[0].isdigit():
-        start = pos
-        while pos < len(term) and term[pos].isdigit():
-            pos += 1
-        coeff = int(term[start:pos])
+    coeff, pos = take_digits(term, 0)
+    if coeff is not None:
         ring.check_index(coeff)
     exps = [0] * len(names)
     expect_star = False
@@ -270,13 +265,9 @@ def _parse_term(
         var_idx, pos = parse_var(names, term, pos)
         exp = 1
         if pos < len(term) and term[pos] == "^":
-            pos += 1
-            start = pos
-            while pos < len(term) and term[pos].isdigit():
-                pos += 1
-            if start == pos:
+            exp, pos = take_digits(term, pos + 1)
+            if exp is None:
                 raise SpecParseError(f"missing exponent in {term!r}")
-            exp = int(term[start:pos])
             if exp < 1:
                 raise SpecParseError(f"exponent must be >= 1 in {term!r}")
         if exps[var_idx]:

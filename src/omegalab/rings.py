@@ -12,14 +12,17 @@ structured arithmetic per family:
                     little-endian (digit i multiplies p^i);
 * quotient rings    table rings on coset representatives (least index).
 
-Full operation tables are materialized lazily for orders <= 256; larger
-rings always run the structured fast path. Constructors self-test with
-``verify_ring_axioms`` and refuse orders above the configurable cap.
+Each ring builds its operation tables once (``add_rows``/``mul_rows``) and
+keeps them up to TABLE_LIMIT (256), so every scan reads the rows that
+``verify_ring_axioms`` checked; above the limit rows fill lazily. The
+ideal generated by c is ``principal(c)``, the set Rc; c is a unit iff 1 is
+in Rc. Constructors self-test and refuse orders above the configurable cap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -70,6 +73,20 @@ def parse_var(names: Sequence[str], term: str, pos: int) -> tuple[int, int]:
     raise SpecParseError(f"unknown variable at {term[pos:]!r} (names: {names})")
 
 
+def take_digits(text: str, pos: int) -> tuple[Optional[int], int]:
+    """(value, end) of the run of ASCII digits at text[pos:]; the value is
+    None when there is no digit there. Only 0-9 count: ``str.isdigit``
+    also accepts characters such as superscript two, which ``int`` rejects."""
+    end = pos
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    return (int(text[pos:end]) if end > pos else None), end
+
+
+def _full_table(op: Callable[[int, int], int], n: int) -> list[list[int]]:
+    return [[op(a, b) for b in range(n)] for a in range(n)]
+
+
 class LazyRow(dict):
     """Row a of the table of a binary operation, row[b] = op(a, b), each
     entry computed on first use."""
@@ -102,8 +119,8 @@ class FiniteRing:
         self.descriptor = descriptor
         self.zero = zero
         self.one = one
-        self._add_table: Optional[list[list[int]]] = None
-        self._mul_table: Optional[list[list[int]]] = None
+        self._add_rows: Optional[list[list[int]]] = None
+        self._mul_rows: Optional[list[list[int]]] = None
         self._units: Optional[frozenset[int]] = None
         self.caches: dict = {}
 
@@ -135,49 +152,37 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.order)
 
-    def add_table(self) -> Optional[list[list[int]]]:
-        """Full addition table, or None when the order exceeds TABLE_LIMIT."""
-        if self._add_table is None and self.order <= TABLE_LIMIT:
-            add = self.add
-            n = self.order
-            self._add_table = [[add(i, j) for j in range(n)] for i in range(n)]
-        return self._add_table
-
-    def mul_table(self) -> Optional[list[list[int]]]:
-        """Full multiplication table, or None when over TABLE_LIMIT."""
-        if self._mul_table is None and self.order <= TABLE_LIMIT:
-            mul = self.mul
-            n = self.order
-            self._mul_table = [[mul(i, j) for j in range(n)] for i in range(n)]
-        return self._mul_table
-
     def add_rows(self) -> list:
-        """Rows of the addition table: the full table up to TABLE_LIMIT,
-        else fresh rows filled on first use (never kept on the ring)."""
-        table = self.add_table()
-        if table is None:
-            table = [LazyRow(self.add, a) for a in range(self.order)]
-        return table
+        """Rows of the addition table, row[a][b] = a + b: the full table,
+        built once and kept, up to TABLE_LIMIT; above it fresh rows filled
+        on first use (never kept on the ring)."""
+        if self._add_rows is None:
+            if self.order > TABLE_LIMIT:
+                return [LazyRow(self.add, a) for a in range(self.order)]
+            self._add_rows = _full_table(self.add, self.order)
+        return self._add_rows
 
     def mul_rows(self) -> list:
         """Rows of the multiplication table, as for add_rows."""
-        table = self.mul_table()
-        if table is None:
-            table = [LazyRow(self.mul, a) for a in range(self.order)]
-        return table
+        if self._mul_rows is None:
+            if self.order > TABLE_LIMIT:
+                return [LazyRow(self.mul, a) for a in range(self.order)]
+            self._mul_rows = _full_table(self.mul, self.order)
+        return self._mul_rows
+
+    def principal(self, c: int) -> frozenset[int]:
+        """The ideal generated by c. In a commutative ring with 1 it is
+        Rc = {r * c}, so it is row c of the multiplication table; above
+        TABLE_LIMIT, without kept rows, it is taken by method calls."""
+        if self._mul_rows is None and self.order > TABLE_LIMIT:
+            mul = self.mul
+            return frozenset([mul(c, r) for r in range(self.order)])
+        return frozenset(self.mul_rows()[c])
 
     def units(self) -> frozenset[int]:
-        """Indices of invertible elements (computed once, by scan)."""
+        """Indices of invertible elements: c is a unit iff 1 lies in Rc."""
         if self._units is None:
-            one = self.one
-            mul = self.mul
-            found = set()
-            for i in range(self.order):
-                for j in range(self.order):
-                    if mul(i, j) == one:
-                        found.add(i)
-                        break
-            self._units = frozenset(found)
+            self._units = frozenset(c for c in self.elements if self.one in self.principal(c))
         return self._units
 
     def is_unit(self, i: int) -> bool:
@@ -215,6 +220,10 @@ class ZmodRing(FiniteRing):
 
     def neg(self, i: int) -> int:
         return (-i) % self.modulus
+
+    def principal(self, c: int) -> frozenset[int]:
+        """The multiples of gcd(c, n), which generates the same ideal as c."""
+        return frozenset(range(0, self.modulus, math.gcd(c, self.modulus)))
 
     def display(self, i: int) -> str:
         return str(i)
@@ -261,6 +270,13 @@ class ProductRing(FiniteRing):
     def neg(self, i: int) -> int:
         a, b = divmod(i, self.right.order)
         return self.left.neg(a) * self.right.order + self.right.neg(b)
+
+    def principal(self, c: int) -> frozenset[int]:
+        """(a, b) generates (a) x (b): the product of the factors' ideals."""
+        size = self.right.order
+        a, b = divmod(c, size)
+        right = self.right.principal(b)
+        return frozenset(x * size + y for x in self.left.principal(a) for y in right)
 
     def display(self, i: int) -> str:
         a, b = divmod(i, self.right.order)
@@ -388,29 +404,21 @@ class TruncatedLocalRing(FiniteRing):
     def _parse_term(self, term: str) -> tuple[int, tuple[int, ...]]:
         if not term:
             raise SpecParseError("empty term in element literal")
-        pos = 0
-        coeff = 1
-        if term[0].isdigit():
-            start = pos
-            while pos < len(term) and term[pos].isdigit():
-                pos += 1
-            coeff = int(term[start:pos])
-            if not 1 <= coeff < self.p:
-                raise SpecParseError(f"coefficient {coeff} out of range in {term!r}")
-            if pos == len(term):
-                return coeff, (0,) * self.num_vars
+        coeff, pos = take_digits(term, 0)
+        if coeff is None:
+            coeff = 1
+        elif not 1 <= coeff < self.p:
+            raise SpecParseError(f"coefficient {coeff} out of range in {term!r}")
+        elif pos == len(term):
+            return coeff, (0,) * self.num_vars
         exps = [0] * self.num_vars
         while pos < len(term):
             var, pos = parse_var(self._names, term, pos)
             exp = 1
             if pos < len(term) and term[pos] == "^":
-                pos += 1
-                start = pos
-                while pos < len(term) and term[pos].isdigit():
-                    pos += 1
-                if start == pos:
+                exp, pos = take_digits(term, pos + 1)
+                if exp is None:
                     raise SpecParseError(f"missing exponent in {term!r}")
-                exp = int(term[start:pos])
             if exps[var]:
                 raise SpecParseError(f"repeated variable in {term!r}")
             exps[var] = exp
@@ -420,24 +428,25 @@ class TruncatedLocalRing(FiniteRing):
 class TableRing(FiniteRing):
     """A ring given by explicit operation tables.
 
-    Used for quotient rings and for test fixtures; unlike the structured
+    Used for quotient rings and for test fixtures. The given tables are
+    its ``add_rows``/``mul_rows`` at any order. Unlike the structured
     constructors it performs no axiom self-test, so corrupted tables can be
     built and handed to verify_ring_axioms.
     """
 
     def __init__(
         self,
-        add_table: Sequence[Sequence[int]],
-        mul_table: Sequence[Sequence[int]],
+        add_rows: Sequence[Sequence[int]],
+        mul_rows: Sequence[Sequence[int]],
         zero: int,
         one: int,
         descriptor: str,
         displays: Optional[Sequence[str]] = None,
     ):
-        order = len(add_table)
+        order = len(add_rows)
         super().__init__(order, descriptor, zero, one)
-        self._add_rows = [list(row) for row in add_table]
-        self._mul_rows = [list(row) for row in mul_table]
+        self._add_rows = [list(row) for row in add_rows]
+        self._mul_rows = [list(row) for row in mul_rows]
         if any(len(r) != order for r in self._add_rows + self._mul_rows):
             raise RingConstructionError("operation tables must be square")
         self._displays = list(displays) if displays is not None else [str(i) for i in range(order)]
@@ -488,12 +497,12 @@ class QuotientRing(TableRing):
         index_of = {rep: i for i, rep in enumerate(reps)}
         project = [index_of[project_rep[x]] for x in range(parent.order)]
         q = len(reps)
-        add_table = [[project[add(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-        mul_table = [[project[parent.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]
+        add_rows = [[project[add(reps[i], reps[j])] for j in range(q)] for i in range(q)]
+        mul_rows = [[project[parent.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]
         displays = [parent.display(rep) for rep in reps]
         super().__init__(
-            add_table,
-            mul_table,
+            add_rows,
+            mul_rows,
             project[parent.zero],
             project[parent.one],
             f"quot:{parent.descriptor}/{label}",
@@ -548,8 +557,9 @@ class AxiomReport:
     witness: Optional[tuple[int, ...]] = None
 
 
-def verify_ring_axioms(ring: FiniteRing, limit: int = TABLE_LIMIT) -> AxiomReport:
-    """Exhaustively check the commutative ring axioms for order <= limit.
+def verify_ring_axioms(ring: FiniteRing) -> AxiomReport:
+    """Exhaustively check the commutative ring axioms on the ring's own
+    operation rows (``add_rows``/``mul_rows``) for order <= TABLE_LIMIT.
 
     Axioms are checked in a fixed documented order and the first violation
     is returned: index range, zero != one, additive commutativity, zero
@@ -558,13 +568,11 @@ def verify_ring_axioms(ring: FiniteRing, limit: int = TABLE_LIMIT) -> AxiomRepor
     distributivity. Larger rings report checked=False.
     """
     n = ring.order
-    if n > limit:
+    if n > TABLE_LIMIT:
         return AxiomReport(ok=True, checked=False)
-    add = ring.add
-    mul = ring.mul
     rng = range(n)
-    A = [[add(i, j) for j in rng] for i in rng]
-    M = [[mul(i, j) for j in rng] for i in rng]
+    A = ring.add_rows()
+    M = ring.mul_rows()
     for i in rng:
         for j in rng:
             if not 0 <= A[i][j] < n:
@@ -716,24 +724,25 @@ def split_top_level(text: str) -> list[str]:
 
 
 def _take_int(text: str, pos: int, full: str) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if start == pos:
+    value, end = take_digits(text, pos)
+    if value is None:
         raise SpecParseError("expected an integer", full, pos)
-    return int(text[start:pos]), pos
+    return value, end
 
 
-def _parse_spec(text: str, pos: int, full: str, order_cap: int) -> tuple[FiniteRing, int]:
+def _parse_spec(
+    text: str, pos: int, full: str, order_cap: int
+) -> tuple[Callable[[], FiniteRing], int]:
+    """(builder of the ring, end position) of the spec at text[pos:]."""
     if text.startswith("zmod:", pos):
         n, pos = _take_int(text, pos + 5, full)
-        return make_zmod(n, order_cap), pos
+        return (lambda: make_zmod(n, order_cap)), pos
     if text.startswith("prod:", pos):
         left, pos = _parse_spec(text, pos + 5, full, order_cap)
         if pos >= len(text) or text[pos] != ",":
             raise SpecParseError("prod: expects two comma-separated specs", full, pos)
         right, pos = _parse_spec(text, pos + 1, full, order_cap)
-        return make_product(left, right, order_cap), pos
+        return (lambda: make_product(left(), right(), order_cap)), pos
     if text.startswith("trunc:", pos):
         pos += 6
         values = []
@@ -746,7 +755,7 @@ def _parse_spec(text: str, pos: int, full: str, order_cap: int) -> tuple[FiniteR
                 raise SpecParseError(f"trunc: expected {key!r}", full, pos)
             value, pos = _take_int(text, pos + len(key), full)
             values.append(value)
-        return make_truncated_local(values[0], values[1], values[2], order_cap), pos
+        return (lambda: make_truncated_local(*values, order_cap)), pos
     raise SpecParseError("unknown ring spec (want zmod:/prod:/trunc:)", full, pos)
 
 
@@ -754,8 +763,11 @@ def parse_ring_spec(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing
     """Parse the exact, case-sensitive ring spec grammar.
 
     zmod:N | prod:<spec>,<spec> | trunc:p=P,vars=K,nil=E
+
+    The whole spec is parsed before any ring is built, so malformed input
+    is a parse error even where its numbers would not make a ring.
     """
-    ring, pos = _parse_spec(text, 0, text, order_cap)
+    build, pos = _parse_spec(text, 0, text, order_cap)
     if pos != len(text):
         raise SpecParseError("trailing input after ring spec", text, pos)
-    return ring
+    return build()

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -424,3 +428,57 @@ def test_every_subcommand_has_a_runner():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert set(subparsers.choices) - {"campaign"} == set(COMMANDS)
+
+
+def test_report_write_failure_exits_cleanly(tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "omega", "--ring", "zmod:12", "--out", str(missing)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("omegalab: error: cannot write report:")
+    # a target that cannot be replaced leaves no temporary file behind
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run_cli(
+        capsys, "omega", "--ring", "zmod:12", "--out", str(target)
+    )
+    assert code == 1
+    assert "cannot write report" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_campaign_report_write_failure_exits_cleanly(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    missing = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "campaign", "--config", path, "--out", str(missing)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("omegalab: error: cannot write report:")
+
+
+def test_specs_accept_only_ascii_digits(capsys):
+    # str.isdigit() accepts a superscript two, int() does not
+    for argv in (
+        ("omega", "--ring", "zmod:1²"),
+        ("omega", "--ring", "zmod:12", "--ideal", "gen:²"),
+        ("bezout", "--ring", "zmod:4", "--poly", "²x"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("omegalab: parse error:"), (argv, err)
+
+
+def test_module_entry_point_version():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "omegalab", "--version"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("omegalab ")

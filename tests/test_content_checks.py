@@ -23,10 +23,9 @@ from omegalab.content_checks import (
 from omegalab.errors import UnsupportedRingError
 from omegalab.ideals import (
     all_ideals,
+    generic_closure,
     ideal_from_generators,
     ideal_product,
-    product_elements,
-    power_elements,
     quotient_by,
 )
 from omegalab.polys import (
@@ -51,14 +50,16 @@ M3 = make_truncated_local(2, 2, 3)
 
 
 def test_content_space_matches_ideal_arithmetic():
+    # references by the worklist closure, independent of the registry
+    def reference_product(x, y):
+        return generic_closure(Z12, {Z12.mul(s, t) for s in x for t in y})
+
     space = content_space(Z12)
-    a = ideal_from_generators(Z12, (4,))
-    b = ideal_from_generators(Z12, (6,))
-    ida, idb = space.id_of_ideal(a), space.id_of_ideal(b)
-    assert space.set_of(space.product(ida, idb)) == \
-        product_elements(Z12, a.elements, b.elements)
-    assert space.set_of(space.power(ida, 2)) == \
-        power_elements(Z12, a.elements, 2)
+    a = generic_closure(Z12, (4,))
+    b = generic_closure(Z12, (6,))
+    ida, idb = space.intern(a), space.intern(b)
+    assert space.set_of(space.product(ida, idb)) == reference_product(a, b)
+    assert space.set_of(space.power(ida, 2)) == reference_product(a, a)
     assert space.set_of(space.power(ida, 0)) == frozenset(range(12))
 
 

@@ -1,10 +1,14 @@
-"""The ideal registry against reference routes: pairwise sums, the closure
-of all element products, repeated products, and the pairwise-sum lattice
-BFS that the registry replaced (kept here as the oracle)."""
+"""The ideal registry against reference routes: the worklist closure
+``generic_closure``, pairwise sums, the closure of all element products,
+repeated products, a double-loop unit scan, and the pairwise-sum lattice
+BFS that the registry replaced (kept here as the oracle). The references
+close ideals with ``generic_closure``, never through the registry or
+``FiniteRing.principal``."""
 
 import functools
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,10 +16,10 @@ from omegalab import cli
 from omegalab.absorbing import is_strongly_n_absorbing
 from omegalab.content_checks import content_space
 from omegalab.ideals import (
+    Ideal,
     all_ideals,
     closure_elements,
     generic_closure,
-    ideal_from_generators,
     ideal_space,
     ideal_sum,
     parse_ideal_spec,
@@ -56,13 +60,13 @@ examples = functools.partial(
 @st.composite
 def ring_and_ideals(draw, count):
     """A ring of the family and count ideals, each generated by drawn
-    elements (generated by closure, not taken from the registry)."""
+    elements (closed by ``generic_closure``, not by the registry)."""
     ring = ring_of(draw(st.sampled_from(FAMILY)))
     element = st.integers(0, ring.order - 1)
-    ideals = [
-        ideal_from_generators(ring, draw(st.lists(element, max_size=3)))
-        for _ in range(count)
-    ]
+    ideals = []
+    for _ in range(count):
+        gens = tuple(draw(st.lists(element, max_size=3)))
+        ideals.append(Ideal(ring, gens, generic_closure(ring, gens)))
     return ring, ideals
 
 
@@ -75,7 +79,7 @@ def _oracle_lattice(ring):
     """Pairwise-sum BFS over principal ideals, sorted like all_ideals."""
     principal = {}
     for e in range(ring.order):
-        principal.setdefault(closure_elements(ring, (e,)), e)
+        principal.setdefault(generic_closure(ring, (e,)), e)
     zero = frozenset({ring.zero})
     known = {zero}
     frontier = [zero]
@@ -92,6 +96,43 @@ def _oracle_lattice(ring):
                     new_frontier.append(combined)
         frontier = new_frontier
     return sorted(known, key=lambda els: (len(els), tuple(sorted(els))))
+
+
+@functools.cache
+def _reference_units(ring):
+    one, mul = ring.one, ring.mul
+    return frozenset(
+        x for x in range(ring.order)
+        if any(mul(x, y) == one for y in range(ring.order))
+    )
+
+
+@pytest.mark.parametrize(
+    "specs",
+    # the family, then the zmod and product overrides of principal above
+    # TABLE_LIMIT, where no table row is kept
+    [FAMILY, ["zmod:300"], ["prod:zmod:16,zmod:17"]],
+    ids=["family", "zmod:300", "prod:zmod:16,zmod:17"],
+)
+@examples(max_examples=40)
+@given(data=st.data())
+def test_closure_principal_units_match_references(specs, data):
+    ring = ring_of(data.draw(st.sampled_from(specs)))
+    gens = data.draw(st.lists(st.integers(0, ring.order - 1), max_size=3))
+    assert closure_elements(ring, gens) == generic_closure(ring, gens)
+    for c in gens:
+        assert ring.principal(c) == generic_closure(ring, (c,))
+    assert ring.units() == _reference_units(ring)
+
+
+def test_principal_by_method_calls_above_table_limit():
+    # a truncated ring above TABLE_LIMIT has no override and no kept rows;
+    # fixed elements, since each worklist closure here takes about 0.5 s
+    ring = ring_of("trunc:p=17,vars=1,nil=2")
+    for text in ("0", "1", "x", "3x", "2+5x"):
+        c = ring.parse_element(text)
+        assert ring.principal(c) == generic_closure(ring, (c,)), text
+    assert ring.units() == _reference_units(ring)
 
 
 @examples(max_examples=150)

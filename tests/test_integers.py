@@ -2,6 +2,8 @@
 
 import pytest
 
+from omegalab.absorbing import omega
+from omegalab.ideals import ideal_from_generators
 from omegalab.integers import (
     IntPolynomial,
     conjecture_check_int,
@@ -10,6 +12,7 @@ from omegalab.integers import (
     int_poly,
     omega_int,
 )
+from omegalab.rings import make_zmod
 
 
 def test_omega_int_values():
@@ -26,9 +29,11 @@ def test_omega_int_values():
 
 
 def test_omega_int_oracle_crosscheck():
-    # oracle_limit turns on the ring tuple-scan cross check
-    for m in (4, 12, 30):
-        assert omega_int(m, oracle_limit=60).value == omega_int(m).value
+    # omega of mZ equals omega of the zero ideal of Z/m, found by the scan
+    for m in range(2, 61):
+        value = omega_int(m).value
+        scan = omega(ideal_from_generators(make_zmod(m), ()), cap=value)
+        assert scan.value == value, m
 
 
 def test_int_poly_construction_and_display():
