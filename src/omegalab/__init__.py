@@ -1,12 +1,10 @@
 """omegalab: exact absorbing-degree and content-ideal computations on
 finite commutative rings, their polynomial extensions, and the integers.
 
-The public surface re-exports the main entry points of each layer: ring
-construction and parsing, the ideal lattice, absorbing-degree scans,
-polynomial content checks, the integer leg, and the CLI main.
-``poly_add``, ``poly_product``, ``scalar_mul``, ``ideal_sum`` and
-``ideal_intersect`` are public helpers kept for library users and tests;
-no check calls them.
+The public surface re-exports the entry points that the checks and
+campaigns run, layer by layer: ring construction and spec parsing, the
+ideal lattice, absorbing-degree scans, polynomial content checks and the
+integer leg. Ring elements are named only by their index.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +33,6 @@ from .content_checks import (
     bezout_factor,
     certify_content_product,
     certify_pair_sweep,
-    content_subset_property,
     dm_exponent,
     dm_exponent_table,
     gaussian_iff_armendariz_quotients,
@@ -57,16 +54,11 @@ from .ideals import (
     all_ideals,
     ideal_display,
     ideal_from_generators,
-    ideal_intersect,
-    ideal_product,
     ideal_radical,
     ideal_spec,
-    ideal_sum,
-    is_prime,
     is_radical_ideal,
     parse_ideal_spec,
     quotient_by,
-    quotient_image,
 )
 from .integers import (
     IntConjectureReport,
@@ -86,16 +78,13 @@ from .polys import (
     make_poly,
     monomials_up_to,
     parse_poly,
-    poly_add,
     poly_mul,
-    poly_product,
 )
 from .rings import (
     AxiomReport,
     FiniteRing,
     ProductRing,
     QuotientRing,
-    RingElement,
     TableRing,
     TruncatedLocalRing,
     ZmodRing,

@@ -20,8 +20,8 @@ prunings, each of which removes no violation:
 
 The callers apply the first two when they choose the candidates; the scan
 applies the third. The first violation found is therefore the
-lexicographically least violating multiset. A pruning-free reference scan
-is kept as the test oracle.
+lexicographically least violating multiset. The pruning-free reference
+scan that tests compare against lives in the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .ideals import (
     DEFAULT_LATTICE_CAP,
     Ideal,
     all_ideals,
-    ideal_display,
     ideal_space,
 )
 from .rings import FiniteRing, LazyRow
@@ -45,7 +44,6 @@ __all__ = [
     "is_n_absorbing",
     "multiset_scan",
     "violates",
-    "reference_is_n_absorbing",
     "omega",
     "is_strongly_n_absorbing",
     "strong_omega",
@@ -183,42 +181,6 @@ def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
     )
 
 
-def reference_is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
-    """Pruning-free reference: all non-decreasing tuples, direct checks."""
-    _check_args(ideal, n)
-    ring = ideal.ring
-    members = ideal.elements
-    mul = ring.mul
-    one = ring.one
-    k = n + 1
-
-    def rec(start: int, chosen: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if len(chosen) == k:
-            full = one
-            for x in chosen:
-                full = mul(full, x)
-            if full not in members:
-                return None
-            for omit in range(k):
-                sub = one
-                for t, x in enumerate(chosen):
-                    if t != omit:
-                        sub = mul(sub, x)
-                if sub in members:
-                    return None
-            return chosen
-        for x in range(start, ring.order):
-            found = rec(x, chosen + (x,))
-            if found is not None:
-                return found
-        return None
-
-    violation = rec(0, ())
-    if violation is None:
-        return AbsorbingCheck(holds=True)
-    return AbsorbingCheck(holds=False, violation=violation)
-
-
 def _degree(
     ideal: Ideal, cap: int, check: Callable[[int], AbsorbingCheck]
 ) -> OmegaResult:
@@ -312,16 +274,6 @@ class AgreementReport:
     @property
     def capped(self) -> tuple[AgreementRow, ...]:
         return tuple(row for row in self.rows if row.agree is None)
-
-    def describe(self) -> str:
-        lines = []
-        for row in self.rows:
-            mark = {True: "ok", False: "MISMATCH", None: "capped"}[row.agree]
-            lines.append(
-                f"{ideal_display(row.ideal)}: omega={row.omega.describe()} "
-                f"strong={row.strong.describe()} [{mark}]"
-            )
-        return "\n".join(lines)
 
 
 def omega_agreement_table(

@@ -271,7 +271,7 @@ def _run_bezout_poly(ring, ideal, bounds, seed, polys):
     g = parse_poly(ring, bounds.vars, text)
     fact = bezout_factor(g)
     result = (
-        f"b={ring.display(fact.b.index)} d={ring.display(fact.d.index)} "
+        f"b={ring.display(fact.b)} d={ring.display(fact.d)} "
         f"terms={len(g.terms)}"
     )
     witness = (

@@ -1,9 +1,9 @@
 """Content-ideal checks over polynomial extensions R[x_1..x_k].
 
-Covers: the content containment law c(fg) <= c(f)c(g); Dedekind-Mertens
-exponents (least n with c(f)^n c(g) = c(f)^(n-1) c(fg)); exhaustive or
-seeded searches for content-multiplicativity violations (c(fg) != c(f)c(g))
-and for annihilating pairs with non-annihilating contents (fg = 0 but
+Covers: Dedekind-Mertens exponents, the least n with
+c(f)^n c(g) = c(f)^(n-1) c(fg); exhaustive or seeded searches for
+content-multiplicativity violations (c(fg) != c(f)c(g)) and for
+annihilating pairs with non-annihilating contents (fg = 0 but
 c(f)c(g) != 0); the principal-content factorization g = g' * b with unit
 content g' available over residue rings and their products; iterated
 peeling certificates for products landing in an ideal; and the bounded
@@ -11,7 +11,7 @@ search for violations of the absorbing-degree identity between I and its
 polynomial extension.
 
 Content ideals are ids of the ring's ideal registry (``ideals.IdealSpace``),
-which also holds their sums, products and powers; every DM exponent comes
+which also holds their products and powers; every DM exponent comes
 from ``IdealSpace.dm_exponent``, memoized on the content ids of f, g and
 fg. Every sweep is planned by one driver, ``plan_sweep``: it goes
 exhaustive when the caller's exhaustive enumeration fits the budget, and
@@ -49,7 +49,6 @@ from .ideals import (
     is_radical_ideal,
     quotient_by,
 )
-from .ideals import ideal_space as content_space  # the name tests import
 from .polys import (
     Polynomial,
     _poly_dict_mul,
@@ -59,12 +58,11 @@ from .polys import (
     monomials_up_to,
     poly_mul,
 )
-from .rings import FiniteRing, ProductRing, QuotientRing, RingElement, ZmodRing
+from .rings import FiniteRing, ProductRing, QuotientRing, ZmodRing
 
 __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_SAMPLE",
-    "content_subset_property",
     "dm_exponent",
     "SearchOutcome",
     "gaussian_search",
@@ -98,12 +96,6 @@ def _content_ids(f: Polynomial, g: Polynomial):
     cg = space.id_of_coeffs(g.coefficients())
     cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
     return space, cf, cg, cfg
-
-
-def content_subset_property(f: Polynomial, g: Polynomial) -> bool:
-    """c(fg) <= c(f)c(g); holds in every commutative ring."""
-    space, cf, cg, cfg = _content_ids(f, g)
-    return space.set_of(cfg) <= space.set_of(space.product(cf, cg))
 
 
 def dm_exponent(f: Polynomial, g: Polynomial, cap: int = DEFAULT_CAP) -> Optional[int]:
@@ -416,17 +408,18 @@ def dm_exponent_table(
 class BezoutFactorization:
     """g = unit_part * b with c(unit_part) = R and (b) = c(g).
 
-    r and s follow the ascending graded-lex term order of g: term i has
-    coefficient b_i = r_i * b and b = sum_i s_i b_i; d = sum_i s_i r_i. When
-    1 - d is nonzero the unit_part carries it on fresh_exponent, the least
-    exponent vector outside the support of g.
+    b, d and the entries of r and s are element indices. r and s follow the
+    ascending graded-lex term order of g: term i has coefficient
+    b_i = r_i * b and b = sum_i s_i b_i; d = sum_i s_i r_i. When 1 - d is
+    nonzero the unit_part carries it on fresh_exponent, the least exponent
+    vector outside the support of g.
     """
 
     poly: Polynomial
-    b: RingElement
+    b: int
     r: tuple[int, ...]
     s: tuple[int, ...]
-    d: RingElement
+    d: int
     fresh_exponent: tuple[int, ...]
     unit_part: Polynomial
 
@@ -541,10 +534,10 @@ def bezout_factor(g: Polynomial) -> BezoutFactorization:
         raise RuntimeError("combination coefficients do not reproduce the generator")
     return BezoutFactorization(
         poly=g,
-        b=RingElement(ring, b),
+        b=b,
         r=tuple(r),
         s=tuple(s),
-        d=RingElement(ring, d),
+        d=d,
         fresh_exponent=fresh,
         unit_part=unit_part,
     )
@@ -570,6 +563,19 @@ class ContainmentCertificate:
     chain_containment: bool
     final_containment: bool
     ideal_radical: bool
+
+
+def _peel(
+    space: IdealSpace, ids: Sequence[int], exponents: Sequence[int], members
+) -> tuple[bool, bool]:
+    """(chain, final): whether c(f_1)^{l_1} .. c(f_{m-1})^{l_{m-1}} c(f_m)
+    and c(f_1)..c(f_m) lie in I (its element set members), from the
+    content ids of f_1..f_m and the peeling exponents l_1..l_{m-1}."""
+    chain = plain = ids[-1]
+    for cid, l in zip(ids, exponents):  # stops before f_m: one l fewer
+        chain = space.product(chain, space.power(cid, l))
+        plain = space.product(plain, cid)
+    return space.set_of(chain) <= members, space.set_of(plain) <= members
 
 
 def certify_content_product(
@@ -608,16 +614,7 @@ def certify_content_product(
         exponents.append(l)
 
     content_ids = [space.id_of_coeffs(f.coefficients()) for f in fs]
-    chain = content_ids[-1]
-    for cid, l in zip(content_ids[:-1], exponents):
-        chain = space.product(chain, space.power(cid, l))
-    chain_ok = space.set_of(chain) <= members
-
-    plain = content_ids[-1]
-    for cid in content_ids[:-1]:
-        plain = space.product(plain, cid)
-    final_ok = space.set_of(plain) <= members
-
+    chain_ok, final_ok = _peel(space, content_ids, exponents, members)
     return ContainmentCertificate(
         ideal=ideal,
         exponents=tuple(exponents),
@@ -677,9 +674,8 @@ def certify_pair_sweep(
     final_ok = True
     witness: Optional[tuple[Polynomial, Polynomial]] = None
 
-    # the pair certificate depends only on the content ids of f, g and fg;
-    # the arithmetic is the same peeling as certify_content_product (tests
-    # pin the equivalence)
+    # the pair certificate depends only on the content ids of f, g and fg,
+    # and it is the peeling of certify_content_product
     total_pairs = ring.order ** (2 * len(slots))
     sweep = plan_sweep(total_pairs, budget, sample, seed)
     for fa, fb in sweep.tuples(ring.order, len(slots), 2):
@@ -692,8 +688,7 @@ def certify_pair_sweep(
         l = space.dm_exponent(cf, cg, space.id_of_coeffs(prod_coeffs), cap)
         if l is None:
             raise CapExceededError(f"dm exponent not found within cap {cap}")
-        chain = space.set_of(space.product(space.power(cf, l), cg)) <= members
-        final = space.set_of(space.product(cf, cg)) <= members
+        chain, final = _peel(space, (cf, cg), (l,), members)
         bounded = l <= max_deg + 1
         max_exp = max(max_exp, l)
         exp_ok = exp_ok and bounded

@@ -9,11 +9,11 @@ I + (c), products, powers, minimal generators and the Dedekind-Mertens
 exponent. Closure has one route: (c) is the ring's ``principal(c)``,
 I + (c) is the union of the cosets y + I over y in (c), and the ideal
 generated by a set is a fold of ``IdealSpace.extend`` from the zero ideal,
-so this module never branches on the ring family. ``generic_closure``,
-the worklist fixpoint, is only the reference that tests compare against.
-The lattice BFS, the strong scan and the content formulas all use the
-registry, so ``ring.caches`` holds only the registry and the sorted
-lattice (``"all_ideals"``).
+so this module never branches on the ring family; the worklist closure
+that tests compare against lives in the tests. The lattice BFS, the
+strong scan and the content formulas all use the registry, so
+``ring.caches`` holds only the registry and the sorted lattice
+(``"all_ideals"``).
 """
 
 from __future__ import annotations
@@ -31,24 +31,16 @@ __all__ = [
     "Ideal",
     "ideal_from_generators",
     "closure_elements",
-    "generic_closure",
     "minimal_generators",
     "IdealSpace",
     "ideal_space",
-    "ideal_sum",
-    "ideal_product",
-    "product_elements",
-    "power_elements",
-    "ideal_intersect",
     "ideal_radical",
-    "is_prime",
     "is_radical_ideal",
     "all_ideals",
     "parse_ideal_spec",
     "ideal_spec",
     "ideal_display",
     "quotient_by",
-    "quotient_image",
 ]
 
 DEFAULT_LATTICE_CAP = 4096
@@ -61,9 +53,6 @@ class Ideal:
     ring: FiniteRing
     generators: tuple[int, ...]
     elements: frozenset[int]
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.elements
 
     @property
     def is_proper(self) -> bool:
@@ -81,36 +70,6 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"<Ideal {ideal_display(self)} of {self.ring.descriptor}>"
-
-
-def generic_closure(ring: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
-    """Reference worklist fixpoint: close under + and ring multiplication.
-
-    Independent of the registry and of ``FiniteRing.principal``; tests
-    compare ``closure_elements`` and ``principal`` against it."""
-    closed = {ring.zero}
-    work = []
-    for g in gens:
-        ring.check_index(g)
-        if g not in closed:
-            closed.add(g)
-            work.append(g)
-    add = ring.add
-    mul = ring.mul
-    order = ring.order
-    while work:
-        x = work.pop()
-        for r in range(order):
-            y = mul(r, x)
-            if y not in closed:
-                closed.add(y)
-                work.append(y)
-        for s in list(closed):
-            y = add(x, s)
-            if y not in closed:
-                closed.add(y)
-                work.append(y)
-    return frozenset(closed)
 
 
 def closure_elements(ring: FiniteRing, gens: Iterable[int]) -> frozenset[int]:
@@ -147,11 +106,11 @@ def minimal_generators(ring: FiniteRing, elements: frozenset[int]) -> tuple[int,
 
 
 class IdealSpace:
-    """The ring's ideal registry: one id per ideal, one sum, product, power.
+    """The ring's ideal registry: one id per ideal, one product, one power.
 
     Element sets are interned as small integer ids (the zero ideal and R
     first), and the arithmetic is memoized on ids: I + (c), which also
-    builds I + J and content ideals, IJ, I^n, minimal generators and the
+    builds content ideals, IJ, I^n, minimal generators and the
     Dedekind-Mertens exponent. The lattice, the strong scan and the content
     formulas share the registry of their ring (``ideal_space``), so one
     ideal has one id everywhere. Every ideal given by generators is a fold
@@ -183,9 +142,6 @@ class IdealSpace:
     def set_of(self, ideal_id: int) -> frozenset[int]:
         return self._sets[ideal_id]
 
-    def id_of_ideal(self, ideal: Ideal) -> int:
-        return self.intern(ideal.elements)
-
     def principal_id(self, elem: int) -> int:
         got = self._principal.get(elem)
         if got is None:
@@ -207,12 +163,6 @@ class IdealSpace:
                     acc.update(add(x, y) for x in base)
             got = self._extended[key] = self.intern(frozenset(acc))
         return got
-
-    def sum(self, a: int, b: int) -> int:
-        """I + J: I extended by each minimal generator of J."""
-        for g in minimal_generators(self.ring, self._sets[b]):
-            a = self.extend(a, g)
-        return a
 
     def id_of_coeffs(self, coeffs: Sequence[int]) -> int:
         """Id of the ideal generated by the given coefficients."""
@@ -287,40 +237,6 @@ def _from_elements(ring: FiniteRing, elements: frozenset[int]) -> Ideal:
     return Ideal(ring, minimal_generators(ring, elements), elements)
 
 
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    """I + J, through the ring's ideal registry."""
-    _same_ring(a, b)
-    space = ideal_space(a.ring)
-    total = space.sum(space.intern(a.elements), space.intern(b.elements))
-    return _from_elements(a.ring, space.set_of(total))
-
-
-def product_elements(
-    ring: FiniteRing, a: frozenset[int], b: frozenset[int]
-) -> frozenset[int]:
-    """Element set of the ideal product, through the ring's ideal registry."""
-    space = ideal_space(ring)
-    return space.set_of(space.product(space.intern(a), space.intern(b)))
-
-
-def power_elements(ring: FiniteRing, a: frozenset[int], n: int) -> frozenset[int]:
-    """I^n with I^0 = R, through the ring's ideal registry."""
-    space = ideal_space(ring)
-    return space.set_of(space.power(space.intern(a), n))
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    """I * J: generated by pairwise products of generators."""
-    _same_ring(a, b)
-    return _from_elements(a.ring, product_elements(a.ring, a.elements, b.elements))
-
-
-def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Set intersection with greedy generator recovery."""
-    _same_ring(a, b)
-    return _from_elements(a.ring, a.elements & b.elements)
-
-
 def ideal_radical(ideal: Ideal) -> Ideal:
     """{x : x^t in I for some 1 <= t <= |R|}, with power-cycle cutoff."""
     ring = ideal.ring
@@ -338,21 +254,6 @@ def ideal_radical(ideal: Ideal) -> Ideal:
             p = mul(p, x)
     # minimal_generators raises if the set fails to close (corrupt tables)
     return _from_elements(ring, frozenset(result))
-
-
-def is_prime(ideal: Ideal) -> bool:
-    """Proper, and xy in I implies x in I or y in I (full scan)."""
-    if not ideal.is_proper:
-        return False
-    ring = ideal.ring
-    members = ideal.elements
-    mul = ring.mul
-    outside = [x for x in range(ring.order) if x not in members]
-    for x in outside:
-        for y in outside:
-            if mul(x, y) in members:
-                return False
-    return True
 
 
 def is_radical_ideal(ideal: Ideal) -> bool:
@@ -446,17 +347,3 @@ def ideal_display(ideal: Ideal) -> str:
 def quotient_by(ideal: Ideal) -> QuotientRing:
     """R/I as a table ring (proper ideals only)."""
     return make_quotient(ideal.ring, ideal.elements, ideal_spec(ideal))
-
-
-def quotient_image(quotient: QuotientRing, ideal: Ideal) -> Ideal:
-    """Image of an ideal of the parent ring inside R/J."""
-    if ideal.ring is not quotient.parent:
-        raise ValueError("ideal does not live in the quotient's parent ring")
-    project = quotient.project
-    elements = frozenset(project[x] for x in ideal.elements)
-    return _from_elements(quotient, elements)
-
-
-def _same_ring(a: Ideal, b: Ideal) -> None:
-    if a.ring is not b.ring:
-        raise ValueError("ideals of different rings")

@@ -44,32 +44,8 @@ class IntPolynomial:
 
     terms: tuple[tuple[int, int], ...]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int:
-        return self.terms[-1][0] if self.terms else -1
-
     def coefficients(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.terms)
-
-    def coefficient(self, degree: int) -> int:
-        for d, c in self.terms:
-            if d == degree:
-                return c
-        return 0
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        acc = dict(self.terms)
-        for d, c in other.terms:
-            s = acc.get(d, 0) + c
-            if s == 0:
-                acc.pop(d, None)
-            else:
-                acc[d] = s
-        return IntPolynomial(tuple(sorted(acc.items())))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         acc: dict[int, int] = {}
@@ -79,9 +55,6 @@ class IntPolynomial:
         return IntPolynomial(
             tuple(sorted((d, c) for d, c in acc.items() if c != 0))
         )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple((d, -c) for d, c in self.terms))
 
     def display(self) -> str:
         if not self.terms:

@@ -19,20 +19,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from .errors import SpecParseError
 from .ideals import Ideal, ideal_from_generators
-from .rings import FiniteRing, parse_var, take_digits, var_names
+from .rings import FiniteRing, take_digits, var_names
 
 __all__ = [
     "Polynomial",
     "make_poly",
     "constant_poly",
-    "poly_add",
     "poly_mul",
-    "poly_neg",
-    "scalar_mul",
     "content",
     "monomials_up_to",
     "grlex_key",
@@ -59,33 +56,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp, _ in self.terms)
-
     def coefficients(self) -> tuple[int, ...]:
         return tuple(coeff for _, coeff in self.terms)
 
-    def coefficient(self, exp: tuple[int, ...]) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return self.ring.zero
-
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return poly_add(self, other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return poly_mul(self, other)
-
-    def __neg__(self) -> "Polynomial":
-        return poly_neg(self)
 
     def __repr__(self) -> str:
         return f"<poly {display_poly(self)} over {self.ring.descriptor}>"
@@ -113,41 +88,6 @@ def constant_poly(ring: FiniteRing, coeff: int, num_vars: int = 1) -> Polynomial
     return make_poly(ring, num_vars, {(0,) * num_vars: coeff})
 
 
-def _same_space(a: Polynomial, b: Polynomial) -> None:
-    if a.ring is not b.ring or a.num_vars != b.num_vars:
-        raise ValueError("polynomials from different rings or variable counts")
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    _same_space(a, b)
-    add = a.ring.add
-    acc = dict(a.terms)
-    zero = a.ring.zero
-    for exp, coeff in b.terms:
-        s = add(acc.get(exp, zero), coeff)
-        if s == zero:
-            acc.pop(exp, None)
-        else:
-            acc[exp] = s
-    return make_poly(a.ring, a.num_vars, acc)
-
-
-def poly_neg(a: Polynomial) -> Polynomial:
-    neg = a.ring.neg
-    return make_poly(a.ring, a.num_vars, {exp: neg(c) for exp, c in a.terms})
-
-
-def scalar_mul(r: int, a: Polynomial) -> Polynomial:
-    mul = a.ring.mul
-    acc: dict[tuple[int, ...], int] = {}
-    zero = a.ring.zero
-    for exp, coeff in a.terms:
-        p = mul(r, coeff)
-        if p != zero:
-            acc[exp] = p
-    return make_poly(a.ring, a.num_vars, acc)
-
-
 def _poly_dict_mul(ring: FiniteRing, a: dict, b: dict) -> dict:
     """Sparse product of exponent->coefficient dicts; zero terms dropped."""
     add = ring.add
@@ -169,16 +109,10 @@ def _poly_dict_mul(ring: FiniteRing, a: dict, b: dict) -> dict:
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    _same_space(a, b)
+    if a.ring is not b.ring or a.num_vars != b.num_vars:
+        raise ValueError("polynomials from different rings or variable counts")
     product = _poly_dict_mul(a.ring, a.as_dict(), b.as_dict())
     return make_poly(a.ring, a.num_vars, product)
-
-
-def poly_product(polys: Iterable[Polynomial], ring: FiniteRing, num_vars: int) -> Polynomial:
-    result = constant_poly(ring, ring.one, num_vars)
-    for p in polys:
-        result = poly_mul(result, p)
-    return result
 
 
 def content(f: Polynomial) -> Ideal:
@@ -223,6 +157,18 @@ def display_poly(f: Polynomial) -> str:
         else:
             parts.append(f"{coeff}{mono}")
     return "+".join(parts)
+
+
+def parse_var(names: Sequence[str], term: str, pos: int) -> tuple[int, int]:
+    """(index into names, end position) of the variable at term[pos:]."""
+    for idx, name in enumerate(names):
+        if term.startswith(name, pos):
+            # longest-match guard for x1/x10 style names
+            end = pos + len(name)
+            if name[-1].isdigit() and end < len(term) and term[end].isdigit():
+                continue
+            return idx, end
+    raise SpecParseError(f"unknown variable at {term[pos:]!r} (names: {names})")
 
 
 def parse_poly(ring: FiniteRing, num_vars: int, text: str) -> Polynomial:

@@ -17,6 +17,8 @@ keeps them up to TABLE_LIMIT (256), so every scan reads the rows that
 ``verify_ring_axioms`` checked; above the limit rows fill lazily. The
 ideal generated by c is ``principal(c)``, the set Rc; c is a unit iff 1 is
 in Rc. Constructors self-test and refuse orders above the configurable cap.
+An element is named only by its index: ``display`` gives the form that
+reports print, and no element literal is parsed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "TruncatedLocalRing",
     "TableRing",
     "QuotientRing",
-    "RingElement",
     "AxiomReport",
     "make_zmod",
     "make_product",
@@ -59,18 +60,6 @@ def var_names(k: int) -> tuple[str, ...]:
     if k <= len(_VAR_LETTERS):
         return _VAR_LETTERS[:k]
     return tuple(f"x{i + 1}" for i in range(k))
-
-
-def parse_var(names: Sequence[str], term: str, pos: int) -> tuple[int, int]:
-    """(index into names, end position) of the variable at term[pos:]."""
-    for idx, name in enumerate(names):
-        if term.startswith(name, pos):
-            # longest-match guard for x1/x10 style names
-            end = pos + len(name)
-            if name[-1].isdigit() and end < len(term) and term[end].isdigit():
-                continue
-            return idx, end
-    raise SpecParseError(f"unknown variable at {term[pos:]!r} (names: {names})")
 
 
 def take_digits(text: str, pos: int) -> tuple[Optional[int], int]:
@@ -106,10 +95,10 @@ class LazyRow(dict):
 class FiniteRing:
     """A finite commutative unital ring on element indices 0..order-1.
 
-    Subclasses implement ``add``, ``mul``, ``neg``, ``display`` and
-    ``parse_element``. Instances are immutable after construction; the
-    ``caches`` dict is internal memo space shared by the ideal and content
-    machinery and never changes observable behaviour.
+    Subclasses implement ``add``, ``mul``, ``neg`` and ``display``.
+    Instances are immutable after construction; the ``caches`` dict is
+    internal memo space shared by the ideal and content machinery and
+    never changes observable behaviour.
     """
 
     def __init__(self, order: int, descriptor: str, zero: int, one: int):
@@ -137,14 +126,6 @@ class FiniteRing:
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
-
-    def power(self, i: int, t: int) -> int:
-        if t < 0:
-            raise ValueError("negative exponent")
-        acc = self.one
-        for _ in range(t):
-            acc = self.mul(acc, i)
-        return acc
 
     # derived structure ------------------------------------------------
 
@@ -185,15 +166,9 @@ class FiniteRing:
             self._units = frozenset(c for c in self.elements if self.one in self.principal(c))
         return self._units
 
-    def is_unit(self, i: int) -> bool:
-        return i in self.units()
-
     # presentation -----------------------------------------------------
 
     def display(self, i: int) -> str:
-        raise NotImplementedError
-
-    def parse_element(self, text: str) -> int:
         raise NotImplementedError
 
     def check_index(self, i: int) -> int:
@@ -227,16 +202,6 @@ class ZmodRing(FiniteRing):
 
     def display(self, i: int) -> str:
         return str(i)
-
-    def parse_element(self, text: str) -> int:
-        try:
-            value = int(text, 10)
-        except ValueError:
-            raise SpecParseError(f"not a residue: {text!r}") from None
-        if not 0 <= value < self.modulus:
-            raise SpecParseError(f"residue {value} out of range for {self.descriptor}")
-        return value
-
 
 class ProductRing(FiniteRing):
     """Direct product A x B with componentwise operations.
@@ -282,18 +247,6 @@ class ProductRing(FiniteRing):
         a, b = divmod(i, self.right.order)
         return f"({self.left.display(a)},{self.right.display(b)})"
 
-    def parse_element(self, text: str) -> int:
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise SpecParseError(f"product element must be a tuple: {text!r}")
-        parts = split_top_level(text[1:-1])
-        if len(parts) != 2:
-            raise SpecParseError(f"product element needs two components: {text!r}")
-        a = self.left.parse_element(parts[0])
-        b = self.right.parse_element(parts[1])
-        return self.encode(a, b)
-
-
 class TruncatedLocalRing(FiniteRing):
     """F_p[x_1..x_k] / m^e where m = (x_1, .., x_k), a finite local ring.
 
@@ -310,7 +263,7 @@ class TruncatedLocalRing(FiniteRing):
         self.num_vars = k
         self.nil_exponent = e
         self.monomials = monos
-        self._mono_pos = {m: i for i, m in enumerate(monos)}
+        mono_pos = {m: i for i, m in enumerate(monos)}
         # product position matrix: -1 when the monomial product is truncated
         L = len(monos)
         posmap = [[-1] * L for _ in range(L)]
@@ -318,7 +271,7 @@ class TruncatedLocalRing(FiniteRing):
             for j, mj in enumerate(monos):
                 s = tuple(a + b for a, b in zip(mi, mj))
                 if sum(s) < e:
-                    posmap[i][j] = self._mono_pos[s]
+                    posmap[i][j] = mono_pos[s]
         self._posmap = posmap
         self._digit_cache: list[tuple[int, ...]] = []
         for idx in range(order):
@@ -329,9 +282,6 @@ class TruncatedLocalRing(FiniteRing):
                 digits.append(d)
             self._digit_cache.append(tuple(digits))
         self._names = var_names(k)
-
-    def digits(self, i: int) -> tuple[int, ...]:
-        return self._digit_cache[i]
 
     def encode(self, digits: Sequence[int]) -> int:
         idx = 0
@@ -386,45 +336,6 @@ class TruncatedLocalRing(FiniteRing):
                 terms.append(f"{d}{self._mono_str(mono)}")
         return "+".join(terms) if terms else "0"
 
-    def parse_element(self, text: str) -> int:
-        text = text.strip()
-        if text == "0":
-            return 0
-        acc = [0] * len(self.monomials)
-        for term in text.split("+"):
-            coeff, mono = self._parse_term(term.strip())
-            pos = self._mono_pos.get(mono)
-            if pos is None:
-                raise SpecParseError(f"monomial exceeds truncation in {term!r}")
-            if acc[pos]:
-                raise SpecParseError(f"duplicate monomial in {text!r}")
-            acc[pos] = coeff
-        return self.encode(acc)
-
-    def _parse_term(self, term: str) -> tuple[int, tuple[int, ...]]:
-        if not term:
-            raise SpecParseError("empty term in element literal")
-        coeff, pos = take_digits(term, 0)
-        if coeff is None:
-            coeff = 1
-        elif not 1 <= coeff < self.p:
-            raise SpecParseError(f"coefficient {coeff} out of range in {term!r}")
-        elif pos == len(term):
-            return coeff, (0,) * self.num_vars
-        exps = [0] * self.num_vars
-        while pos < len(term):
-            var, pos = parse_var(self._names, term, pos)
-            exp = 1
-            if pos < len(term) and term[pos] == "^":
-                exp, pos = take_digits(term, pos + 1)
-                if exp is None:
-                    raise SpecParseError(f"missing exponent in {term!r}")
-            if exps[var]:
-                raise SpecParseError(f"repeated variable in {term!r}")
-            exps[var] = exp
-        return coeff, tuple(exps)
-
-
 class TableRing(FiniteRing):
     """A ring given by explicit operation tables.
 
@@ -447,10 +358,12 @@ class TableRing(FiniteRing):
         super().__init__(order, descriptor, zero, one)
         self._add_rows = [list(row) for row in add_rows]
         self._mul_rows = [list(row) for row in mul_rows]
-        if any(len(r) != order for r in self._add_rows + self._mul_rows):
-            raise RingConstructionError("operation tables must be square")
+        rows = self._add_rows + self._mul_rows
+        if len(rows) != 2 * order or any(len(r) != order for r in rows):
+            raise RingConstructionError(
+                f"operation tables must both be {order} x {order}"
+            )
         self._displays = list(displays) if displays is not None else [str(i) for i in range(order)]
-        self._parse_map = {s: i for i, s in enumerate(self._displays)}
         neg = [None] * order
         for i in range(order):
             for j in range(order):
@@ -473,13 +386,6 @@ class TableRing(FiniteRing):
 
     def display(self, i: int) -> str:
         return self._displays[i]
-
-    def parse_element(self, text: str) -> int:
-        key = text.strip()
-        if key not in self._parse_map:
-            raise SpecParseError(f"unknown element {text!r} of {self.descriptor}")
-        return self._parse_map[key]
-
 
 class QuotientRing(TableRing):
     """R/I as a table ring on least-index coset representatives."""
@@ -512,39 +418,6 @@ class QuotientRing(TableRing):
         self.ideal_elements = frozenset(ideal_elements)
         self.reps = tuple(reps)
         self.project = tuple(project)
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """Thin wrapper pairing a ring with an element index."""
-
-    ring: FiniteRing
-    index: int
-
-    def __post_init__(self):
-        self.ring.check_index(self.index)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring:
-                raise ValueError("elements of different rings")
-            return other.index
-        return self.ring.check_index(other)
-
-    def __add__(self, other) -> "RingElement":
-        return RingElement(self.ring, self.ring.add(self.index, self._coerce(other)))
-
-    def __mul__(self, other) -> "RingElement":
-        return RingElement(self.ring, self.ring.mul(self.index, self._coerce(other)))
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, self.ring.neg(self.index))
-
-    def display(self) -> str:
-        return self.ring.display(self.index)
-
-    def __repr__(self) -> str:
-        return f"<{self.display()} in {self.ring.descriptor}>"
 
 
 @dataclass(frozen=True)
@@ -704,23 +577,6 @@ def make_quotient(parent: FiniteRing, ideal_elements, label: Optional[str] = Non
 
 # ---------------------------------------------------------------------------
 # ring spec grammar
-
-
-def split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
 
 
 def _take_int(text: str, pos: int, full: str) -> tuple[int, int]:

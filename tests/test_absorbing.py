@@ -1,16 +1,16 @@
 """Absorbing degrees: pruned scan vs reference, strong variant, quotients."""
 
 import pytest
+from oracles import reference_is_n_absorbing
 
 from omegalab.absorbing import (
     is_n_absorbing,
     is_strongly_n_absorbing,
     omega,
     omega_agreement_table,
-    reference_is_n_absorbing,
     strong_omega,
 )
-from omegalab.ideals import all_ideals, ideal_from_generators, quotient_by, quotient_image
+from omegalab.ideals import all_ideals, ideal_from_generators, quotient_by
 from omegalab.rings import make_product, make_truncated_local, make_zmod
 
 
@@ -140,8 +140,6 @@ def test_agreement_table_small_rings():
         assert report.counterexamples == ()
         assert report.capped == ()
         assert all(row.agree is True for row in report.rows)
-    text = omega_agreement_table(make_zmod(4)).describe()
-    assert "omega=" in text and "ok" in text
 
 
 def test_omega_respects_cap():
@@ -161,5 +159,5 @@ def test_omega_transfers_to_quotient():
     for gens in ((6,), (3,), (2,)):
         ideal = ideal_from_generators(ring, gens)
         assert j.elements <= ideal.elements
-        image = quotient_image(q, ideal)
+        image = ideal_from_generators(q, {q.project[g] for g in gens})
         assert omega(image).value == omega(ideal).value

@@ -139,7 +139,7 @@ def test_criterion_05_principal_content_factorization():
             g = make_poly(z12, 1, {slots[i]: c for i, c in enumerate(coeffs) if c})
             fact = bezout_factor(g)
             scaled = poly_mul(
-                fact.unit_part, make_poly(z12, 1, {(0,): fact.b.index})
+                fact.unit_part, make_poly(z12, 1, {(0,): fact.b})
             )
             if scaled.terms != g.terms:
                 return False, f"zmod:12 reconstruction failed for {display_poly(g)}"
@@ -156,7 +156,7 @@ def test_criterion_05_principal_content_factorization():
             g = make_poly(big, 1, {(i,): c for i, c in enumerate(coeffs) if c})
             fact = bezout_factor(g)
             scaled = poly_mul(
-                fact.unit_part, make_poly(big, 1, {(0,): fact.b.index})
+                fact.unit_part, make_poly(big, 1, {(0,): fact.b})
             )
             if scaled.terms != g.terms or content(fact.unit_part).elements != full:
                 return False, f"zmod:360 invariant failed for {display_poly(g)}"

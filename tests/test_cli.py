@@ -482,3 +482,21 @@ def test_module_entry_point_version():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("omegalab ")
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is deleted would only
+    # fail at ``from omegalab.x import *``
+    import importlib
+    import pkgutil
+
+    import omegalab
+
+    modules = [omegalab] + [
+        importlib.import_module(f"omegalab.{info.name}")
+        for info in pkgutil.iter_modules(omegalab.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

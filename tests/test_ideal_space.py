@@ -1,30 +1,30 @@
-"""The ideal registry against reference routes: the worklist closure
-``generic_closure``, pairwise sums, the closure of all element products,
-repeated products, a double-loop unit scan, and the pairwise-sum lattice
-BFS that the registry replaced (kept here as the oracle). The references
-close ideals with ``generic_closure``, never through the registry or
-``FiniteRing.principal``."""
+"""The ideal registry against the reference routes of ``oracles``: the
+worklist closure ``generic_closure``, pairwise sums, the closure of all
+element products, repeated products, a double-loop unit scan, the
+pairwise-sum lattice BFS that the registry replaced and a pruning-free
+strong scan."""
 
 import functools
-import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    generic_closure,
+    oracle_lattice,
+    reference_product,
+    reference_strong_violation,
+    reference_units,
+)
 
 from omegalab import cli
 from omegalab.absorbing import is_strongly_n_absorbing
-from omegalab.content_checks import content_space
 from omegalab.ideals import (
     Ideal,
     all_ideals,
     closure_elements,
-    generic_closure,
     ideal_space,
-    ideal_sum,
     parse_ideal_spec,
-    power_elements,
-    product_elements,
 )
 from omegalab.rings import make_zmod, parse_ring_spec
 
@@ -70,43 +70,6 @@ def ring_and_ideals(draw, count):
     return ring, ideals
 
 
-def _reference_product(ring, a, b):
-    mul = ring.mul
-    return generic_closure(ring, {mul(x, y) for x in a for y in b})
-
-
-def _oracle_lattice(ring):
-    """Pairwise-sum BFS over principal ideals, sorted like all_ideals."""
-    principal = {}
-    for e in range(ring.order):
-        principal.setdefault(generic_closure(ring, (e,)), e)
-    zero = frozenset({ring.zero})
-    known = {zero}
-    frontier = [zero]
-    add = ring.add
-    while frontier:
-        new_frontier = []
-        for current in frontier:
-            for els in principal:
-                if els <= current:
-                    continue
-                combined = frozenset(add(x, y) for x in current for y in els)
-                if combined not in known:
-                    known.add(combined)
-                    new_frontier.append(combined)
-        frontier = new_frontier
-    return sorted(known, key=lambda els: (len(els), tuple(sorted(els))))
-
-
-@functools.cache
-def _reference_units(ring):
-    one, mul = ring.one, ring.mul
-    return frozenset(
-        x for x in range(ring.order)
-        if any(mul(x, y) == one for y in range(ring.order))
-    )
-
-
 @pytest.mark.parametrize(
     "specs",
     # the family, then the zmod and product overrides of principal above
@@ -122,17 +85,17 @@ def test_closure_principal_units_match_references(specs, data):
     assert closure_elements(ring, gens) == generic_closure(ring, gens)
     for c in gens:
         assert ring.principal(c) == generic_closure(ring, (c,))
-    assert ring.units() == _reference_units(ring)
+    assert ring.units() == reference_units(ring)
 
 
 def test_principal_by_method_calls_above_table_limit():
     # a truncated ring above TABLE_LIMIT has no override and no kept rows;
     # fixed elements, since each worklist closure here takes about 0.5 s
     ring = ring_of("trunc:p=17,vars=1,nil=2")
-    for text in ("0", "1", "x", "3x", "2+5x"):
-        c = ring.parse_element(text)
-        assert ring.principal(c) == generic_closure(ring, (c,)), text
-    assert ring.units() == _reference_units(ring)
+    # index d0 + 17*d1 is d0 + d1*x: 0, 1, x, 3x, 2+5x
+    for c in (0, 1, 17, 51, 87):
+        assert ring.principal(c) == generic_closure(ring, (c,)), c
+    assert ring.units() == reference_units(ring)
 
 
 @examples(max_examples=150)
@@ -141,30 +104,36 @@ def test_registry_sum_matches_pairwise_sums(drawn):
     ring, (a, b) = drawn
     add = ring.add
     expected = frozenset(add(x, y) for x in a.elements for y in b.elements)
-    assert ideal_sum(a, b).elements == expected
+    # I + J is I extended by each generator of J
     space = ideal_space(ring)
-    ida, idb = space.intern(a.elements), space.intern(b.elements)
-    assert space.set_of(space.sum(ida, idb)) == expected
-    assert space.sum(ida, idb) == space.sum(idb, ida)
+    total = space.intern(a.elements)
+    for g in b.generators:
+        total = space.extend(total, g)
+    assert space.set_of(total) == expected
+    assert space.id_of_coeffs(a.generators + b.generators) == total
 
 
 @examples(max_examples=150)
 @given(ring_and_ideals(2))
 def test_registry_product_matches_element_products(drawn):
     ring, (a, b) = drawn
-    expected = _reference_product(ring, a.elements, b.elements)
-    assert product_elements(ring, a.elements, b.elements) == expected
-    assert product_elements(ring, b.elements, a.elements) == expected
+    expected = reference_product(ring, a.elements, b.elements)
+    space = ideal_space(ring)
+    ida, idb = space.intern(a.elements), space.intern(b.elements)
+    assert space.set_of(space.product(ida, idb)) == expected
+    assert space.product(idb, ida) == space.product(ida, idb)
 
 
 @examples(max_examples=100)
 @given(ring_and_ideals(1))
 def test_registry_power_matches_repeated_product(drawn):
     ring, (a,) = drawn
+    space = ideal_space(ring)
+    ida = space.intern(a.elements)
     expected = frozenset(range(ring.order))
     for n in range(6):
-        assert power_elements(ring, a.elements, n) == expected, n
-        expected = _reference_product(ring, expected, a.elements)
+        assert space.set_of(space.power(ida, n)) == expected, n
+        expected = reference_product(ring, expected, a.elements)
 
 
 def test_lattice_matches_pairwise_sum_oracle():
@@ -172,29 +141,7 @@ def test_lattice_matches_pairwise_sum_oracle():
         # a fresh ring, so the lattice is built from a cold registry
         ring = parse_ring_spec(spec)
         got = [ideal.elements for ideal in all_ideals(ring)]
-        assert got == _oracle_lattice(ring), spec
-
-
-def _reference_strong_violation(ideal, n):
-    """Pruning-free strong scan: the first non-decreasing (n+1)-tuple of
-    lattice positions whose product lies in I while no n-subproduct does,
-    with every product taken by _reference_product."""
-    ring = ideal.ring
-    lattice = all_ideals(ring)
-
-    def inside(sets):
-        acc = frozenset(range(ring.order))
-        for els in sets:
-            acc = _reference_product(ring, acc, els)
-        return acc <= ideal.elements
-
-    for combo in itertools.combinations_with_replacement(lattice, n + 1):
-        sets = [iv.elements for iv in combo]
-        if inside(sets) and not any(
-            inside(sets[:t] + sets[t + 1:]) for t in range(n + 1)
-        ):
-            return combo
-    return None
+        assert got == oracle_lattice(ring), spec
 
 
 def test_strong_scan_matches_reference_witnesses():
@@ -206,7 +153,7 @@ def test_strong_scan_matches_reference_witnesses():
                 continue
             for n in (1, 2, 3):
                 got = is_strongly_n_absorbing(ideal, n).violation
-                assert got == _reference_strong_violation(ideal, n), (spec, n)
+                assert got == reference_strong_violation(ideal, n), (spec, n)
 
 
 def test_memo_layout_one_registry_one_id():
@@ -220,13 +167,11 @@ def test_memo_layout_one_registry_one_id():
     assert set(ring.caches) == {"ideal_space", "all_ideals"}
 
     space = ideal_space(ring)
-    assert content_space(ring) is space
     lattice = all_ideals(ring)
     ids = [space.intern(ideal.elements) for ideal in lattice]
     # the content lookup of each ideal's generators gives its lattice id
     for ideal, cid in zip(lattice, ids):
         assert space.id_of_coeffs(ideal.generators) == cid
-        assert space.id_of_ideal(ideal) == cid
     # the strong scan multiplies lattice ids through the same registry
     seen = []
     product = space.product

@@ -4,26 +4,20 @@ import itertools
 
 import pytest
 
+from oracles import generic_closure, is_prime
+
 from omegalab.errors import LatticeOverflowError, SpecParseError
 from omegalab.ideals import (
     all_ideals,
     closure_elements,
-    generic_closure,
     ideal_display,
     ideal_from_generators,
-    ideal_intersect,
-    ideal_product,
     ideal_radical,
+    ideal_space,
     ideal_spec,
-    ideal_sum,
-    is_prime,
     is_radical_ideal,
     minimal_generators,
     parse_ideal_spec,
-    power_elements,
-    product_elements,
-    quotient_by,
-    quotient_image,
 )
 from omegalab.rings import make_product, make_truncated_local, make_zmod
 
@@ -74,35 +68,29 @@ def test_ideal_count_truncated_rings():
 
 
 def test_ideal_sum_product_intersect():
-    i4 = ideal_from_generators(Z12, (4,))
-    i6 = ideal_from_generators(Z12, (6,))
-    assert sorted(ideal_sum(i4, i6).elements) == [0, 2, 4, 6, 8, 10]
-    i2 = ideal_from_generators(Z12, (2,))
-    i3 = ideal_from_generators(Z12, (3,))
-    assert sorted(ideal_product(i2, i3).elements) == [0, 6]
-    assert sorted(ideal_intersect(i2, i3).elements) == [0, 6]
+    space = ideal_space(Z12)
+    # (4) + (6) = (2): the ideal generated by both generators
+    assert sorted(space.set_of(space.id_of_coeffs((4, 6)))) == [0, 2, 4, 6, 8, 10]
+    i2, i3 = space.principal_id(2), space.principal_id(3)
+    assert sorted(space.set_of(space.product(i2, i3))) == [0, 6]
+    assert sorted(space.set_of(i2) & space.set_of(i3)) == [0, 6]
 
 
 def test_product_contained_in_intersection():
+    space = ideal_space(Z12)
     ideals = all_ideals(Z12)
     for a, b in itertools.product(ideals, repeat=2):
-        prod = ideal_product(a, b)
-        inter = ideal_intersect(a, b)
-        assert prod.elements <= inter.elements
+        prod = space.product(space.intern(a.elements), space.intern(b.elements))
+        assert space.set_of(prod) <= a.elements & b.elements
 
 
 def test_power_elements():
-    i2 = ideal_from_generators(Z12, (2,))
-    assert power_elements(Z12, i2.elements, 2) == frozenset({0, 4, 8})
-    assert power_elements(Z12, i2.elements, 1) == i2.elements
+    space = ideal_space(Z12)
+    i2 = space.principal_id(2)
+    assert space.set_of(space.power(i2, 2)) == frozenset({0, 4, 8})
+    assert space.power(i2, 1) == i2
     # zeroth power is the whole ring
-    assert power_elements(Z12, i2.elements, 0) == frozenset(range(12))
-
-
-def test_product_elements_matches_ideal_product():
-    for a, b in itertools.product(all_ideals(Z12), repeat=2):
-        assert product_elements(Z12, a.elements, b.elements) == \
-            ideal_product(a, b).elements
+    assert space.set_of(space.power(i2, 0)) == frozenset(range(12))
 
 
 def test_radical():
@@ -129,13 +117,6 @@ def test_prime_iff_omega_one():
             if not ideal.is_proper:
                 continue
             assert is_prime(ideal) == (omega(ideal).value == 1)
-
-
-def test_quotient_image():
-    q = quotient_by(ideal_from_generators(Z12, (4,)))
-    img = quotient_image(q, ideal_from_generators(Z12, (2,)))
-    assert sorted(img.elements) == [0, 2]
-    assert img.generators == (2,)
 
 
 def test_lattice_overflow():

@@ -4,7 +4,6 @@ import pytest
 
 from omegalab.errors import RingConstructionError, SpecParseError
 from omegalab.rings import (
-    RingElement,
     TableRing,
     make_product,
     make_quotient,
@@ -23,7 +22,6 @@ def test_zmod_basics():
     assert ring.mul(7, 8) == 8
     assert ring.neg(5) == 7
     assert ring.sub(3, 5) == 10
-    assert ring.power(2, 3) == 8
     assert ring.zero == 0 and ring.one == 1
 
 
@@ -37,8 +35,6 @@ def test_zmod_modulus_floor():
 def test_units_match_gcd():
     ring = make_zmod(12)
     assert ring.units() == frozenset({1, 5, 7, 11})
-    assert ring.is_unit(5)
-    assert not ring.is_unit(2)
 
 
 def test_product_encoding_roundtrip():
@@ -69,40 +65,51 @@ def test_crt_isomorphism_z4xz3_z12():
 
 
 def test_truncated_local_nilpotency():
-    # F_2[x,y]/m^2: any product of two variables dies
+    # F_2[x,y]/m^2: any product of two variables dies; graded-lex order
+    # lists 1, y, x, so y is digit 1 (index 2) and x digit 2 (index 4)
     m2 = make_truncated_local(2, 2, 2)
     assert m2.order == 8
-    x = m2.parse_element("x")
-    y = m2.parse_element("y")
+    x, y = 4, 2
+    assert (m2.display(x), m2.display(y)) == ("x", "y")
     assert m2.mul(x, y) == m2.zero
     assert m2.mul(x, x) == m2.zero
     # in m^3 the products survive one more level
     m3 = make_truncated_local(2, 2, 3)
     assert m3.order == 64
-    x3 = m3.parse_element("x")
-    y3 = m3.parse_element("y")
-    xy = m3.mul(x3, y3)
+    assert (m3.display(x), m3.display(y)) == ("x", "y")
+    xy = m3.mul(x, y)
     assert xy != m3.zero
-    assert m3.mul(xy, x3) == m3.zero
+    assert m3.mul(xy, x) == m3.zero
+
+
+def _read_back(ring):
+    """Display -> index over the whole ring; report witnesses name elements
+    by their display, so every display must read back to its one element."""
+    table = {ring.display(i): i for i in range(ring.order)}
+    assert len(table) == ring.order, ring.descriptor
+    return table
+
+
+def test_display_injective_per_family():
+    z12 = make_zmod(12)
+    for ring in (z12, make_quotient(z12, frozenset({0, 4, 8}))):
+        _read_back(ring)
 
 
 def test_truncated_display_parse_roundtrip():
-    ring = make_truncated_local(3, 1, 2)
-    for i in range(ring.order):
-        assert ring.parse_element(ring.display(i)) == i
-    big = make_truncated_local(2, 2, 3)
-    for i in range(big.order):
-        assert big.parse_element(big.display(i)) == i
+    cube = make_truncated_local(2, 2, 3)
+    for ring in (make_truncated_local(3, 1, 2), cube):
+        table = _read_back(ring)
+        for i in range(ring.order):
+            assert table[ring.display(i)] == i
+    assert [cube.display(i) for i in (0, 1, 6, 7)] == ["0", "1", "y+x", "1+y+x"]
 
 
-def test_truncated_parse_errors():
-    ring = make_truncated_local(2, 2, 2)
-    with pytest.raises(SpecParseError):
-        ring.parse_element("x^2")  # truncated away
-    with pytest.raises(SpecParseError):
-        ring.parse_element("q")
-    with pytest.raises(SpecParseError):
-        ring.parse_element("x+x")
+def test_product_element_display_parse():
+    ring = make_product(make_zmod(4), make_zmod(3))
+    i = ring.encode(1, 2)
+    assert ring.display(i) == "(1,2)"
+    assert _read_back(ring)["(1,2)"] == i
 
 
 def test_truncated_constructor_guards():
@@ -154,6 +161,18 @@ def test_axiom_scan_zero_identity():
     assert not report.ok
     assert report.axiom == "zero-identity"
     assert report.witness == (1,)
+
+
+def test_table_ring_rejects_tables_of_the_wrong_size():
+    # a table with too few rows used to build, and verification then
+    # raised IndexError instead of reporting
+    add, mul = _z4_tables()
+    with pytest.raises(RingConstructionError):
+        TableRing(add, mul[:3], 0, 1, "bad:short-mul")
+    with pytest.raises(RingConstructionError):
+        TableRing(add, mul + [mul[0]], 0, 1, "bad:long-mul")
+    with pytest.raises(RingConstructionError):
+        TableRing(add, [row[:3] for row in mul], 0, 1, "bad:narrow-mul")
 
 
 def test_order_cap_enforced():
@@ -209,28 +228,3 @@ def test_ring_spec_errors():
                 "ring:5", ""):
         with pytest.raises(SpecParseError):
             parse_ring_spec(bad)
-
-
-def test_product_element_display_parse():
-    ring = make_product(make_zmod(4), make_zmod(3))
-    i = ring.encode(1, 2)
-    assert ring.display(i) == "(1,2)"
-    assert ring.parse_element("(1,2)") == i
-    with pytest.raises(SpecParseError):
-        ring.parse_element("1,2")
-    with pytest.raises(SpecParseError):
-        ring.parse_element("(1,2,3)")
-
-
-def test_ring_element_wrapper():
-    ring = make_zmod(12)
-    a = RingElement(ring, 7)
-    assert (a + 8).index == 3
-    assert (a * RingElement(ring, 2)).index == 2
-    assert (-a).index == 5
-    assert a.display() == "7"
-    with pytest.raises(ValueError):
-        RingElement(ring, 12)
-    other = make_zmod(6)
-    with pytest.raises(ValueError):
-        a + RingElement(other, 1)
