@@ -8,18 +8,26 @@ tuples instead of element tuples.
 One scanner, ``multiset_scan``, decides the definition wherever it is read:
 over ring elements here, over the ideal lattice for the strong variant, and
 over bounded polynomials of R[X] in content_checks. It enumerates
-non-decreasing tuples (multisets) in index order with three sound
+non-decreasing tuples (multisets) in index order with four sound
 prunings, each of which removes no violation:
 
 * elements of I are skipped (any tuple containing one has an n-subproduct
   containing it, which then lies in I);
 * units are skipped (if the full product lies in I, multiplying by the unit's
   inverse puts the subproduct omitting it in I);
+* the element scan keeps one element per principal ideal, the least
+  generator of Rx (associates are interchangeable: if Rx = Ry then
+  ax in I <=> a*Rx <= I <=> a*Ry <= I <=> ay in I, so swapping a factor
+  for another generator of its principal ideal changes no membership of any
+  subproduct; and replacing every factor of a violating multiset by its
+  class minimum, then sorting, gives a violating multiset that is
+  componentwise, hence lexicographically, no larger, so the least
+  violation uses only class minima);
 * a prefix whose partial product lies in I is cut (every completion has an
   n-subproduct containing the whole prefix).
 
-The callers apply the first two when they choose the candidates; the scan
-applies the third. The first violation found is therefore the
+The callers apply the first three when they choose the candidates; the
+scan applies the fourth. The first violation found is therefore the
 lexicographically least violating multiset. The pruning-free reference
 scan that tests compare against lives in the tests.
 """
@@ -165,13 +173,17 @@ def violates(factors: Sequence, one, table, inside) -> bool:
 
 
 def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
-    """Scan for a violating (n+1)-element multiset; I must be proper."""
+    """Scan for a violating (n+1)-element multiset; I must be proper. The
+    candidates are the least generators of the principal ideals that are
+    neither R nor inside I (one element per associate class)."""
     _check_args(ideal, n)
     ring = ideal.ring
     members = ideal.elements
-    units = ring.units()
+    space = ideal_space(ring)
+    # the units are the generators of R, and Rx lies in I iff x does
     candidates = [
-        x for x in range(ring.order) if x not in members and x not in units
+        x for i, x in space.principal_reps().items()
+        if i != space.full_id and x not in members
     ]
     found, _ = multiset_scan(candidates, ring.one, ring.mul_rows(), members, n)
     if found is None:

@@ -16,6 +16,10 @@ from ``IdealSpace.dm_exponent``, memoized on the content ids of f, g and
 fg. Every sweep is planned by one driver, ``plan_sweep``: it goes
 exhaustive when the caller's exhaustive enumeration fits the budget, and
 otherwise draws seeded coefficient tuples and records the mode and seed.
+The DM table and the certify sweep read one weighted pair stream,
+``Sweep.weighted_pairs``: exhaustive, one pair per pair of unit orbits
+weighted by the orbit sizes, so every count still counts every pair;
+sampled, the draws with weight 1.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
 omega, over bounded polynomials of R[X].
 
@@ -177,6 +181,44 @@ class Sweep:
             )
             for _ in range(self.sample)
         )
+
+    def weighted_pairs(self, ring: FiniteRing, length: int):
+        """The sweep's (f, g) pairs of coefficient tuples, each with the
+        number of pairs it stands for. Sampled: the draws of ``tuples``,
+        weight 1 each. Exhaustive: one pair per pair of unit orbits, each
+        orbit by its lex-least tuple, weighted |O(f)|*|O(g)|; see
+        ``_unit_orbits`` for why that covers every pair."""
+        if not self.exhaustive:
+            return ((pair, 1) for pair in self.tuples(ring.order, length, 2))
+        orbits = _unit_orbits(ring, length)
+        return (((f, g), wf * wg) for f, wf in orbits for g, wg in orbits)
+
+
+def _unit_orbits(ring: FiniteRing, length: int) -> list[tuple[tuple, int]]:
+    """(f, |O(f)|) for each orbit O(f) = {u*f : u a unit} of coefficient
+    tuples of the given length, f the lex-least tuple of its orbit, in lex
+    order.
+
+    Scaling by units changes nothing a pair sweep reads: for units u and v,
+    c(uf) = c(f), c(uf*vg) = c(uv*fg) = c(fg), uv*fg lies in I[X] exactly
+    when fg does, and uf has the support (so the degree) of f. Every
+    per-pair value is therefore constant on O(f) x O(g), and a count over
+    all pairs is the sum over representative pairs weighted by
+    |O(f)|*|O(g)|. A representative pair also comes first among the pairs
+    with any such property: if (f, g) has it, so does (min O(f), min O(g)),
+    which is no larger in the lex order of pairs. So the first pair at the
+    maximum exponent and the first failing pair are representative pairs,
+    and the sweeps report the witnesses of the full walk."""
+    rows = ring.mul_rows()
+    unit_rows = [rows[u] for u in sorted(ring.units())]
+    seen: set[tuple] = set()
+    orbits = []
+    for f in itertools.product(range(ring.order), repeat=length):
+        if f not in seen:
+            orbit = {tuple(row[c] for c in f) for row in unit_rows}
+            seen |= orbit
+            orbits.append((f, len(orbit)))
+    return orbits
 
 
 def plan_sweep(
@@ -342,7 +384,9 @@ def dm_exponent_table(
     sample: int = DEFAULT_SAMPLE,
     seed: int = 0,
 ) -> DmTable:
-    """dm_exponent over all (f, g) pairs, or a seeded sample over budget.
+    """dm_exponent over all (f, g) pairs, or a seeded sample over budget;
+    the exhaustive table walks one pair per pair of unit orbits and weights
+    the counts (``Sweep.weighted_pairs``).
 
     bound_holds reports the univariate classical bound l <= deg(g)+1 (with
     deg(0) treated as 0); None for multivariate sweeps where the classical
@@ -364,8 +408,8 @@ def dm_exponent_table(
     # call; products rarely repeat and are looked up directly
     id_of_factor = functools.cache(space.id_of_coeffs)
     sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
-    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
-        checked += 1
+    for (fa, fb), weight in sweep.weighted_pairs(ring, len(slots)):
+        checked += weight
         n = space.dm_exponent(
             id_of_factor(fa),
             id_of_factor(fb),
@@ -373,9 +417,9 @@ def dm_exponent_table(
             cap,
         )
         if n is None:
-            cap_exceeded += 1
+            cap_exceeded += weight
             continue
-        hist[n] = hist.get(n, 0) + 1
+        hist[n] = hist.get(n, 0) + weight
         if n > max_exp:
             max_exp = n
             witness = (fa, fb)
@@ -660,7 +704,9 @@ def certify_pair_sweep(
     """Certify every bounded pair whose product lands in I[X].
 
     Pairs are filtered with raw coefficient convolution; the certificate
-    machinery only runs on qualifying pairs, which are sparse.
+    machinery only runs on qualifying pairs, which are sparse. The
+    exhaustive sweep walks one pair per pair of unit orbits and weights
+    ``qualifying`` (``Sweep.weighted_pairs``).
     """
     ring = ideal.ring
     slots, convolve = _convolver(ring, num_vars, max_deg)
@@ -678,11 +724,11 @@ def certify_pair_sweep(
     # and it is the peeling of certify_content_product
     total_pairs = ring.order ** (2 * len(slots))
     sweep = plan_sweep(total_pairs, budget, sample, seed)
-    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
+    for (fa, fb), weight in sweep.weighted_pairs(ring, len(slots)):
         prod_coeffs = convolve(fa, fb)
         if any(c not in members for c in prod_coeffs):
             continue
-        qualifying += 1
+        qualifying += weight
         cf = space.id_of_coeffs(fa)
         cg = space.id_of_coeffs(fb)
         l = space.dm_exponent(cf, cg, space.id_of_coeffs(prod_coeffs), cap)

@@ -126,6 +126,7 @@ class IdealSpace:
         self.full_id = self.intern(frozenset(range(ring.order)))
         self.gens: dict[int, tuple[int, ...]] = {}  # filled by minimal_generators
         self._principal: dict[int, int] = {}
+        self._reps: Optional[dict[int, int]] = None
         self._extended: dict[tuple[int, int], int] = {}
         self._coeffs: dict[tuple[int, ...], int] = {}
         self._prod: dict[tuple[int, int], int] = {}
@@ -147,6 +148,16 @@ class IdealSpace:
         if got is None:
             got = self._principal[elem] = self.intern(self.ring.principal(elem))
         return got
+
+    def principal_reps(self) -> dict[int, int]:
+        """The least generator of each principal ideal, keyed by the ideal's
+        id and listed in ascending order of generator."""
+        if self._reps is None:
+            reps: dict[int, int] = {}
+            for e in range(self.ring.order):
+                reps.setdefault(self.principal_id(e), e)
+            self._reps = reps
+        return self._reps
 
     def extend(self, ideal_id: int, elem: int) -> int:
         """I + (elem)."""
@@ -277,17 +288,14 @@ def all_ideals(ring: FiniteRing, count_cap: int = DEFAULT_LATTICE_CAP) -> list[I
             )
         return list(cache)
     space = ideal_space(ring)
-    # one representative per principal ideal: its least generator
-    reps = {}
-    for e in range(ring.order):
-        reps.setdefault(space.principal_id(e), e)
+    reps = space.principal_reps().values()
     known = {space.zero_id}
     frontier = [space.zero_id]
     while frontier:
         new_frontier = []
         for current in frontier:
             members = space.set_of(current)
-            for e in reps.values():
+            for e in reps:
                 if e in members:  # (e) is inside current: nothing to add
                     continue
                 combined = space.extend(current, e)

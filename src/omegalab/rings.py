@@ -161,10 +161,14 @@ class FiniteRing:
         return frozenset(self.mul_rows()[c])
 
     def units(self) -> frozenset[int]:
-        """Indices of invertible elements: c is a unit iff 1 lies in Rc."""
+        """Indices of invertible elements, by ``_is_unit``."""
         if self._units is None:
-            self._units = frozenset(c for c in self.elements if self.one in self.principal(c))
+            self._units = frozenset(c for c in self.elements if self._is_unit(c))
         return self._units
+
+    def _is_unit(self, c: int) -> bool:
+        """c is a unit iff 1 lies in Rc."""
+        return self.one in self.principal(c)
 
     # presentation -----------------------------------------------------
 
@@ -312,6 +316,12 @@ class TruncatedLocalRing(FiniteRing):
                         if pos >= 0:
                             acc[pos] = (acc[pos] + va * vb) % p
         return self.encode(acc)
+
+    def _is_unit(self, c: int) -> bool:
+        """The ring is local and its maximal ideal, the nilpotent ideal
+        (x_1, .., x_k), holds the elements with constant digit 0; every
+        element outside it is a unit. The constant digit is index mod p."""
+        return c % self.p != 0
 
     def _mono_str(self, mono: tuple[int, ...]) -> str:
         parts = []

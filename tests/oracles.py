@@ -2,14 +2,27 @@
 against. Ideals are closed by the worklist fixpoint ``generic_closure``,
 never by the ideal registry or ``FiniteRing.principal``, and every
 product is taken element by element. The reference strong scan walks the
-lattice of ``all_ideals``, which ``oracle_lattice`` checks."""
+lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
+DM and certify sweeps walk every (f, g) pair of ``Sweep.tuples``, one by
+one, with no unit-orbit weighting."""
 
 import functools
 import itertools
 from typing import Iterable, Optional
 
-from omegalab.absorbing import AbsorbingCheck
-from omegalab.ideals import Ideal, all_ideals
+from omegalab.absorbing import DEFAULT_CAP, AbsorbingCheck
+from omegalab.content_checks import (
+    DEFAULT_BUDGET,
+    DEFAULT_SAMPLE,
+    CertifySweep,
+    DmTable,
+    _convolver,
+    _peel,
+    _to_polys,
+    plan_sweep,
+)
+from omegalab.errors import CapExceededError
+from omegalab.ideals import Ideal, all_ideals, ideal_space
 
 
 def generic_closure(ring, gens: Iterable[int]) -> frozenset[int]:
@@ -132,3 +145,87 @@ def oracle_lattice(ring) -> list[frozenset[int]]:
                     new_frontier.append(combined)
         frontier = new_frontier
     return sorted(known, key=lambda els: (len(els), tuple(sorted(els))))
+
+
+def reference_dm_table(
+    ring, num_vars=1, max_deg=1, cap=DEFAULT_CAP, budget=DEFAULT_BUDGET,
+    sample=DEFAULT_SAMPLE, seed=0,
+) -> DmTable:
+    """dm_exponent_table over every pair, each counted once."""
+    slots, convolve = _convolver(ring, num_vars, max_deg)
+    space = ideal_space(ring)
+    slot_degs = [sum(e) for e in slots]
+    hist: dict[int, int] = {}
+    max_exp = 0
+    witness = None
+    cap_exceeded = 0
+    checked = 0
+    bound_ok = True if num_vars == 1 else None
+    sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
+    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
+        checked += 1
+        n = space.dm_exponent(
+            space.id_of_coeffs(fa),
+            space.id_of_coeffs(fb),
+            space.id_of_coeffs(convolve(fa, fb)),
+            cap,
+        )
+        if n is None:
+            cap_exceeded += 1
+            continue
+        hist[n] = hist.get(n, 0) + 1
+        if n > max_exp:
+            max_exp = n
+            witness = (fa, fb)
+        if bound_ok:
+            deg_g = max(
+                (d for c, d in zip(fb, slot_degs) if c != ring.zero), default=0
+            )
+            if n > deg_g + 1:
+                bound_ok = False
+    if witness is not None:
+        witness = _to_polys(ring, num_vars, slots, witness)
+    return DmTable(
+        tuple(sorted(hist.items())), max_exp, witness, bound_ok, cap_exceeded,
+        checked, sweep.mode, sweep.seed,
+    )
+
+
+def reference_certify_sweep(
+    ideal, num_vars=1, max_deg=1, cap=8, budget=DEFAULT_BUDGET,
+    sample=DEFAULT_SAMPLE, seed=0,
+) -> CertifySweep:
+    """certify_pair_sweep over every pair, each counted once."""
+    ring = ideal.ring
+    slots, convolve = _convolver(ring, num_vars, max_deg)
+    members = ideal.elements
+    space = ideal_space(ring)
+    qualifying = 0
+    max_exp = 0
+    exp_ok = chain_ok = final_ok = True
+    witness = None
+    total_pairs = ring.order ** (2 * len(slots))
+    sweep = plan_sweep(total_pairs, budget, sample, seed)
+    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
+        prod_coeffs = convolve(fa, fb)
+        if any(c not in members for c in prod_coeffs):
+            continue
+        qualifying += 1
+        cf = space.id_of_coeffs(fa)
+        cg = space.id_of_coeffs(fb)
+        l = space.dm_exponent(cf, cg, space.id_of_coeffs(prod_coeffs), cap)
+        if l is None:
+            raise CapExceededError(f"dm exponent not found within cap {cap}")
+        chain, final = _peel(space, (cf, cg), (l,), members)
+        bounded = l <= max_deg + 1
+        max_exp = max(max_exp, l)
+        exp_ok = exp_ok and bounded
+        chain_ok = chain_ok and chain
+        final_ok = final_ok and final
+        if witness is None and not (bounded and chain and final):
+            witness = _to_polys(ring, num_vars, slots, (fa, fb))
+    return CertifySweep(
+        ideal, max_deg, total_pairs if sweep.exhaustive else sample,
+        qualifying, max_exp, exp_ok, chain_ok, final_ok, witness, sweep.mode,
+        sweep.seed,
+    )

@@ -72,6 +72,31 @@ def test_conjecture1_subcommand(capsys):
     assert payload["records"][0]["result"] == "rows=5 agree=5 capped=0"
 
 
+@pytest.mark.parametrize(
+    "argv, result, witness",
+    [
+        (("omega", "--ring", "zmod:300"), "omega=5", "(2,2,3,5,5)"),
+        (("omega", "--ring", "prod:zmod:16,zmod:17"), "omega=5", None),
+        (
+            ("conjecture1", "--ring", "prod:zmod:16,zmod:17"),
+            "rows=9 agree=9 capped=0",
+            None,
+        ),
+    ],
+    ids=["omega-zmod:300", "omega-prod", "conjecture1-prod"],
+)
+def test_element_scans_above_table_limit(capsys, argv, result, witness):
+    # rings of order 300 and 272: the element scan walks one element per
+    # principal ideal, so these finish at once instead of running for
+    # minutes over every element
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    rec = payload["records"][0]
+    assert rec["result"] == result
+    if witness is not None:
+        assert rec["witness"] == witness
+
+
 def test_gaussian_counterexample_exit_code(capsys):
     code, payload, _ = run_json(capsys, "gaussian", "--ring", CUBE)
     assert code == 2
