@@ -29,9 +29,10 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
+from . import __version__ as VERSION
 from .absorbing import DEFAULT_CAP, omega, omega_agreement_table, strong_omega
 from .content_checks import (
     DEFAULT_BUDGET,
@@ -65,20 +66,7 @@ from .polys import (
     monomials_up_to,
     parse_poly,
 )
-from .rings import FiniteRing, ZmodRing, parse_ring_spec
-
-VERSION = "0.1.0"
-
-BOUND_KEYS = (
-    "max_deg",
-    "cap",
-    "vars",
-    "height",
-    "sample",
-    "order_cap",
-    "budget",
-    "lattice_cap",
-)
+from .rings import DEFAULT_ORDER_CAP, FiniteRing, ZmodRing, parse_ring_spec
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,7 @@ class Bounds:
     vars: int = 1
     height: int = 2
     sample: int = DEFAULT_SAMPLE
-    order_cap: int = 4096
+    order_cap: int = DEFAULT_ORDER_CAP
     budget: int = DEFAULT_BUDGET
     lattice_cap: int = DEFAULT_LATTICE_CAP
 
@@ -100,6 +88,9 @@ class Bounds:
             value = getattr(self, key)
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
+
+
+BOUND_KEYS = tuple(f.name for f in fields(Bounds))
 
 
 class ConfigError(ValueError):
@@ -431,18 +422,69 @@ CHECKS = {
 CAMPAIGN_CHECKS = tuple(CHECKS)
 SAMPLING_CHECKS = frozenset(name for name, c in CHECKS.items() if c.samples)
 
-# subcommand -> runner; a subcommand named after a check runs that check
+# flag name -> add_argument keywords. The option is --name with "_" written
+# "-" (--dest where one is given). Every bound can be a flag; a bound flag
+# takes its default from Bounds unless its command overrides it.
+FLAGS = {
+    "ring": dict(required=True, help="ring spec, e.g. zmod:12"),
+    "ideal": dict(default="gen:none",
+                  help="ideal spec, e.g. gen:4 (default gen:none)"),
+    "format": dict(choices=("json", "csv", "text"), default="json"),
+    "out": dict(default=None, help="write the report to a file"),
+    **{key: dict(type=int) for key in BOUND_KEYS},
+    "seed": dict(type=int, default=0),
+    "poly": dict(required=True, help="polynomial literal, e.g. 8x+4"),
+    "polys": dict(
+        dest="poly", action="append", required=True,
+        help="polynomial literal; repeat for each factor (at least two)",
+    ),
+}
+_OUTPUT = ("format", "out")
+_SEARCH = ("ring", *_OUTPUT, "vars", "max_deg", "sample", "seed")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its runner, help line, flags (keys of FLAGS, in usage
+    order) and the bound defaults it overrides."""
+
+    run: Callable
+    help: str
+    flags: tuple[str, ...]
+    defaults: dict = field(default_factory=dict)
+
+
+# subcommand -> Command; a subcommand named after a check runs that check
 COMMANDS = {
-    "omega": _run_omega,
-    "strong-omega": _run_strong_omega,
-    "conjecture1": _run_conjecture1,
-    "gaussian": _run_gaussian,
-    "armendariz": _run_armendariz,
-    "dm": _run_dm,
-    "bezout": _run_bezout_poly,
-    "certify": _run_certify_polys,
-    "poly-omega": _run_poly_omega,
-    "int": _run_int,
+    "omega": Command(_run_omega, "absorbing degree of an ideal",
+                     ("ring", "ideal", *_OUTPUT, "cap")),
+    "strong-omega": Command(_run_strong_omega, "strong absorbing degree",
+                            ("ring", "ideal", *_OUTPUT, "cap", "lattice_cap")),
+    "conjecture1": Command(_run_conjecture1,
+                           "omega vs strong omega over every proper ideal",
+                           ("ring", *_OUTPUT, "cap", "lattice_cap")),
+    "gaussian": Command(_run_gaussian,
+                        "search for content-multiplicativity violations",
+                        _SEARCH),
+    "armendariz": Command(
+        _run_armendariz,
+        "search for annihilating pairs with nonzero contents", _SEARCH,
+    ),
+    "dm": Command(_run_dm, "distribution of content-peeling exponents",
+                  ("ring", *_OUTPUT, "vars", "max_deg", "cap", "sample", "seed")),
+    "bezout": Command(_run_bezout_poly, "principal-content factorization",
+                      ("ring", *_OUTPUT, "vars", "poly")),
+    "certify": Command(_run_certify_polys, "iterated peeling certificate",
+                       ("ring", "ideal", *_OUTPUT, "vars", "cap", "polys"),
+                       {"cap": 8}),
+    "poly-omega": Command(
+        _run_poly_omega, "absorbing degree transfer to the polynomial ring",
+        ("ring", "ideal", *_OUTPUT, "vars", "max_deg", "cap", "sample", "seed"),
+    ),
+    "int": Command(_run_int,
+                   "integer-coefficient absorbing check for a modulus",
+                   ("ring", *_OUTPUT, "max_deg", "height", "sample", "seed"),
+                   {"sample": 1000}),
 }
 
 
@@ -692,106 +734,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="omegalab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"omegalab {VERSION}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(sp, ring=True, ideal=False):
-        if ring:
-            sp.add_argument("--ring", required=True, help="ring spec, e.g. zmod:12")
-        if ideal:
-            sp.add_argument(
-                "--ideal",
-                default="gen:none",
-                help="ideal spec, e.g. gen:4 (default gen:none)",
-            )
-        sp.add_argument(
-            "--format", choices=("json", "csv", "text"), default="json"
-        )
-        sp.add_argument("--out", default=None, help="write the report to a file")
-
-    sp = subs.add_parser("omega", help="absorbing degree of an ideal")
-    common(sp, ideal=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-
-    sp = subs.add_parser("strong-omega", help="strong absorbing degree")
-    common(sp, ideal=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP)
-
-    sp = subs.add_parser(
-        "conjecture1", help="omega vs strong omega over every proper ideal"
-    )
-    common(sp)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP)
-
-    for name, blurb in (
-        ("gaussian", "search for content-multiplicativity violations"),
-        ("armendariz", "search for annihilating pairs with nonzero contents"),
-    ):
-        sp = subs.add_parser(name, help=blurb)
-        common(sp)
-        sp.add_argument("--vars", type=int, default=1)
-        sp.add_argument("--max-deg", type=int, default=1)
-        sp.add_argument("--sample", type=int, default=DEFAULT_SAMPLE)
-        sp.add_argument("--seed", type=int, default=0)
-
-    sp = subs.add_parser("dm", help="distribution of content-peeling exponents")
-    common(sp)
-    sp.add_argument("--vars", type=int, default=1)
-    sp.add_argument("--max-deg", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.add_argument("--sample", type=int, default=DEFAULT_SAMPLE)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = subs.add_parser("bezout", help="principal-content factorization")
-    common(sp)
-    sp.add_argument("--vars", type=int, default=1)
-    sp.add_argument("--poly", required=True, help="polynomial literal, e.g. 8x+4")
-
-    sp = subs.add_parser("certify", help="iterated peeling certificate")
-    common(sp, ideal=True)
-    sp.add_argument("--vars", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=8)
-    sp.add_argument(
-        "--poly",
-        action="append",
-        required=True,
-        help="polynomial literal; repeat for each factor (at least two)",
-    )
-
-    sp = subs.add_parser(
-        "poly-omega", help="absorbing degree transfer to the polynomial ring"
-    )
-    common(sp, ideal=True)
-    sp.add_argument("--vars", type=int, default=1)
-    sp.add_argument("--max-deg", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    sp.add_argument("--sample", type=int, default=DEFAULT_SAMPLE)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = subs.add_parser(
-        "int", help="integer-coefficient absorbing check for a modulus"
-    )
-    common(sp)
-    sp.add_argument("--max-deg", type=int, default=1)
-    sp.add_argument("--height", type=int, default=2)
-    sp.add_argument("--sample", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    for name, command in COMMANDS.items():
+        sp = subs.add_parser(name, help=command.help)
+        for flag in command.flags:
+            kwargs = dict(FLAGS[flag])
+            if flag in BOUND_KEYS:
+                kwargs["default"] = command.defaults.get(
+                    flag, getattr(Bounds, flag)
+                )
+            option = kwargs.get("dest", flag).replace("_", "-")
+            sp.add_argument(f"--{option}", **kwargs)
 
     sp = subs.add_parser("campaign", help="run a JSON-configured campaign")
     sp.add_argument("--config", required=True, help="path to the campaign config")
     sp.add_argument("--jobs", type=int, default=None, help="override config jobs")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    sp.add_argument("--format", **FLAGS["format"])
     sp.add_argument("--out", default=None, help="override config output path")
     return parser
-
-
-def _bounds_from_args(args) -> Bounds:
-    kwargs = {}
-    for key in BOUND_KEYS:
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            kwargs[key] = getattr(args, attr)
-    return Bounds(**kwargs)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -822,15 +781,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_path = args.out if args.out is not None else config["output"]
         return _emit(text, out_path, summary)
 
+    # the namespace holds the command's flags: echo all but the output ones
+    echo = {k: v for k, v in vars(args).items() if k not in _OUTPUT}
     seed = getattr(args, "seed", 0)
-    echo = {"command": args.command}
-    for key in ("ring", "ideal", "poly", "vars", "max_deg", "cap", "height",
-                "sample", "seed", "lattice_cap"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
 
     try:
-        bounds = _bounds_from_args(args)
+        bounds = Bounds(**{k: v for k, v in echo.items() if k in BOUND_KEYS})
         ring = parse_ring_spec(args.ring, bounds.order_cap)
         ideal = (
             parse_ideal_spec(ring, args.ideal) if hasattr(args, "ideal") else None
@@ -838,7 +794,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         poly = getattr(args, "poly", ())
         polys = [poly] if isinstance(poly, str) else poly
         (mode, result, witness, status), millis = _timed(
-            COMMANDS[args.command], ring, ideal, bounds, seed, polys
+            COMMANDS[args.command].run, ring, ideal, bounds, seed, polys
         )
     except SpecParseError as exc:
         print(f"omegalab: parse error: {exc}", file=sys.stderr)

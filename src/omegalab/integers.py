@@ -3,9 +3,7 @@
 The residue ideal mZ inside Z has absorbing degree Omega(m), the number of
 prime factors of m counted with multiplicity; the prime factorization is
 itself the canonical lower witness. This module computes that degree by
-trial division, checks content multiplicativity of integer polynomials
-(gcd of coefficients; multiplicative by the classical primitive-polynomial
-argument), and searches bounded boxes of integer polynomials for
+trial division and searches bounded boxes of integer polynomials for
 violations of the absorbing property of mZ[X].
 
 The polynomial search is an independent route: products are expanded
@@ -15,13 +13,12 @@ content identity they are meant to test.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .content_checks import plan_sweep
+from .content_checks import DEFAULT_BUDGET, plan_sweep
 
 __all__ = [
     "INT_LIMIT",
@@ -29,8 +26,6 @@ __all__ = [
     "int_poly",
     "IntOmegaResult",
     "omega_int",
-    "content_int",
-    "gauss_lemma_check",
     "IntConjectureReport",
     "conjecture_check_int",
 ]
@@ -129,16 +124,6 @@ def omega_int(m: int) -> IntOmegaResult:
     return IntOmegaResult(m, len(factors), factors)
 
 
-def content_int(f: IntPolynomial) -> int:
-    """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
-    return math.gcd(*f.coefficients()) if f.terms else 0
-
-
-def gauss_lemma_check(f: IntPolynomial, g: IntPolynomial) -> bool:
-    """content(fg) == content(f) * content(g); classical, always true."""
-    return content_int(f * g) == content_int(f) * content_int(g)
-
-
 @dataclass(frozen=True)
 class IntConjectureReport:
     """Bounded search for violations of the absorbing property of mZ[X].
@@ -221,7 +206,7 @@ def conjecture_check_int(
     height: int = 2,
     sample: int = 1000,
     seed: int = 0,
-    budget: int = 10**7,
+    budget: int = DEFAULT_BUDGET,
 ) -> IntConjectureReport:
     """Exhaustive box sweep when it fits the budget, else seeded sampling.
 

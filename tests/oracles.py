@@ -4,10 +4,12 @@ never by the ideal registry or ``FiniteRing.principal``, and every
 product is taken element by element. The reference strong scan walks the
 lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
 DM and certify sweeps walk every (f, g) pair of ``Sweep.tuples``, one by
-one, with no unit-orbit weighting."""
+one, with no unit-orbit weighting. Integer contents are gcds of the
+coefficients."""
 
 import functools
 import itertools
+import math
 from typing import Iterable, Optional
 
 from omegalab.absorbing import DEFAULT_CAP, AbsorbingCheck
@@ -23,6 +25,7 @@ from omegalab.content_checks import (
 )
 from omegalab.errors import CapExceededError
 from omegalab.ideals import Ideal, all_ideals, ideal_space
+from omegalab.integers import IntPolynomial
 
 
 def generic_closure(ring, gens: Iterable[int]) -> frozenset[int]:
@@ -229,3 +232,13 @@ def reference_certify_sweep(
         qualifying, max_exp, exp_ok, chain_ok, final_ok, witness, sweep.mode,
         sweep.seed,
     )
+
+
+def content_int(f: IntPolynomial) -> int:
+    """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
+    return math.gcd(*f.coefficients()) if f.terms else 0
+
+
+def gauss_lemma_check(f: IntPolynomial, g: IntPolynomial) -> bool:
+    """content(fg) == content(f) * content(g); classical, always true."""
+    return content_int(f * g) == content_int(f) * content_int(g)

@@ -10,6 +10,7 @@ import json
 import random
 
 from conftest import record_acceptance
+from oracles import gauss_lemma_check
 
 from omegalab.absorbing import omega, omega_agreement_table
 from omegalab.cli import main as cli_main
@@ -23,12 +24,7 @@ from omegalab.content_checks import (
     verify_poly_omega,
 )
 from omegalab.ideals import all_ideals, ideal_from_generators, is_radical_ideal
-from omegalab.integers import (
-    conjecture_check_int,
-    gauss_lemma_check,
-    int_poly,
-    omega_int,
-)
+from omegalab.integers import conjecture_check_int, int_poly, omega_int
 from omegalab.polys import content, display_poly, make_poly, monomials_up_to, poly_mul
 from omegalab.rings import make_zmod, parse_ring_spec
 

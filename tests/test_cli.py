@@ -455,6 +455,63 @@ def test_every_subcommand_has_a_runner():
     assert set(subparsers.choices) - {"campaign"} == set(COMMANDS)
 
 
+ECHOES = {
+    ("omega", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "ideal": "gen:none", "cap": 6,
+    },
+    ("strong-omega", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "ideal": "gen:none", "cap": 6, "lattice_cap": 4096,
+    },
+    ("conjecture1", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "cap": 6, "lattice_cap": 4096,
+    },
+    ("gaussian", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "vars": 1, "max_deg": 1, "sample": 10000, "seed": 0,
+    },
+    ("armendariz", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "vars": 1, "max_deg": 1, "sample": 10000, "seed": 0,
+    },
+    ("dm", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "vars": 1, "max_deg": 1, "cap": 6, "sample": 10000,
+        "seed": 0,
+    },
+    ("bezout", "--ring", "zmod:4", "--poly", "2+2x"): {
+        "ring": "zmod:4", "vars": 1, "poly": "2+2x",
+    },
+    ("certify", "--ring", "zmod:4", "--poly", "2", "--poly", "2x"): {
+        "ring": "zmod:4", "ideal": "gen:none", "vars": 1, "cap": 8,
+        "poly": ["2", "2x"],
+    },
+    ("poly-omega", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "ideal": "gen:none", "vars": 1, "max_deg": 1,
+        "cap": 6, "sample": 10000, "seed": 0,
+    },
+    ("int", "--ring", "zmod:4"): {
+        "ring": "zmod:4", "max_deg": 1, "height": 2, "sample": 1000, "seed": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(ECHOES), ids=[a[0] for a in ECHOES])
+def test_subcommand_flags_and_defaults(capsys, argv):
+    # only the required flags: the echo shows every flag and its default
+    code, payload, err = run_json(capsys, *argv)
+    assert code == 0, err
+    assert payload["config"] == {"command": argv[0], **ECHOES[argv]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--ring", "zmod:4", "--sample", "5"),
+    ("int", "--ring", "zmod:4", "--cap", "3"),
+    ("bezout", "--ring", "zmod:4", "--poly", "x", "--seed", "1"),
+])
+def test_subcommand_rejects_foreign_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_report_write_failure_exits_cleanly(tmp_path, capsys):
     missing = tmp_path / "missing" / "report.json"
     code, out, err = run_cli(
@@ -525,3 +582,11 @@ def test_every_export_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_readme_library_use_runs():
+    # the documented imports and calls, run as written
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -7,7 +7,7 @@ strong scan."""
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from oracles import (
     generic_closure,
@@ -77,15 +77,24 @@ def ring_and_ideals(draw, count):
     [FAMILY, ["zmod:300"], ["prod:zmod:16,zmod:17"]],
     ids=["family", "zmod:300", "prod:zmod:16,zmod:17"],
 )
-@examples(max_examples=40)
-@given(data=st.data())
-def test_closure_principal_units_match_references(specs, data):
-    ring = ring_of(data.draw(st.sampled_from(specs)))
-    gens = data.draw(st.lists(st.integers(0, ring.order - 1), max_size=3))
-    assert closure_elements(ring, gens) == generic_closure(ring, gens)
-    for c in gens:
-        assert ring.principal(c) == generic_closure(ring, (c,))
-    assert ring.units() == reference_units(ring)
+def test_closure_principal_units_match_references(specs):
+    # the units do not depend on the draw: check every ring once
+    for spec in specs:
+        ring = ring_of(spec)
+        assert ring.units() == reference_units(ring), spec
+
+    # a fixed seed, so the draws do not move when the file changes
+    @seed(0)
+    @examples(max_examples=40)
+    @given(data=st.data())
+    def closure_and_principal_match(data):
+        ring = ring_of(data.draw(st.sampled_from(specs)))
+        gens = data.draw(st.lists(st.integers(0, ring.order - 1), max_size=3))
+        assert closure_elements(ring, gens) == generic_closure(ring, gens)
+        for c in gens:
+            assert ring.principal(c) == generic_closure(ring, (c,))
+
+    closure_and_principal_match()
 
 
 def test_principal_by_method_calls_above_table_limit():
@@ -160,10 +169,10 @@ def test_memo_layout_one_registry_one_id():
     ring = make_zmod(12)
     bounds = cli.Bounds(max_deg=1)
     six = parse_ideal_spec(ring, "gen:6")
-    cli.COMMANDS["conjecture1"](ring, None, bounds, 0, ())
-    cli.COMMANDS["dm"](ring, None, bounds, 0, ())
-    cli.COMMANDS["certify"](ring, six, bounds, 0, ("2+2x", "3x"))
-    cli.COMMANDS["poly-omega"](ring, six, bounds, 0, ())
+    cli.COMMANDS["conjecture1"].run(ring, None, bounds, 0, ())
+    cli.COMMANDS["dm"].run(ring, None, bounds, 0, ())
+    cli.COMMANDS["certify"].run(ring, six, bounds, 0, ("2+2x", "3x"))
+    cli.COMMANDS["poly-omega"].run(ring, six, bounds, 0, ())
     assert set(ring.caches) == {"ideal_space", "all_ideals"}
 
     space = ideal_space(ring)

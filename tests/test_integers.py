@@ -1,14 +1,13 @@
 """Integer-coefficient leg: factor-count degrees, contents, box scans."""
 
 import pytest
+from oracles import content_int, gauss_lemma_check
 
 from omegalab.absorbing import omega
 from omegalab.ideals import ideal_from_generators
 from omegalab.integers import (
     IntPolynomial,
     conjecture_check_int,
-    content_int,
-    gauss_lemma_check,
     int_poly,
     omega_int,
 )
