@@ -566,6 +566,20 @@ def test_module_entry_point_version():
     assert done.stdout.startswith("omegalab ")
 
 
+def test_version_has_one_source():
+    # the installed metadata reads omegalab.__version__, which --version
+    # prints, so a release bumps one string
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "omegalab.__version__"
+    }
+
+
 def test_every_export_resolves():
     # a name left in __all__ after its definition is deleted would only
     # fail at ``from omegalab.x import *``

@@ -2,7 +2,8 @@
 the element scan over one element per principal ideal, and the exhaustive
 DM table and certify sweep over one pair per pair of unit orbits, weighted
 by the orbit sizes. Witnesses and every count must be those of the full
-walk."""
+walk. Last, the axiom check over an additive generating set against the
+full lexicographic axiom scan."""
 
 import functools
 import math
@@ -22,7 +23,14 @@ from omegalab.content_checks import (
     dm_exponent_table,
 )
 from omegalab.ideals import all_ideals, ideal_from_generators, quotient_by
-from omegalab.rings import parse_ring_spec
+from omegalab.rings import (
+    AxiomReport,
+    TableRing,
+    _additive_generators,
+    _axiom_scan,
+    parse_ring_spec,
+    verify_ring_axioms,
+)
 
 ring_of = functools.cache(parse_ring_spec)
 examples = functools.partial(
@@ -122,3 +130,71 @@ def test_certify_sweep_matches_reference(shape, budget, data):
     ideal = data.draw(st.sampled_from(proper))
     args = (ideal, num_vars, max_deg, 8, budget, 500, 3)
     assert certify_pair_sweep(*args) == reference_certify_sweep(*args)
+
+
+AXIOM_FAMILY = [
+    "zmod:2", "zmod:3", "zmod:4", "zmod:6", "zmod:9", "zmod:12", "zmod:16",
+    "prod:zmod:2,zmod:2", "prod:zmod:2,zmod:3", "prod:zmod:2,zmod:4",
+    "prod:zmod:4,zmod:4", "trunc:p=2,vars=1,nil=3", "trunc:p=2,vars=1,nil=4",
+    "trunc:p=2,vars=2,nil=2", "trunc:p=3,vars=1,nil=2", "cube-quotient",
+]
+
+
+@st.composite
+def corrupted_rings(draw):
+    """A table ring of order <= 16 from the family with one or two entries
+    of its tables overwritten, each alone or with its mirror entry."""
+    spec = draw(st.sampled_from(AXIOM_FAMILY))
+    base = cube_quotient() if spec == "cube-quotient" else ring_of(spec)
+    last = base.order - 1
+    tables = [[list(r) for r in base.add_rows()], [list(r) for r in base.mul_rows()]]
+    for _ in range(draw(st.integers(1, 2))):
+        table = tables[draw(st.integers(0, 1))]
+        i, j, value = draw(st.tuples(*[st.integers(0, last)] * 3))
+        table[i][j] = value
+        if draw(st.booleans()):
+            table[j][i] = value
+    return TableRing(*tables, base.zero, base.one, f"corrupt:{spec}")
+
+
+@examples(max_examples=400)
+@given(corrupted_rings())
+def test_axiom_check_matches_full_scan(ring):
+    assert verify_ring_axioms(ring) == _axiom_scan(ring, generated=False)
+
+
+def test_additive_generators_per_family():
+    def gens(spec):
+        return _additive_generators(ring_of(spec).add_rows(), 0)
+
+    assert gens("zmod:12") == [1]
+    assert gens("prod:zmod:4,zmod:6") == [1, 6]
+    # the monomials 1, y, x, y^2, xy, x^2 at digits 0..5
+    assert gens("trunc:p=2,vars=2,nil=3") == [1, 2, 4, 8, 16, 32]
+    assert gens("trunc:p=3,vars=1,nil=3") == [1, 3, 9]
+
+
+# every ring the absorb benchmark builds, and prod:zmod:16,zmod:16
+BUILT_RINGS = (
+    [f"zmod:{m}" for m in range(2, 65)] + ["zmod:128", "zmod:256"]
+    + [
+        f"prod:zmod:{a},zmod:{b}"
+        for a, b in ((2, 2), (2, 4), (4, 4), (4, 9), (2, 27), (4, 8), (8, 9), (16, 16))
+    ]
+    + [
+        f"trunc:p={p},vars={k},nil={e}"
+        for p, k, e in (
+            (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (2, 2, 3),
+            (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2),
+        )
+    ]
+)
+
+
+def test_generating_set_pass_decides_real_rings():
+    # the full scan runs only after the pass fails, so on a real ring it
+    # must never run
+    for spec in BUILT_RINGS:
+        ring = parse_ring_spec(spec)
+        assert _axiom_scan(ring, generated=True) == AxiomReport(ok=True, checked=True), spec
+        assert verify_ring_axioms(ring) == AxiomReport(ok=True, checked=True), spec

@@ -163,6 +163,64 @@ def test_axiom_scan_zero_identity():
     assert report.witness == (1,)
 
 
+def _z3_tables():
+    z3 = make_zmod(3)
+    return [list(r) for r in z3.add_rows()], [list(r) for r in z3.mul_rows()]
+
+
+def test_axiom_scan_add_associative_alone():
+    # 1+1 = 2+2 = 0 keeps every other axiom: multiplication by 2 swaps
+    # 1 and 2, which respects the new sums
+    add, mul = _z3_tables()
+    add[1][1] = add[2][2] = 0
+    report = verify_ring_axioms(TableRing(add, mul, 0, 1, "bad:add"))
+    assert (report.ok, report.axiom, report.witness) == (
+        False, "add-associative", (1, 1, 2)
+    )  # (1+1)+2 = 2, 1+(1+2) = 1
+
+
+def test_axiom_scan_add_associative_before_distributive():
+    add, mul = _z4_tables()
+    add[1][1] = 0
+    bad = TableRing(add, mul, 0, 1, "bad:add")
+    # distributivity breaks too: 3*(1+1) = 0 but 3*1 + 3*1 = 2
+    assert bad.mul(3, bad.add(1, 1)) != bad.add(bad.mul(3, 1), bad.mul(3, 1))
+    report = verify_ring_axioms(bad)
+    assert (report.ok, report.axiom, report.witness) == (
+        False, "add-associative", (1, 1, 2)
+    )
+
+
+def test_axiom_scan_mul_associative():
+    # F_2[x,y]/(x,y)^2 with x*x redefined as 1, extended bilinearly: still
+    # commutative, unital and distributive, but (y*x)*x = 0 and
+    # y*(x*x) = y. Every identity holds with middle argument 1 or y, so
+    # the check needs the last additive generator, x.
+    base = make_truncated_local(2, 2, 2)
+    y, x = 2, 4
+    mul = [list(r) for r in base.mul_rows()]
+    for a in range(8):
+        for b in range(8):
+            if a & x and b & x:
+                mul[a][b] ^= 1
+    bad = TableRing(base.add_rows(), mul, 0, 1, "bad:mul")
+    assert bad.mul(x, x) == 1 and bad.mul(y, x) == 0
+    report = verify_ring_axioms(bad)
+    assert (report.ok, report.axiom, report.witness) == (
+        False, "mul-associative", (y, x, x)
+    )
+
+
+def test_axiom_scan_distributive():
+    # 2*2 = 2 keeps multiplication associative: 2*(1+1) = 2, 2*1 + 2*1 = 0
+    add, mul = _z4_tables()
+    mul[2][2] = 2
+    report = verify_ring_axioms(TableRing(add, mul, 0, 1, "bad:mul"))
+    assert (report.ok, report.axiom, report.witness) == (
+        False, "distributive", (2, 1, 1)
+    )
+
+
 def test_table_ring_rejects_tables_of_the_wrong_size():
     # a table with too few rows used to build, and verification then
     # raised IndexError instead of reporting
