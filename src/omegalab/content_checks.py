@@ -21,7 +21,9 @@ The DM table and the certify sweep read one weighted pair stream,
 weighted by the orbit sizes, so every count still counts every pair;
 sampled, the draws with weight 1.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
-omega, over bounded polynomials of R[X].
+omega, over bounded polynomials of R[X] held as coefficient tuples; its
+products go through the sweeps' row kernel, ``_convolver``, over the
+slots up to (omega+1)*max_deg.
 
 Search enumeration order is fixed: coefficient tuples over the graded-lex
 slot list, ascending lexicographically; pairs run f <= g (both predicates
@@ -55,7 +57,6 @@ from .ideals import (
 )
 from .polys import (
     Polynomial,
-    _poly_dict_mul,
     constant_poly,
     content,
     make_poly,
@@ -112,33 +113,34 @@ def dm_exponent(f: Polynomial, g: Polynomial, cap: int = DEFAULT_CAP) -> Optiona
 # coefficient-tuple enumeration helpers
 
 
-def _convolver(ring: FiniteRing, num_vars: int, max_deg: int):
+def _convolver(ring: FiniteRing, num_vars: int, max_deg: int, factors: int = 2):
     """(slots, convolve): the graded-lex slots up to max_deg, and the
-    convolution of two coefficient tuples over them (product coeffs)."""
+    product of coefficient tuples over the slots up to factors*max_deg.
+
+    The slots up to any degree are a prefix of that list (graded-lex lists
+    a degree before the next), so an input may be shorter: a candidate over
+    the slots, a partial product of fewer factors over the longer list.
+    The output covers every product slot. A term past factors*max_deg has
+    no slot, so it raises instead of being dropped."""
     slots = monomials_up_to(num_vars, max_deg)
-    prod_slots = monomials_up_to(num_vars, 2 * max_deg)
+    prod_slots = monomials_up_to(num_vars, factors * max_deg)
     pos_of = {exp: i for i, exp in enumerate(prod_slots)}
-    L = len(slots)
     pairpos = [
-        [
-            pos_of[tuple(a + b for a, b in zip(slots[i], slots[j]))]
-            for j in range(L)
-        ]
-        for i in range(L)
+        [pos_of.get(tuple(a + b for a, b in zip(ea, eb))) for eb in prod_slots]
+        for ea in prod_slots
     ]
+    size = len(prod_slots)
     zero = ring.zero
     mtab = ring.mul_rows()
     atab = ring.add_rows()
 
     def convolve(fa: Sequence[int], fb: Sequence[int]) -> list[int]:
-        out = [zero] * len(prod_slots)
-        for i in range(L):
-            ca = fa[i]
+        out = [zero] * size
+        for i, ca in enumerate(fa):
             if ca != zero:
                 mrow = mtab[ca]
                 row = pairpos[i]
-                for j in range(L):
-                    cb = fb[j]
+                for j, cb in enumerate(fb):
                     if cb != zero:
                         p = mrow[cb]
                         if p != zero:
@@ -784,42 +786,35 @@ class PolyOmegaReport:
     seed: Optional[int] = None
 
 
-class _PolyRow:
-    """Row a of the product table of R[X] over sparse coefficient dicts:
-    row[b] = a*b. Nothing is stored; each entry is one sparse product."""
+class _PolyX:
+    """R[X] over coefficient tuples as multiset_scan reads it: px[a][b] is
+    a*b through the sweeps' kernel, and ``p in px`` tests p in I[X] (every
+    coefficient lies in I)."""
 
-    __slots__ = ("ring", "a")
+    __slots__ = ("convolve", "members")
 
-    def __init__(self, ring: FiniteRing, a: dict):
-        self.ring = ring
-        self.a = a
-
-    def __getitem__(self, b: dict) -> dict:
-        return _poly_dict_mul(self.ring, self.a, b)
-
-
-class _PolyTable:
-    """table[a][b] = a*b over sparse coefficient dicts, for multiset_scan."""
-
-    __slots__ = ("ring",)
-
-    def __init__(self, ring: FiniteRing):
-        self.ring = ring
-
-    def __getitem__(self, a: dict) -> _PolyRow:
-        return _PolyRow(self.ring, a)
-
-
-class _IdealX:
-    """Membership in I[X]: every coefficient of the sparse dict lies in I."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: frozenset[int]):
+    def __init__(self, convolve, members: frozenset[int]):
+        self.convolve = convolve
         self.members = members
 
-    def __contains__(self, poly: dict) -> bool:
-        return self.members.issuperset(poly.values())
+    def __getitem__(self, a) -> _KernelRow:
+        return _KernelRow(self.convolve, a)
+
+    def __contains__(self, coeffs) -> bool:
+        return self.members.issuperset(coeffs)
+
+
+class _KernelRow:
+    """Row a of px: row[b] = a*b, one kernel call; nothing is stored."""
+
+    __slots__ = ("convolve", "a")
+
+    def __init__(self, convolve, a):
+        self.convolve = convolve
+        self.a = a
+
+    def __getitem__(self, b) -> list[int]:
+        return self.convolve(self.a, b)
 
 
 def verify_poly_omega(
@@ -844,10 +839,10 @@ def verify_poly_omega(
     n = base.value
 
     members = ideal.elements
-    slots = monomials_up_to(num_vars, max_deg)
-    one = {(0,) * num_vars: ring.one}
-    table = _PolyTable(ring)
-    in_ix = _IdealX(members)
+    # a product of the scan has at most n+1 factors of degree <= max_deg
+    slots, convolve = _convolver(ring, num_vars, max_deg, n + 1)
+    one = (ring.one,)
+    px = _PolyX(convolve, members)
 
     witness_valid: Optional[bool] = None
     if n == 1:
@@ -855,31 +850,26 @@ def verify_poly_omega(
     elif base.lower_witness is not None:
         # the base witness read as constant polynomials: its product lies in
         # I[X] and no (n-1)-subproduct does
-        constants = [{(0,) * num_vars: x} for x in base.lower_witness]
-        witness_valid = len(constants) == n and violates(
-            constants, one, table, in_ix
-        )
+        constants = [(x,) for x in base.lower_witness]
+        witness_valid = len(constants) == n and violates(constants, one, px, px)
     # exhaustive only when the whole tuple space fits the budget: the scan
     # walks (n+1)-tuples of admissible polynomials, not single polynomials
     adm, sweep = _admissible_sweep(
         ring, slots, members, lambda a: a ** (n + 1), budget, sample, seed
     )
 
-    def as_dict(coeffs) -> dict:
-        return {exp: c for exp, c in zip(slots, coeffs) if c != ring.zero}
-
     witness = None
     if sweep.exhaustive:
-        cands = [as_dict(coeffs) for coeffs, _ in adm]
-        found, checked = multiset_scan(cands, one, table, in_ix, n)
+        cands = [coeffs for coeffs, _ in adm]
+        found, checked = multiset_scan(cands, one, px, px, n)
         if found is not None:
-            witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
+            witness = _to_polys(ring, num_vars, slots, [cands[i] for i in found])
     else:
         checked = 0
         for draw in _admissible_draws(sweep, ring, slots, n + 1, members):
             checked += 1
             tuples = [t for t, _ in draw]
-            if violates([as_dict(t) for t in tuples], one, table, in_ix):
+            if violates(tuples, one, px, px):
                 witness = _to_polys(ring, num_vars, slots, sorted(tuples))
                 break
     return PolyOmegaReport(

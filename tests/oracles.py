@@ -4,20 +4,30 @@ never by the ideal registry or ``FiniteRing.principal``, and every
 product is taken element by element. The reference strong scan walks the
 lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
 DM and certify sweeps walk every (f, g) pair of ``Sweep.tuples``, one by
-one, with no unit-orbit weighting. Integer contents are gcds of the
-coefficients."""
+one, with no unit-orbit weighting. The reference poly-omega scan
+multiplies sparse exponent->coefficient dicts, not coefficient tuples
+through the row kernel. Integer contents are gcds of the coefficients."""
 
 import functools
 import itertools
 import math
 from typing import Iterable, Optional
 
-from omegalab.absorbing import DEFAULT_CAP, AbsorbingCheck
+from omegalab.absorbing import (
+    DEFAULT_CAP,
+    AbsorbingCheck,
+    multiset_scan,
+    omega,
+    violates,
+)
 from omegalab.content_checks import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLE,
     CertifySweep,
     DmTable,
+    PolyOmegaReport,
+    _admissible_draws,
+    _admissible_sweep,
     _convolver,
     _peel,
     _to_polys,
@@ -26,6 +36,8 @@ from omegalab.content_checks import (
 from omegalab.errors import CapExceededError
 from omegalab.ideals import Ideal, all_ideals, ideal_space
 from omegalab.integers import IntPolynomial
+from omegalab.polys import _poly_dict_mul, monomials_up_to
+from omegalab.rings import FiniteRing
 
 
 def generic_closure(ring, gens: Iterable[int]) -> frozenset[int]:
@@ -230,6 +242,110 @@ def reference_certify_sweep(
     return CertifySweep(
         ideal, max_deg, total_pairs if sweep.exhaustive else sample,
         qualifying, max_exp, exp_ok, chain_ok, final_ok, witness, sweep.mode,
+        sweep.seed,
+    )
+
+
+class _PolyRow:
+    """Row a of the product table of R[X] over sparse coefficient dicts:
+    row[b] = a*b. Nothing is stored; each entry is one sparse product."""
+
+    __slots__ = ("ring", "a")
+
+    def __init__(self, ring: FiniteRing, a: dict):
+        self.ring = ring
+        self.a = a
+
+    def __getitem__(self, b: dict) -> dict:
+        return _poly_dict_mul(self.ring, self.a, b)
+
+
+class _PolyTable:
+    """table[a][b] = a*b over sparse coefficient dicts, for multiset_scan."""
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+
+    def __getitem__(self, a: dict) -> _PolyRow:
+        return _PolyRow(self.ring, a)
+
+
+class _IdealX:
+    """Membership in I[X]: every coefficient of the sparse dict lies in I."""
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: frozenset[int]):
+        self.members = members
+
+    def __contains__(self, poly: dict) -> bool:
+        return self.members.issuperset(poly.values())
+
+
+def reference_poly_omega(
+    ideal: Ideal,
+    max_deg: int = 1,
+    num_vars: int = 1,
+    cap: int = DEFAULT_CAP,
+    budget: int = DEFAULT_BUDGET,
+    sample: int = DEFAULT_SAMPLE,
+    seed: int = 0,
+) -> PolyOmegaReport:
+    """verify_poly_omega with every product a sparse dict product
+    (``polys._poly_dict_mul``) and I[X] membership read off the dict."""
+    if not ideal.is_proper:
+        raise ValueError("poly-omega checks need a proper ideal")
+    ring = ideal.ring
+    base = omega(ideal, cap)
+    if base.value is None:
+        return PolyOmegaReport(
+            ideal, max_deg, base, None, None, "skipped:omega-cap", 0
+        )
+    n = base.value
+
+    members = ideal.elements
+    slots = monomials_up_to(num_vars, max_deg)
+    one = {(0,) * num_vars: ring.one}
+    table = _PolyTable(ring)
+    in_ix = _IdealX(members)
+
+    witness_valid: Optional[bool] = None
+    if n == 1:
+        witness_valid = True  # proper ideals are at least 1-absorbing targets
+    elif base.lower_witness is not None:
+        # the base witness read as constant polynomials: its product lies in
+        # I[X] and no (n-1)-subproduct does
+        constants = [{(0,) * num_vars: x} for x in base.lower_witness]
+        witness_valid = len(constants) == n and violates(
+            constants, one, table, in_ix
+        )
+    # exhaustive only when the whole tuple space fits the budget: the scan
+    # walks (n+1)-tuples of admissible polynomials, not single polynomials
+    adm, sweep = _admissible_sweep(
+        ring, slots, members, lambda a: a ** (n + 1), budget, sample, seed
+    )
+
+    def as_dict(coeffs) -> dict:
+        return {exp: c for exp, c in zip(slots, coeffs) if c != ring.zero}
+
+    witness = None
+    if sweep.exhaustive:
+        cands = [as_dict(coeffs) for coeffs, _ in adm]
+        found, checked = multiset_scan(cands, one, table, in_ix, n)
+        if found is not None:
+            witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
+    else:
+        checked = 0
+        for draw in _admissible_draws(sweep, ring, slots, n + 1, members):
+            checked += 1
+            tuples = [t for t, _ in draw]
+            if violates([as_dict(t) for t in tuples], one, table, in_ix):
+                witness = _to_polys(ring, num_vars, slots, sorted(tuples))
+                break
+    return PolyOmegaReport(
+        ideal, max_deg, base, witness_valid, witness, sweep.mode, checked,
         sweep.seed,
     )
 

@@ -377,6 +377,16 @@ def test_poly_omega_frozen_z12():
     assert report.checked == 102028
 
 
+def test_poly_omega_frozen_z18_gen9():
+    # the slowest poly-omega record of the benchmark campaign
+    report = verify_poly_omega(ideal_from_generators(make_zmod(18), (9,)), max_deg=1)
+    assert report.omega_base.value == 2
+    assert report.lower_witness_valid is True
+    assert report.violation is None
+    assert report.mode == "exhaustive"
+    assert report.checked == 172971
+
+
 def test_poly_omega_prime_ideal():
     report = verify_poly_omega(ideal_from_generators(Z6, (2,)), max_deg=1)
     assert report.omega_base.value == 1

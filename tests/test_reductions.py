@@ -2,8 +2,10 @@
 the element scan over one element per principal ideal, and the exhaustive
 DM table and certify sweep over one pair per pair of unit orbits, weighted
 by the orbit sizes. Witnesses and every count must be those of the full
-walk. Last, the axiom check over an additive generating set against the
-full lexicographic axiom scan."""
+walk. The poly-omega scan over coefficient tuples and the row kernel
+against the sparse dict-product scan, and the kernel itself against
+``poly_mul``. Last, the axiom check over an additive generating set
+against the full lexicographic axiom scan."""
 
 import functools
 import math
@@ -14,15 +16,19 @@ from oracles import (
     reference_certify_sweep,
     reference_dm_table,
     reference_is_n_absorbing,
+    reference_poly_omega,
 )
 
 from omegalab.absorbing import is_n_absorbing, omega
 from omegalab.content_checks import (
     DEFAULT_BUDGET,
+    _convolver,
     certify_pair_sweep,
     dm_exponent_table,
+    verify_poly_omega,
 )
 from omegalab.ideals import all_ideals, ideal_from_generators, quotient_by
+from omegalab.polys import make_poly, monomials_up_to, poly_mul
 from omegalab.rings import (
     AxiomReport,
     TableRing,
@@ -130,6 +136,76 @@ def test_certify_sweep_matches_reference(shape, budget, data):
     ideal = data.draw(st.sampled_from(proper))
     args = (ideal, num_vars, max_deg, 8, budget, 500, 3)
     assert certify_pair_sweep(*args) == reference_certify_sweep(*args)
+
+
+# a budget that fits the small scans (larger ones sample) and one that
+# always samples; zmod:300, above TABLE_LIMIT, always samples and reads
+# lazy rows
+POLY_BUDGETS = [20_000, 0]
+
+
+@examples(max_examples=50)
+@given(
+    st.sampled_from(CONTENT_FAMILY + ["zmod:300"]),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.sampled_from(POLY_BUDGETS),
+)
+def test_poly_omega_matches_dict_reference(spec, num_vars, max_deg, budget):
+    ring = cube_quotient() if spec == "cube-quotient" else ring_of(spec)
+    if ring.order > 256:
+        budget = 0
+    for ideal in all_ideals(ring):
+        if not ideal.is_proper:
+            continue
+        args = (ideal, max_deg, num_vars, 6, budget, 100, 5)
+        got = verify_poly_omega(*args)
+        assert got == reference_poly_omega(*args), (spec, ideal.generators)
+        if budget == 0:
+            assert got.mode.startswith(("sampled", "skipped"))
+
+
+KERNEL_RINGS = [
+    "zmod:6", "zmod:12", "prod:zmod:2,zmod:4", "trunc:p=2,vars=2,nil=2",
+    "trunc:p=3,vars=1,nil=2", "zmod:300",
+]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(ring, num_vars, max_deg, factors, a, b): a partial product of k
+    factors over the slots up to k*max_deg and a candidate over the slots
+    up to max_deg, in either order."""
+    ring = ring_of(draw(st.sampled_from(KERNEL_RINGS)))
+    num_vars = draw(st.integers(1, 2))
+    max_deg = draw(st.integers(0, 2))
+    factors = draw(st.integers(2, 4))
+    k = draw(st.integers(1, factors - 1))
+    coeff = st.integers(0, ring.order - 1)
+
+    def over(deg):
+        length = len(monomials_up_to(num_vars, deg))
+        return draw(st.lists(coeff, min_size=length, max_size=length))
+
+    a, b = over(k * max_deg), over(max_deg)
+    if draw(st.booleans()):
+        a, b = b, a
+    return ring, num_vars, max_deg, factors, a, b
+
+
+@examples(max_examples=150)
+@given(kernel_inputs())
+def test_kernel_matches_poly_mul(inputs):
+    ring, num_vars, max_deg, factors, a, b = inputs
+    _, convolve = _convolver(ring, num_vars, max_deg, factors)
+    prod_slots = monomials_up_to(num_vars, factors * max_deg)
+
+    def poly(coeffs):
+        return make_poly(ring, num_vars, dict(zip(prod_slots, coeffs)))
+
+    got = convolve(a, b)
+    assert len(got) == len(prod_slots)
+    assert poly(got) == poly_mul(poly(a), poly(b))
 
 
 AXIOM_FAMILY = [
