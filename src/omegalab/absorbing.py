@@ -7,7 +7,8 @@ tuples instead of element tuples.
 
 One scanner, ``multiset_scan``, decides the definition wherever it is read:
 over ring elements here, over the ideal lattice for the strong variant, and
-over bounded polynomials of R[X] in content_checks. It enumerates
+over bounded polynomials of R[X], held as residues in (R/I)[X], in
+content_checks. It enumerates
 non-decreasing tuples (multisets) in index order with four sound
 prunings, each of which removes no violation:
 

@@ -11,11 +11,12 @@ timings). Exit code 0 means every record passed or was merely capped,
 Campaign configs are JSON objects with keys: rings (list of ring specs),
 checks (list of check names), bounds (object), seed (int, required when
 any selected check can sample), jobs (int), output (path). Unknown keys
-anywhere are rejected. Records are computed grouped by ring (rings may be
-processed in parallel; records within one ring stay sequential so shared
-caches are race-free) and sorted by (ring, ideal, check) before output.
-Per-record sampling seeds are derived from the campaign seed and the
-record coordinates, so results do not depend on scheduling.
+anywhere are rejected. Records are computed grouped by ring, one ring
+after another in one thread, and sorted by (ring, ideal, check) before
+output. jobs is parsed and validated, so configs that set it load, but it
+does not change how records run. Per-record sampling seeds are
+derived from the campaign seed and the record coordinates, so results do
+not depend on the order of work.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
@@ -614,15 +614,11 @@ def run_campaign(config: dict, jobs_override: Optional[int] = None) -> list[dict
     jobs = jobs_override if jobs_override is not None else config["jobs"]
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    ring_specs = list(dict.fromkeys(config["rings"]))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = list(
-            pool.map(
-                lambda spec: _campaign_records(spec, config["checks"], bounds, seed),
-                ring_specs,
-            )
-        )
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [
+        rec
+        for spec in dict.fromkeys(config["rings"])
+        for rec in _campaign_records(spec, config["checks"], bounds, seed)
+    ]
     records.sort(key=lambda r: (r["ring"], r["ideal"], r["check"]))
     return records
 

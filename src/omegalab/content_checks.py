@@ -21,9 +21,11 @@ The DM table and the certify sweep read one weighted pair stream,
 weighted by the orbit sizes, so every count still counts every pair;
 sampled, the draws with weight 1.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
-omega, over bounded polynomials of R[X] held as coefficient tuples; its
-products go through the sweeps' row kernel, ``_convolver``, over the
-slots up to (omega+1)*max_deg.
+omega, over bounded polynomials of R[X], each held as the id of its
+residue polynomial in (R/I)[X] (``_residue_table``): a product lies in
+I[X] exactly when its residue is zero. Products go through the sweeps'
+row kernel, ``_convolver``, over the slots up to (omega+1)*max_deg, and
+each product of two ids is computed once per call.
 
 Search enumeration order is fixed: coefficient tuples over the graded-lex
 slot list, ascending lexicographically; pairs run f <= g (both predicates
@@ -63,7 +65,14 @@ from .polys import (
     monomials_up_to,
     poly_mul,
 )
-from .rings import FiniteRing, ProductRing, QuotientRing, ZmodRing
+from .rings import (
+    FiniteRing,
+    LazyRow,
+    ProductRing,
+    QuotientRing,
+    ZmodRing,
+    coset_minima,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -786,35 +795,38 @@ class PolyOmegaReport:
     seed: Optional[int] = None
 
 
-class _PolyX:
-    """R[X] over coefficient tuples as multiset_scan reads it: px[a][b] is
-    a*b through the sweeps' kernel, and ``p in px`` tests p in I[X] (every
-    coefficient lies in I)."""
+def _residue_table(ring: FiniteRing, members: frozenset[int], convolve):
+    """(reduce, one, table, inside): polynomials of R[X] as ids of their
+    images in (R/I)[X], for multiset_scan and violates.
 
-    __slots__ = ("convolve", "members")
+    reduce maps a coefficient tuple to the id of its image: each
+    coefficient becomes the least index of its coset x + I
+    (``rings.coset_minima``, as in ``QuotientRing``) and trailing zero
+    residues are dropped, so equal images get one id. table[a][b] is the
+    id of the image of a*b, one ``convolve`` call and one reduction on
+    first use, then memoized for the table's life; inside holds the id of
+    the zero image."""
+    rep = coset_minima(ring, members)
+    zero = rep[ring.zero]
+    ids: dict[tuple, int] = {}
+    polys: list[tuple] = []
 
-    def __init__(self, convolve, members: frozenset[int]):
-        self.convolve = convolve
-        self.members = members
+    def reduce(coeffs) -> int:
+        image = [rep[c] for c in coeffs]
+        while image and image[-1] == zero:
+            image.pop()
+        key = tuple(image)
+        got = ids.get(key)
+        if got is None:
+            got = ids[key] = len(polys)
+            polys.append(key)
+        return got
 
-    def __getitem__(self, a) -> _KernelRow:
-        return _KernelRow(self.convolve, a)
+    def mul(a: int, b: int) -> int:
+        return reduce(convolve(polys[a], polys[b]))
 
-    def __contains__(self, coeffs) -> bool:
-        return self.members.issuperset(coeffs)
-
-
-class _KernelRow:
-    """Row a of px: row[b] = a*b, one kernel call; nothing is stored."""
-
-    __slots__ = ("convolve", "a")
-
-    def __init__(self, convolve, a):
-        self.convolve = convolve
-        self.a = a
-
-    def __getitem__(self, b) -> list[int]:
-        return self.convolve(self.a, b)
+    table = LazyRow(lambda _, a: LazyRow(mul, a), None)
+    return reduce, reduce((ring.one,)), table, frozenset({reduce(())})
 
 
 def verify_poly_omega(
@@ -827,7 +839,18 @@ def verify_poly_omega(
     seed: int = 0,
 ) -> PolyOmegaReport:
     """Search for (omega+1)-tuples of bounded polynomials violating the
-    absorbing property of I[X]; validate the constant lower witness."""
+    absorbing property of I[X]; validate the constant lower witness.
+
+    The scan runs in (R/I)[X]. Every decision of multiset_scan and
+    violates asks whether a product lies in I[X]. Reducing coefficients
+    mod I is a ring homomorphism pi: R[X] -> (R/I)[X] with kernel I[X], so
+    p lies in I[X] exactly when pi(p) = 0, and pi(ab) = pi(pi(a)*pi(b)).
+    The scan therefore multiplies residue polynomials (``_residue_table``)
+    and asks each question of the images: the candidate list and its order
+    are those of the coefficient tuples, and every decision is the same,
+    so the walk, checked, the positions of the first violation, the mode
+    and the seed are unchanged. The witness is read from the original
+    coefficient tuples at those positions."""
     if not ideal.is_proper:
         raise ValueError("poly-omega checks need a proper ideal")
     ring = ideal.ring
@@ -841,8 +864,7 @@ def verify_poly_omega(
     members = ideal.elements
     # a product of the scan has at most n+1 factors of degree <= max_deg
     slots, convolve = _convolver(ring, num_vars, max_deg, n + 1)
-    one = (ring.one,)
-    px = _PolyX(convolve, members)
+    reduce, one, table, inside = _residue_table(ring, members, convolve)
 
     witness_valid: Optional[bool] = None
     if n == 1:
@@ -850,8 +872,10 @@ def verify_poly_omega(
     elif base.lower_witness is not None:
         # the base witness read as constant polynomials: its product lies in
         # I[X] and no (n-1)-subproduct does
-        constants = [(x,) for x in base.lower_witness]
-        witness_valid = len(constants) == n and violates(constants, one, px, px)
+        constants = [reduce((x,)) for x in base.lower_witness]
+        witness_valid = len(constants) == n and violates(
+            constants, one, table, inside
+        )
     # exhaustive only when the whole tuple space fits the budget: the scan
     # walks (n+1)-tuples of admissible polynomials, not single polynomials
     adm, sweep = _admissible_sweep(
@@ -860,16 +884,16 @@ def verify_poly_omega(
 
     witness = None
     if sweep.exhaustive:
-        cands = [coeffs for coeffs, _ in adm]
-        found, checked = multiset_scan(cands, one, px, px, n)
+        cands = [reduce(coeffs) for coeffs, _ in adm]
+        found, checked = multiset_scan(cands, one, table, inside, n)
         if found is not None:
-            witness = _to_polys(ring, num_vars, slots, [cands[i] for i in found])
+            witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
     else:
         checked = 0
         for draw in _admissible_draws(sweep, ring, slots, n + 1, members):
             checked += 1
             tuples = [t for t, _ in draw]
-            if violates(tuples, one, px, px):
+            if violates([reduce(t) for t in tuples], one, table, inside):
                 witness = _to_polys(ring, num_vars, slots, sorted(tuples))
                 break
     return PolyOmegaReport(

@@ -43,6 +43,7 @@ __all__ = [
     "TableRing",
     "QuotientRing",
     "AxiomReport",
+    "coset_minima",
     "make_zmod",
     "make_product",
     "make_truncated_local",
@@ -399,21 +400,38 @@ class TableRing(FiniteRing):
     def display(self, i: int) -> str:
         return self._displays[i]
 
+
+def coset_minima(ring: FiniteRing, ideal_elements) -> list[int]:
+    """rep[x] = the least index of the coset x + I, for every x of the ring.
+
+    The indices are walked in ascending order; the first one of a coset
+    not yet assigned is its minimum, and assigns its whole coset, so the
+    walk takes O(|R|) additions in all. Cosets of an additive subgroup are
+    disjoint, so an element assigned twice means ideal_elements is not
+    one, which raises RingConstructionError."""
+    rep = [-1] * ring.order
+    add = ring.add
+    for x in range(ring.order):
+        if rep[x] < 0:
+            for i in ideal_elements:
+                y = add(x, i)
+                if rep[y] >= 0:
+                    raise RingConstructionError(
+                        "ideal element set is not an additive subgroup"
+                    )
+                rep[y] = x
+    return rep
+
+
 class QuotientRing(TableRing):
     """R/I as a table ring on least-index coset representatives."""
 
     def __init__(self, parent: FiniteRing, ideal_elements: frozenset[int], label: str):
-        reps_set = set()
-        project_rep = [0] * parent.order
-        ideal_sorted = sorted(ideal_elements)
-        add = parent.add
-        for x in range(parent.order):
-            rep = min(add(x, i) for i in ideal_sorted)
-            project_rep[x] = rep
-            reps_set.add(rep)
-        reps = sorted(reps_set)
+        project_rep = coset_minima(parent, ideal_elements)
+        reps = [x for x, rep in enumerate(project_rep) if rep == x]
         index_of = {rep: i for i, rep in enumerate(reps)}
-        project = [index_of[project_rep[x]] for x in range(parent.order)]
+        project = [index_of[rep] for rep in project_rep]
+        add = parent.add
         q = len(reps)
         add_rows = [[project[add(reps[i], reps[j])] for j in range(q)] for i in range(q)]
         mul_rows = [[project[parent.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]

@@ -2,14 +2,15 @@
 the element scan over one element per principal ideal, and the exhaustive
 DM table and certify sweep over one pair per pair of unit orbits, weighted
 by the orbit sizes. Witnesses and every count must be those of the full
-walk. The poly-omega scan over coefficient tuples and the row kernel
-against the sparse dict-product scan, and the kernel itself against
-``poly_mul``. Last, the axiom check over an additive generating set
+walk. The poly-omega scan over residue polynomials and the row kernel
+against the sparse dict-product scan, the residue table's found path
+against the element scan, and the kernel itself against ``poly_mul``. Last, the axiom check over an additive generating set
 against the full lexicographic axiom scan."""
 
 import functools
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -19,15 +20,21 @@ from oracles import (
     reference_poly_omega,
 )
 
-from omegalab.absorbing import is_n_absorbing, omega
+from omegalab.absorbing import is_n_absorbing, multiset_scan, omega
 from omegalab.content_checks import (
     DEFAULT_BUDGET,
     _convolver,
+    _residue_table,
     certify_pair_sweep,
     dm_exponent_table,
     verify_poly_omega,
 )
-from omegalab.ideals import all_ideals, ideal_from_generators, quotient_by
+from omegalab.ideals import (
+    all_ideals,
+    ideal_from_generators,
+    ideal_space,
+    quotient_by,
+)
 from omegalab.polys import make_poly, monomials_up_to, poly_mul
 from omegalab.rings import (
     AxiomReport,
@@ -163,6 +170,35 @@ def test_poly_omega_matches_dict_reference(spec, num_vars, max_deg, budget):
         assert got == reference_poly_omega(*args), (spec, ideal.generators)
         if budget == 0:
             assert got.mode.startswith(("sampled", "skipped"))
+
+
+@pytest.mark.parametrize(
+    "spec, gens, witness",
+    [
+        ("zmod:12", (), (2, 2, 3)),
+        ("zmod:18", (9,), (3, 3)),
+        ("trunc:p=2,vars=2,nil=2", (2,), (4, 4)),
+    ],
+)
+def test_residue_scan_finds_element_witness(spec, gens, witness):
+    """The found path of the residue table, which no bounded poly-omega
+    input reaches: at max_deg 0 and n = omega(I) - 1, the scan over the
+    element scan's candidates as reduced constants returns the witness of
+    is_n_absorbing(I, n)."""
+    ring = ring_of(spec)
+    ideal = ideal_from_generators(ring, gens)
+    n = omega(ideal).value - 1
+    space = ideal_space(ring)
+    cands = [
+        x for i, x in space.principal_reps().items()
+        if i != space.full_id and x not in ideal.elements
+    ]
+    _, convolve = _convolver(ring, 1, 0, n + 1)
+    reduce, one, table, inside = _residue_table(ring, ideal.elements, convolve)
+    found, _ = multiset_scan([reduce((x,)) for x in cands], one, table, inside, n)
+    assert found is not None
+    got = tuple(cands[i] for i in found)
+    assert got == is_n_absorbing(ideal, n).violation == witness
 
 
 KERNEL_RINGS = [

@@ -268,6 +268,12 @@ def test_quotient_guards():
         make_quotient(parent, frozenset(range(6)))  # whole ring
 
 
+def test_quotient_rejects_non_subgroup():
+    # 2 + 2 = 4 is missing, so the cosets of {0, 2} overlap
+    with pytest.raises(RingConstructionError, match="additive subgroup"):
+        make_quotient(make_zmod(6), frozenset({0, 2}))
+
+
 def test_ring_spec_roundtrip():
     for spec in (
         "zmod:12",
