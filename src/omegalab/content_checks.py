@@ -22,7 +22,8 @@ weighted by the orbit sizes, so every count still counts every pair;
 sampled, the draws with weight 1.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
 omega, over bounded polynomials of R[X], each held as the id of its
-residue polynomial in (R/I)[X] (``_residue_table``): a product lies in
+residue polynomial in (R/I)[X] (``_residue_table``, which the integer
+leg shares with coefficients mod m): a product lies in
 I[X] exactly when its residue is zero. Products go through the sweeps'
 row kernel, ``_convolver``, over the slots up to (omega+1)*max_deg, and
 each product of two ids is computed once per call.
@@ -795,25 +796,26 @@ class PolyOmegaReport:
     seed: Optional[int] = None
 
 
-def _residue_table(ring: FiniteRing, members: frozenset[int], convolve):
-    """(reduce, one, table, inside): polynomials of R[X] as ids of their
-    images in (R/I)[X], for multiset_scan and violates.
+def _residue_table(rep, zero, one, convolve):
+    """(reduce, one, table, inside): polynomials as ids of their images in
+    (R/I)[X], for multiset_scan and violates.
 
-    reduce maps a coefficient tuple to the id of its image: each
-    coefficient becomes the least index of its coset x + I
-    (``rings.coset_minima``, as in ``QuotientRing``) and trailing zero
-    residues are dropped, so equal images get one id. table[a][b] is the
-    id of the image of a*b, one ``convolve`` call and one reduction on
-    first use, then memoized for the table's life; inside holds the id of
-    the zero image."""
-    rep = coset_minima(ring, members)
-    zero = rep[ring.zero]
+    rep[c] is the residue of the coefficient c: over a finite ring the
+    least index of its coset c + I (``rings.coset_minima``, as in
+    ``QuotientRing``), over the integers c mod m. zero and one are the
+    coefficients 0 and 1. reduce maps a coefficient tuple to the id of its
+    image: each coefficient becomes its residue and trailing zero residues
+    are dropped, so equal images get one id. table[a][b] is the id of the
+    image of a*b, one ``convolve`` call and one reduction on first use,
+    then memoized for the table's life; inside holds the id of the zero
+    image."""
+    zero_residue = rep[zero]
     ids: dict[tuple, int] = {}
     polys: list[tuple] = []
 
     def reduce(coeffs) -> int:
         image = [rep[c] for c in coeffs]
-        while image and image[-1] == zero:
+        while image and image[-1] == zero_residue:
             image.pop()
         key = tuple(image)
         got = ids.get(key)
@@ -826,7 +828,7 @@ def _residue_table(ring: FiniteRing, members: frozenset[int], convolve):
         return reduce(convolve(polys[a], polys[b]))
 
     table = LazyRow(lambda _, a: LazyRow(mul, a), None)
-    return reduce, reduce((ring.one,)), table, frozenset({reduce(())})
+    return reduce, reduce((one,)), table, frozenset({reduce(())})
 
 
 def verify_poly_omega(
@@ -864,7 +866,9 @@ def verify_poly_omega(
     members = ideal.elements
     # a product of the scan has at most n+1 factors of degree <= max_deg
     slots, convolve = _convolver(ring, num_vars, max_deg, n + 1)
-    reduce, one, table, inside = _residue_table(ring, members, convolve)
+    reduce, one, table, inside = _residue_table(
+        coset_minima(ring, members), ring.zero, ring.one, convolve
+    )
 
     witness_valid: Optional[bool] = None
     if n == 1:

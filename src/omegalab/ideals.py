@@ -160,8 +160,14 @@ class IdealSpace:
         return self._reps
 
     def extend(self, ideal_id: int, elem: int) -> int:
-        """I + (elem)."""
-        key = (ideal_id, elem)
+        """I + (elem), memoized on the ids of I and (elem).
+
+        I + (c) depends on c only through the principal ideal (c), so every
+        generator of (c) shares one entry: the memo holds at most one entry
+        per pair of an ideal and a principal ideal. A miss needs the id of
+        (c) anyway, so (c) is still interned just before I + (c)."""
+        pid = self.principal_id(elem)
+        key = (ideal_id, pid)
         got = self._extended.get(key)
         if got is None:
             add = self.ring.add
@@ -169,7 +175,7 @@ class IdealSpace:
             # I + (c) is the union of the cosets y + I over y in (c); a y
             # already covered brings no new coset
             acc = set(base)
-            for y in self._sets[self.principal_id(elem)]:
+            for y in self._sets[pid]:
                 if y not in acc:
                     acc.update(add(x, y) for x in base)
             got = self._extended[key] = self.intern(frozenset(acc))

@@ -8,17 +8,23 @@ violations of the absorbing property of mZ[X].
 
 The polynomial search is an independent route: products are expanded
 honestly with integer coefficient arithmetic, never shortcut through the
-content identity they are meant to test.
+content identity they are meant to test. They are expanded in (Z/m)[X],
+coefficients reduced mod m, which decides membership in mZ[X] exactly
+(the proof sketch is on ``conjecture_check_int``). The report's drawn
+counts the raw draws in sampled mode and the multisets walked in
+exhaustive mode.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .content_checks import DEFAULT_BUDGET, plan_sweep
+from .absorbing import violates
+from .content_checks import DEFAULT_BUDGET, _residue_table, plan_sweep
+from .rings import LazyRow
 
 __all__ = [
     "INT_LIMIT",
@@ -133,7 +139,8 @@ class IntConjectureReport:
     property, where n = Omega(m). witness_valid re-verifies the prime
     factorization as a tuple of constant polynomials. checked counts the
     qualifying tuples (product actually in mZ[X]) whose subproducts were
-    examined; drawn counts raw draws in sampled mode.
+    examined; drawn counts raw draws in sampled mode and the multisets
+    walked in exhaustive mode.
     """
 
     modulus: int
@@ -148,41 +155,17 @@ class IntConjectureReport:
     seed: Optional[int] = None
 
 
-def _box_polys(max_deg: int, height: int, m: int) -> list[IntPolynomial]:
-    """All polynomials of degree <= max_deg with |coeff| <= height, except
-    those with every coefficient divisible by m (they cannot appear in a
-    violation: any subproduct containing one lands in mZ[X])."""
-    out = []
-    span = range(-height, height + 1)
-    coeffs = [()]
-    for _ in range(max_deg + 1):
-        coeffs = [c + (v,) for c in coeffs for v in span]
-    for tup in coeffs:
-        if any(c % m for c in tup):
-            out.append(int_poly(tup))
+def _convolve(fa: Sequence[int], fb: Sequence[int]) -> list[int]:
+    """Product of two coefficient tuples, constant term first; fb, the
+    candidate factor in the walk, is the shorter one there."""
+    if not fa or not fb:
+        return []
+    out = [0] * (len(fa) + len(fb) - 1)
+    for i, b in enumerate(fb):
+        if b:
+            for j, a in enumerate(fa, i):
+                out[j] += a * b
     return out
-
-
-def _in_mzx(f: IntPolynomial, m: int) -> bool:
-    return all(c % m == 0 for c in f.coefficients())
-
-
-def _product(polys: Sequence[IntPolynomial]) -> IntPolynomial:
-    if not polys:
-        return int_poly((1,))
-    out = polys[0]
-    for p in polys[1:]:
-        out = out * p
-    return out
-
-
-def _violates(polys: Sequence[IntPolynomial], full: IntPolynomial, m: int) -> bool:
-    """Whether full, the product of polys, lies in mZ[X] while no product
-    omitting one factor does."""
-    return _in_mzx(full, m) and not any(
-        _in_mzx(_product(polys[:t] + polys[t + 1:]), m)
-        for t in range(len(polys))
-    )
 
 
 def _split_draws(
@@ -200,6 +183,55 @@ def _split_draws(
     return values
 
 
+def _mod_table(m: int):
+    """(reduce, one, table, inside) for (Z/m)[X]: the residue table of
+    ``content_checks._residue_table`` with c -> c mod m and ``_convolve``."""
+    return _residue_table(LazyRow(lambda _, c: c % m, None), 0, 1, _convolve)
+
+
+def _walk(
+    cands: Sequence[int], one: int, table, inside, n: int
+) -> tuple[Optional[tuple[int, ...]], int, int]:
+    """First violating (n+1)-multiset of candidate ids, as positions, with
+    checked and drawn; one, table and inside as for absorbing.violates.
+
+    The multisets are walked in ``combinations_with_replacement`` order as
+    a prefix tree: the product of the first t factors is kept, so each
+    multiset costs one table lookup, and violates runs only on the
+    multisets whose product is inside. drawn counts the multisets walked
+    and checked those with their product inside, both up to and including
+    the violation. Unlike absorbing.multiset_scan, no prefix whose product
+    is inside is cut: every completion of it still counts as checked."""
+    count = len(cands)
+    chosen = [0] * (n + 1)
+    checked = drawn = 0
+
+    def rec(start: int, depth: int, acc: int) -> Optional[tuple[int, ...]]:
+        # chosen[:depth] multiplies to acc; the next factor runs over
+        # cands[start:]
+        nonlocal checked, drawn
+        row = table[acc]
+        if depth == n:
+            hits = [ci for ci in range(start, count) if row[cands[ci]] in inside]
+            for ci in hits:
+                checked += 1
+                chosen[n] = ci
+                if violates([cands[c] for c in chosen], one, table, inside):
+                    drawn += ci - start + 1
+                    return tuple(chosen)
+            drawn += count - start
+            return None
+        for ci in range(start, count):
+            chosen[depth] = ci
+            found = rec(ci, depth + 1, row[cands[ci]])
+            if found is not None:
+                return found
+        return None
+
+    found = rec(0, 0, one)
+    return found, checked, drawn
+
+
 def conjecture_check_int(
     m: int,
     max_deg: int = 1,
@@ -210,10 +242,22 @@ def conjecture_check_int(
 ) -> IntConjectureReport:
     """Exhaustive box sweep when it fits the budget, else seeded sampling.
 
-    Sampling alternates uniform draws over the coefficient box (rejecting
-    tuples whose product misses mZ[X]) with constructed draws that scale a
-    random tuple by a random split of the prime factorization, so that
-    qualifying tuples are actually exercised.
+    The exhaustive sweep walks every multiset of box polynomials outside
+    mZ[X] (the k-tuples of ``combinations_with_replacement``, in its
+    order) as a prefix tree, so each multiset costs one product. Sampling
+    alternates uniform draws over the coefficient box (rejecting tuples
+    whose product misses mZ[X]) with constructed draws that scale a random
+    tuple by a random split of the prime factorization, so that qualifying
+    tuples are actually exercised.
+
+    Every product is taken in (Z/m)[X] (``content_checks._residue_table``
+    with c -> c mod m): reduction mod m is a ring homomorphism
+    pi: Z[X] -> (Z/m)[X] with kernel mZ[X], so p lies in mZ[X] exactly when
+    pi(p) = 0, and pi(ab) = pi(pi(a)*pi(b)). Each membership question gets
+    the answer the integer product would give, so drawn, checked, the mode,
+    the seed and the witness tuple are those of expanding every product in
+    Z[X]. Residue polynomials are interned as ids and their products
+    memoized for the call.
     """
     if m < 2:
         raise ValueError("conjecture check needs a modulus m >= 2")
@@ -222,44 +266,48 @@ def conjecture_check_int(
     base = omega_int(m)
     n = base.value
     k = n + 1
+    reduce, one, table, inside = _mod_table(m)
 
-    witness = [int_poly((p,)) for p in base.factors]
-    witness_valid = _violates(witness, _product(witness), m)
+    witness = [reduce((p,)) for p in base.factors]
+    witness_valid = violates(witness, one, table, inside)
 
-    box_size = (2 * height + 1) ** (max_deg + 1)
+    span = range(-height, height + 1)
+    box_size = len(span) ** (max_deg + 1)
     sweep = plan_sweep(box_size**k, budget, sample, seed)
 
     def report(violation, checked, drawn) -> IntConjectureReport:
+        if violation is not None:
+            violation = tuple(int_poly(coeffs) for coeffs in violation)
         return IntConjectureReport(
             m, base, max_deg, height, witness_valid, violation, sweep.mode,
             checked, drawn, sweep.seed,
         )
 
-    checked = 0
-    drawn = 0
     if sweep.exhaustive:
-        polys = _box_polys(max_deg, height, m)
-        for combo in combinations_with_replacement(range(len(polys)), k):
-            drawn += 1
-            tup = [polys[i] for i in combo]
-            full = _product(tup)
-            if not _in_mzx(full, m):
-                continue
-            checked += 1
-            if _violates(tup, full, m):
-                return report(tuple(tup), checked, drawn)
-        return report(None, checked, drawn)
+        # polynomials in mZ[X] cannot appear in a violation: any
+        # subproduct containing one lands in mZ[X]
+        box = []
+        cands = []
+        for coeffs in itertools.product(span, repeat=max_deg + 1):
+            cid = reduce(coeffs)
+            if cid not in inside:
+                box.append(coeffs)
+                cands.append(cid)
+        found, checked, drawn = _walk(cands, one, table, inside, n)
+        if found is not None:
+            found = [box[c] for c in found]
+        return report(found, checked, drawn)
 
+    checked = drawn = 0
     rng = random.Random(sweep.seed)
-    span = 2 * height + 1
 
-    def draw_uniform() -> list[IntPolynomial]:
+    def draw_uniform() -> list[list[int]]:
         return [
-            int_poly([rng.randrange(span) - height for _ in range(max_deg + 1)])
+            [rng.randrange(len(span)) - height for _ in range(max_deg + 1)]
             for _ in range(k)
         ]
 
-    def draw_constructed() -> Optional[list[IntPolynomial]]:
+    def draw_constructed() -> Optional[list[list[int]]]:
         values = _split_draws(rng, base.factors, k, height)
         if values is None:
             return None
@@ -269,7 +317,7 @@ def conjecture_check_int(
             coeffs = [v * (rng.randrange(2 * bound + 1) - bound) for _ in range(max_deg + 1)]
             if all(c == 0 for c in coeffs):
                 coeffs[rng.randrange(max_deg + 1)] = v
-            out.append(int_poly(coeffs))
+            out.append(coeffs)
         return out
 
     for i in range(sample):
@@ -277,12 +325,15 @@ def conjecture_check_int(
         tup = draw_uniform() if i % 2 == 0 else draw_constructed()
         if tup is None:
             continue
-        if any(_in_mzx(p, m) for p in tup):
+        ids = [reduce(coeffs) for coeffs in tup]
+        if any(cid in inside for cid in ids):
             continue
-        full = _product(tup)
-        if not _in_mzx(full, m):
+        full = one
+        for cid in ids:
+            full = table[full][cid]
+        if full not in inside:
             continue
         checked += 1
-        if _violates(tup, full, m):
-            return report(tuple(tup), checked, drawn)
+        if violates(ids, one, table, inside):
+            return report(tup, checked, drawn)
     return report(None, checked, drawn)

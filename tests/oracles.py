@@ -6,12 +6,16 @@ lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
 DM and certify sweeps walk every (f, g) pair of ``Sweep.tuples``, one by
 one, with no unit-orbit weighting. The reference poly-omega scan
 multiplies sparse exponent->coefficient dicts, not coefficient tuples
-through the row kernel. Integer contents are gcds of the coefficients."""
+through the row kernel. The reference integer leg expands every product
+in Z[X], never in (Z/m)[X]. Integer contents are gcds of the
+coefficients."""
 
 import functools
 import itertools
 import math
-from typing import Iterable, Optional
+import random
+from itertools import combinations_with_replacement
+from typing import Iterable, Optional, Sequence
 
 from omegalab.absorbing import (
     DEFAULT_CAP,
@@ -35,7 +39,13 @@ from omegalab.content_checks import (
 )
 from omegalab.errors import CapExceededError
 from omegalab.ideals import Ideal, all_ideals, ideal_space
-from omegalab.integers import IntPolynomial
+from omegalab.integers import (
+    IntConjectureReport,
+    IntPolynomial,
+    _split_draws,
+    int_poly,
+    omega_int,
+)
 from omegalab.polys import _poly_dict_mul, monomials_up_to
 from omegalab.rings import FiniteRing
 
@@ -348,6 +358,127 @@ def reference_poly_omega(
         ideal, max_deg, base, witness_valid, witness, sweep.mode, checked,
         sweep.seed,
     )
+
+
+def _box_polys(max_deg: int, height: int, m: int) -> list[IntPolynomial]:
+    """All polynomials of degree <= max_deg with |coeff| <= height, except
+    those with every coefficient divisible by m (they cannot appear in a
+    violation: any subproduct containing one lands in mZ[X])."""
+    out = []
+    span = range(-height, height + 1)
+    coeffs = [()]
+    for _ in range(max_deg + 1):
+        coeffs = [c + (v,) for c in coeffs for v in span]
+    for tup in coeffs:
+        if any(c % m for c in tup):
+            out.append(int_poly(tup))
+    return out
+
+
+def _in_mzx(f: IntPolynomial, m: int) -> bool:
+    return all(c % m == 0 for c in f.coefficients())
+
+
+def _product(polys: Sequence[IntPolynomial]) -> IntPolynomial:
+    if not polys:
+        return int_poly((1,))
+    out = polys[0]
+    for p in polys[1:]:
+        out = out * p
+    return out
+
+
+def _violates(polys: Sequence[IntPolynomial], full: IntPolynomial, m: int) -> bool:
+    """Whether full, the product of polys, lies in mZ[X] while no product
+    omitting one factor does."""
+    return _in_mzx(full, m) and not any(
+        _in_mzx(_product(polys[:t] + polys[t + 1:]), m)
+        for t in range(len(polys))
+    )
+
+
+def reference_conjecture_check_int(
+    m: int,
+    max_deg: int = 1,
+    height: int = 2,
+    sample: int = 1000,
+    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> IntConjectureReport:
+    """conjecture_check_int with every product expanded in Z[X] through
+    ``IntPolynomial.__mul__``, one tuple of ``combinations_with_replacement``
+    at a time, and mZ[X] membership read off the integer coefficients."""
+    if m < 2:
+        raise ValueError("conjecture check needs a modulus m >= 2")
+    if max_deg < 0 or height < 1:
+        raise ValueError("need max_deg >= 0 and height >= 1")
+    base = omega_int(m)
+    n = base.value
+    k = n + 1
+
+    witness = [int_poly((p,)) for p in base.factors]
+    witness_valid = _violates(witness, _product(witness), m)
+
+    box_size = (2 * height + 1) ** (max_deg + 1)
+    sweep = plan_sweep(box_size**k, budget, sample, seed)
+
+    def report(violation, checked, drawn) -> IntConjectureReport:
+        return IntConjectureReport(
+            m, base, max_deg, height, witness_valid, violation, sweep.mode,
+            checked, drawn, sweep.seed,
+        )
+
+    checked = 0
+    drawn = 0
+    if sweep.exhaustive:
+        polys = _box_polys(max_deg, height, m)
+        for combo in combinations_with_replacement(range(len(polys)), k):
+            drawn += 1
+            tup = [polys[i] for i in combo]
+            full = _product(tup)
+            if not _in_mzx(full, m):
+                continue
+            checked += 1
+            if _violates(tup, full, m):
+                return report(tuple(tup), checked, drawn)
+        return report(None, checked, drawn)
+
+    rng = random.Random(sweep.seed)
+    span = 2 * height + 1
+
+    def draw_uniform() -> list[IntPolynomial]:
+        return [
+            int_poly([rng.randrange(span) - height for _ in range(max_deg + 1)])
+            for _ in range(k)
+        ]
+
+    def draw_constructed() -> Optional[list[IntPolynomial]]:
+        values = _split_draws(rng, base.factors, k, height)
+        if values is None:
+            return None
+        out = []
+        for v in values:
+            bound = height // v
+            coeffs = [v * (rng.randrange(2 * bound + 1) - bound) for _ in range(max_deg + 1)]
+            if all(c == 0 for c in coeffs):
+                coeffs[rng.randrange(max_deg + 1)] = v
+            out.append(int_poly(coeffs))
+        return out
+
+    for i in range(sample):
+        drawn += 1
+        tup = draw_uniform() if i % 2 == 0 else draw_constructed()
+        if tup is None:
+            continue
+        if any(_in_mzx(p, m) for p in tup):
+            continue
+        full = _product(tup)
+        if not _in_mzx(full, m):
+            continue
+        checked += 1
+        if _violates(tup, full, m):
+            return report(tuple(tup), checked, drawn)
+    return report(None, checked, drawn)
 
 
 def content_int(f: IntPolynomial) -> int:

@@ -1,8 +1,8 @@
 """The ideal registry against the reference routes of ``oracles``: the
-worklist closure ``generic_closure``, pairwise sums, the closure of all
-element products, repeated products, a double-loop unit scan, the
-pairwise-sum lattice BFS that the registry replaced and a pruning-free
-strong scan."""
+worklist closure ``generic_closure``, pairwise sums, I + (c) for associate
+generators c, the closure of all element products, repeated products, a
+double-loop unit scan, the pairwise-sum lattice BFS that the registry
+replaced and a pruning-free strong scan."""
 
 import functools
 
@@ -19,6 +19,7 @@ from oracles import (
 
 from omegalab import cli
 from omegalab.absorbing import is_strongly_n_absorbing
+from omegalab.content_checks import dm_exponent_table
 from omegalab.ideals import (
     Ideal,
     all_ideals,
@@ -120,6 +121,32 @@ def test_registry_sum_matches_pairwise_sums(drawn):
         total = space.extend(total, g)
     assert space.set_of(total) == expected
     assert space.id_of_coeffs(a.generators + b.generators) == total
+
+
+@examples(max_examples=150)
+@given(ring_and_ideals(1), st.data())
+def test_extend_depends_only_on_principal_ideal(drawn, data):
+    # c and uc generate one principal ideal for every unit u
+    ring, (a,) = drawn
+    c = data.draw(st.integers(0, ring.order - 1))
+    u = data.draw(st.sampled_from(sorted(reference_units(ring))))
+    associate = ring.mul(u, c)
+    space = ideal_space(ring)
+    ida = space.intern(a.elements)
+    got = space.extend(ida, associate)
+    assert space.extend(ida, c) == got
+    assert space.set_of(got) == generic_closure(ring, a.generators + (c,))
+
+
+def test_extend_memo_keyed_by_principal_ideal():
+    # config B of the campaign: most of the 300 elements reach extend
+    ring = make_zmod(300)
+    dm_exponent_table(ring, 1, 1, sample=1000)
+    space = ideal_space(ring)
+    keys = list(space._extended)
+    principals = set(space.principal_reps())
+    assert {pid for _, pid in keys} <= principals
+    assert len(keys) <= len(all_ideals(ring)) * len(principals)
 
 
 @examples(max_examples=150)

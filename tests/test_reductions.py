@@ -4,17 +4,25 @@ DM table and certify sweep over one pair per pair of unit orbits, weighted
 by the orbit sizes. Witnesses and every count must be those of the full
 walk. The poly-omega scan over residue polynomials and the row kernel
 against the sparse dict-product scan, the residue table's found path
-against the element scan, and the kernel itself against ``poly_mul``. Last, the axiom check over an additive generating set
-against the full lexicographic axiom scan."""
+against the element scan, and the kernel itself against ``poly_mul``. The
+integer leg over (Z/m)[X] against the loop that expands every product in
+Z[X], its found path included. Last, the axiom check over an additive
+generating set against the full lexicographic axiom scan."""
 
 import functools
+import itertools
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _box_polys,
+    _in_mzx,
+    _product,
+    _violates,
     reference_certify_sweep,
+    reference_conjecture_check_int,
     reference_dm_table,
     reference_is_n_absorbing,
     reference_poly_omega,
@@ -35,12 +43,14 @@ from omegalab.ideals import (
     ideal_space,
     quotient_by,
 )
+from omegalab.integers import _mod_table, _walk, conjecture_check_int, omega_int
 from omegalab.polys import make_poly, monomials_up_to, poly_mul
 from omegalab.rings import (
     AxiomReport,
     TableRing,
     _additive_generators,
     _axiom_scan,
+    coset_minima,
     parse_ring_spec,
     verify_ring_axioms,
 )
@@ -194,11 +204,90 @@ def test_residue_scan_finds_element_witness(spec, gens, witness):
         if i != space.full_id and x not in ideal.elements
     ]
     _, convolve = _convolver(ring, 1, 0, n + 1)
-    reduce, one, table, inside = _residue_table(ring, ideal.elements, convolve)
+    reduce, one, table, inside = _residue_table(
+        coset_minima(ring, ideal.elements), ring.zero, ring.one, convolve
+    )
     found, _ = multiset_scan([reduce((x,)) for x in cands], one, table, inside, n)
     assert found is not None
     got = tuple(cands[i] for i in found)
     assert got == is_n_absorbing(ideal, n).violation == witness
+
+
+# the largest reference walk the integer-leg property runs: multisets in
+# exhaustive mode, draws in sampled mode
+INT_WALK_LIMIT = 5000
+SMOOTH_MODULI = [2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48, 54]
+
+
+@st.composite
+def int_cases(draw):
+    """(m, max_deg, height, sample, seed, budget); budget 0 forces the
+    sampled mode. Exhaustive cases whose walk exceeds INT_WALK_LIMIT
+    multisets are skipped."""
+    # half the moduli have every prime factor <= 3, so the box holds
+    # tuples whose product lies in mZ[X]
+    m = draw(st.sampled_from(SMOOTH_MODULI) | st.sampled_from(range(2, 61)))
+    max_deg = draw(st.sampled_from([0, 1, 2]))
+    height = draw(st.sampled_from([1, 2, 3]))
+    sample = draw(st.sampled_from([1, 50, 500]))
+    seed = draw(st.integers(0, 99))
+    budget = draw(st.sampled_from([DEFAULT_BUDGET, 0]))
+    box = (2 * height + 1) ** (max_deg + 1)
+    k = omega_int(m).value + 1
+    if budget and box**k <= budget:
+        assume(math.comb(box + k - 1, k) <= INT_WALK_LIMIT)
+    return m, max_deg, height, sample, seed, budget
+
+
+@examples(max_examples=150)
+@given(int_cases())
+def test_int_leg_matches_expanding_reference(case):
+    # every report field: checked, drawn, mode, seed, witness_valid and
+    # the violation
+    assert conjecture_check_int(*case) == reference_conjecture_check_int(*case)
+
+
+@pytest.mark.parametrize(
+    "m, checked, drawn", [(4, 696, 2600), (8, 2250, 17550), (16, 6072, 98280)]
+)
+def test_int_leg_exhaustive_counts(m, checked, drawn):
+    report = conjecture_check_int(m, max_deg=1, height=2)
+    assert report.mode == "exhaustive"
+    assert (report.checked, report.drawn) == (checked, drawn)
+    assert report.violation is None and report.witness_valid
+
+
+@pytest.mark.parametrize(
+    "m, witness, checked, drawn",
+    [(12, (-3, -2, -2), 1, 7), (18, (-3, -3, -2), 1, 2), (8, (-2, -2, -2), 1, 22)],
+)
+def test_int_walk_finds_constant_witness(m, witness, checked, drawn):
+    """The found path of the integer walk, which no input of
+    conjecture_check_int reaches (Z is a PID, so the degree identity
+    holds): over the constants of height 3 and n = Omega(m) - 1 factors,
+    the walk returns the violation, checked and drawn of the expanding
+    loop over ``combinations_with_replacement``."""
+    n = omega_int(m).value - 1
+    consts = [c for c in range(-3, 4) if c % m]
+    reduce, one, table, inside = _mod_table(m)
+    found, got_checked, got_drawn = _walk(
+        [reduce((c,)) for c in consts], one, table, inside, n
+    )
+    assert found is not None
+    got = (tuple(consts[i] for i in found), got_checked, got_drawn)
+
+    polys = _box_polys(0, 3, m)
+    ref_checked = ref_drawn = 0
+    for combo in itertools.combinations_with_replacement(range(len(polys)), n + 1):
+        ref_drawn += 1
+        tup = [polys[i] for i in combo]
+        full = _product(tup)
+        if _in_mzx(full, m):
+            ref_checked += 1
+            if _violates(tup, full, m):
+                break
+    expected = (tuple(p.coefficients()[0] for p in tup), ref_checked, ref_drawn)
+    assert got == expected == (witness, checked, drawn)
 
 
 KERNEL_RINGS = [
