@@ -109,41 +109,54 @@ def multiset_scan(
 
     table[a][b] is the product of a and b, where a is a partial product and
     b a candidate or a partial product; one is the empty product, and
-    ``p in inside`` tests whether p lies in the ideal I. A multiset whose
-    product lies in I violates when none of its n-subproducts does.
-    Multisets are walked as non-decreasing position tuples in lex order and
-    a prefix whose product lies in I is cut, so the first violation is the
-    lexicographically least. Returns (candidate positions or None, number
-    of (n+1)-th factors tried).
+    ``p in inside`` tests whether p lies in the ideal I. Partial products
+    must be hashable. A multiset whose product lies in I violates when none
+    of its n-subproducts does. Multisets are walked as non-decreasing
+    position tuples in lex order and a prefix whose product lies in I is
+    cut, so the first violation is the lexicographically least. Returns
+    (candidate positions or None, number of (n+1)-th factors tried).
+
+    The last factor is decided by hit masks: H(p), memoized per p and
+    filled downward from the least start asked, has bit ci set when
+    p*candidates[ci] lies in I. With q_t the product of the n chosen
+    factors but the t-th, c >= start completes a violation exactly when
+    prefix*c lies in I and no q_t*c does (prefix, which omits c, is outside
+    by the cut): the bits of H(prefix) & ~H(q_0) & ... & ~H(q_(n-1)).
+    leaves counts the factors up to the lowest, as trying each did.
     """
     count = len(candidates)
     chosen = [0] * (n + 1)
     prefix = [one] * (n + 1)  # prefix[t] = product of the first t chosen
+    hits: dict = {}  # p -> (low, H(p) over the positions >= low)
     leaves = 0
 
-    def leaf_ok() -> bool:
-        # the full product is in I; reject unless every n-subproduct is out
-        suffix = one
-        for t in range(n, -1, -1):
-            # subproduct omitting position t; equal neighbours give the same
-            if t == n or chosen[t] != chosen[t + 1]:
-                if table[prefix[t]][suffix] in inside:
-                    return False
-            suffix = table[suffix][candidates[chosen[t]]]
-        return True
+    def mask(p, start: int) -> int:
+        # H(p) >> start
+        low, bits = hits.get(p, (count, 0))
+        if start < low:
+            row = table[p]
+            for ci in range(start, low):
+                if row[candidates[ci]] in inside:
+                    bits |= 1 << ci
+            hits[p] = (start, bits)
+        return bits >> start
 
     def rec(start: int, depth: int) -> Optional[tuple[int, ...]]:
         nonlocal leaves
-        row = table[prefix[depth]]
         if depth == n:
-            for ci in range(start, count):
-                if row[candidates[ci]] in inside:
-                    chosen[n] = ci
-                    if leaf_ok():
-                        leaves += ci - start + 1
-                        return tuple(chosen)
-            leaves += count - start
-            return None
+            found = mask(prefix[n], start)
+            t, suffix = n - 1, one  # suffix: product of chosen[t+1:n]
+            while found and t >= 0:
+                found &= ~mask(table[prefix[t]][suffix], start)
+                suffix = table[suffix][candidates[chosen[t]]]
+                t -= 1
+            if not found:
+                leaves += count - start
+                return None
+            chosen[n] = start + (found & -found).bit_length() - 1
+            leaves += chosen[n] - start + 1
+            return tuple(chosen)
+        row = table[prefix[depth]]
         for ci in range(start, count):
             p = row[candidates[ci]]
             if p not in inside:

@@ -21,12 +21,13 @@ The DM table and the certify sweep read one weighted pair stream,
 weighted by the orbit sizes, so every count still counts every pair;
 sampled, the draws with weight 1.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
-omega, over bounded polynomials of R[X], each held as the id of its
-residue polynomial in (R/I)[X] (``_residue_table``, which the integer
-leg shares with coefficients mod m): a product lies in
-I[X] exactly when its residue is zero. Products go through the sweeps'
-row kernel, ``_convolver``, over the slots up to (omega+1)*max_deg, and
-each product of two ids is computed once per call.
+omega, over bounded polynomials of R[X], each held as the id of the unit
+class of its residue polynomial in (R/I)[X] (``polys._residue_table``,
+which the integer leg shares with coefficients mod m and plain
+residues): a product lies in I[X] exactly when its class is zero.
+Products go through the sweeps' row kernel, ``_convolver``, over the
+slots up to (omega+1)*max_deg, and each product of two ids is computed
+once per call.
 
 Search enumeration order is fixed: coefficient tuples over the graded-lex
 slot list, ascending lexicographically; pairs run f <= g (both predicates
@@ -60,6 +61,7 @@ from .ideals import (
 )
 from .polys import (
     Polynomial,
+    _residue_table,
     constant_poly,
     content,
     make_poly,
@@ -68,7 +70,6 @@ from .polys import (
 )
 from .rings import (
     FiniteRing,
-    LazyRow,
     ProductRing,
     QuotientRing,
     ZmodRing,
@@ -796,41 +797,6 @@ class PolyOmegaReport:
     seed: Optional[int] = None
 
 
-def _residue_table(rep, zero, one, convolve):
-    """(reduce, one, table, inside): polynomials as ids of their images in
-    (R/I)[X], for multiset_scan and violates.
-
-    rep[c] is the residue of the coefficient c: over a finite ring the
-    least index of its coset c + I (``rings.coset_minima``, as in
-    ``QuotientRing``), over the integers c mod m. zero and one are the
-    coefficients 0 and 1. reduce maps a coefficient tuple to the id of its
-    image: each coefficient becomes its residue and trailing zero residues
-    are dropped, so equal images get one id. table[a][b] is the id of the
-    image of a*b, one ``convolve`` call and one reduction on first use,
-    then memoized for the table's life; inside holds the id of the zero
-    image."""
-    zero_residue = rep[zero]
-    ids: dict[tuple, int] = {}
-    polys: list[tuple] = []
-
-    def reduce(coeffs) -> int:
-        image = [rep[c] for c in coeffs]
-        while image and image[-1] == zero_residue:
-            image.pop()
-        key = tuple(image)
-        got = ids.get(key)
-        if got is None:
-            got = ids[key] = len(polys)
-            polys.append(key)
-        return got
-
-    def mul(a: int, b: int) -> int:
-        return reduce(convolve(polys[a], polys[b]))
-
-    table = LazyRow(lambda _, a: LazyRow(mul, a), None)
-    return reduce, reduce((one,)), table, frozenset({reduce(())})
-
-
 def verify_poly_omega(
     ideal: Ideal,
     max_deg: int = 1,
@@ -847,12 +813,13 @@ def verify_poly_omega(
     violates asks whether a product lies in I[X]. Reducing coefficients
     mod I is a ring homomorphism pi: R[X] -> (R/I)[X] with kernel I[X], so
     p lies in I[X] exactly when pi(p) = 0, and pi(ab) = pi(pi(a)*pi(b)).
-    The scan therefore multiplies residue polynomials (``_residue_table``)
-    and asks each question of the images: the candidate list and its order
-    are those of the coefficient tuples, and every decision is the same,
-    so the walk, checked, the positions of the first violation, the mode
-    and the seed are unchanged. The witness is read from the original
-    coefficient tuples at those positions."""
+    Nor does a unit u: uf lies in I[X] exactly when f does. The scan
+    therefore asks each question of unit classes of residue polynomials
+    (``_residue_table``): the candidate list and its order are those of
+    the coefficient tuples and every decision is the same, so the walk,
+    checked, the positions of the first violation, the mode and the seed
+    are unchanged. The witness is read from the original coefficient
+    tuples at those positions."""
     if not ideal.is_proper:
         raise ValueError("poly-omega checks need a proper ideal")
     ring = ideal.ring
@@ -866,8 +833,10 @@ def verify_poly_omega(
     members = ideal.elements
     # a product of the scan has at most n+1 factors of degree <= max_deg
     slots, convolve = _convolver(ring, num_vars, max_deg, n + 1)
+    rows = ring.mul_rows()
     reduce, one, table, inside = _residue_table(
-        coset_minima(ring, members), ring.zero, ring.one, convolve
+        coset_minima(ring, members), ring.zero, ring.one, convolve,
+        [rows[u] for u in ring.units()],
     )
 
     witness_valid: Optional[bool] = None

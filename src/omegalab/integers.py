@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .absorbing import violates
-from .content_checks import DEFAULT_BUDGET, _residue_table, plan_sweep
+from .content_checks import DEFAULT_BUDGET, plan_sweep
+from .polys import _residue_table
 from .rings import LazyRow
 
 __all__ = [
@@ -47,15 +48,6 @@ class IntPolynomial:
 
     def coefficients(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.terms)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        acc: dict[int, int] = {}
-        for da, ca in self.terms:
-            for db, cb in other.terms:
-                acc[da + db] = acc.get(da + db, 0) + ca * cb
-        return IntPolynomial(
-            tuple(sorted((d, c) for d, c in acc.items() if c != 0))
-        )
 
     def display(self) -> str:
         if not self.terms:
@@ -185,7 +177,8 @@ def _split_draws(
 
 def _mod_table(m: int):
     """(reduce, one, table, inside) for (Z/m)[X]: the residue table of
-    ``content_checks._residue_table`` with c -> c mod m and ``_convolve``."""
+    ``polys._residue_table`` with c -> c mod m, ``_convolve`` and
+    the trivial group, so ids are plain residues."""
     return _residue_table(LazyRow(lambda _, c: c % m, None), 0, 1, _convolve)
 
 
@@ -250,7 +243,7 @@ def conjecture_check_int(
     tuple by a random split of the prime factorization, so that qualifying
     tuples are actually exercised.
 
-    Every product is taken in (Z/m)[X] (``content_checks._residue_table``
+    Every product is taken in (Z/m)[X] (``polys._residue_table``
     with c -> c mod m): reduction mod m is a ring homomorphism
     pi: Z[X] -> (Z/m)[X] with kernel mZ[X], so p lies in mZ[X] exactly when
     pi(p) = 0, and pi(ab) = pi(pi(a)*pi(b)). Each membership question gets

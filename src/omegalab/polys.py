@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .errors import SpecParseError
 from .ideals import Ideal, ideal_from_generators
-from .rings import FiniteRing, take_digits, var_names
+from .rings import FiniteRing, LazyRow, take_digits, var_names
 
 __all__ = [
     "Polynomial",
@@ -225,3 +225,58 @@ def _parse_term(
             raise SpecParseError(f"cannot parse term {term!r}")
         coeff = ring.one
     return coeff, tuple(exps)
+
+
+# ---------------------------------------------------------------------------
+# residue polynomials
+
+
+def _residue_table(rep, zero, one, convolve, unit_rows=()):
+    """(reduce, one, table, inside): polynomials as ids of the unit classes
+    {u*f : u in U} of their images f in (R/I)[X], for
+    ``absorbing.multiset_scan`` and ``absorbing.violates``.
+
+    rep[c] is the residue of the coefficient c: over a finite ring the
+    least index of its coset c + I (``rings.coset_minima``, as in
+    ``QuotientRing``), over the integers c mod m. zero and one are the
+    coefficients 0 and 1; unit_rows are the rows row[c] = u*c of the u in
+    U, () for the trivial group. reduce keys a class by its lex-least
+    image, trailing zero residues dropped. table[a][b] is the id of the
+    class of a*b, one ``convolve`` call and one reduction on first use,
+    then memoized; inside holds the id of the zero class.
+
+    u(c + I) = uc + I, so scaling commutes with taking residues and takes
+    only 0 to 0: f lies in I[X] exactly when its class is the zero class,
+    and class(u*a * v*b) = class(ab) makes table well defined. The images
+    in a class have their zero residues where f has, so lex order is first
+    decided at f's leading nonzero residue c: the minimum is taken over
+    the units taking c to the least residue of its orbit, memoized per c."""
+    zero_residue = rep[zero]
+    ids: dict[tuple, int] = {}
+    polys: list[tuple] = []
+    lead_rows: dict[int, list] = {}
+
+    def reduce(coeffs) -> int:
+        image = [rep[c] for c in coeffs]
+        while image and image[-1] == zero_residue:
+            image.pop()
+        key = tuple(image)
+        if unit_rows and key:
+            lead = next(c for c in key if c != zero_residue)
+            if lead not in lead_rows:
+                least = min(rep[r[lead]] for r in unit_rows)
+                lead_rows[lead] = [
+                    r for r in unit_rows if rep[r[lead]] == least
+                ]
+            key = min(tuple([rep[r[c]] for c in key]) for r in lead_rows[lead])
+        got = ids.get(key)
+        if got is None:
+            got = ids[key] = len(polys)
+            polys.append(key)
+        return got
+
+    def mul(a: int, b: int) -> int:
+        return reduce(convolve(polys[a], polys[b]))
+
+    table = LazyRow(lambda _, a: LazyRow(mul, a), None)
+    return reduce, reduce((one,)), table, frozenset({reduce(())})

@@ -207,6 +207,9 @@ class ZmodRing(FiniteRing):
         """The multiples of gcd(c, n), which generates the same ideal as c."""
         return frozenset(range(0, self.modulus, math.gcd(c, self.modulus)))
 
+    def _is_unit(self, c: int) -> bool:
+        return math.gcd(c, self.modulus) == 1
+
     def display(self, i: int) -> str:
         return str(i)
 

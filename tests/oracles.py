@@ -4,8 +4,10 @@ never by the ideal registry or ``FiniteRing.principal``, and every
 product is taken element by element. The reference strong scan walks the
 lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
 DM and certify sweeps walk every (f, g) pair of ``Sweep.tuples``, one by
-one, with no unit-orbit weighting. The reference poly-omega scan
-multiplies sparse exponent->coefficient dicts, not coefficient tuples
+one, with no unit-orbit weighting. The reference multiset scan tries
+each last factor in turn and checks a hit subproduct by subproduct, with
+no hit masks; the reference poly-omega scan runs it over sparse
+exponent->coefficient dicts, not unit classes of residue polynomials
 through the row kernel. The reference integer leg expands every product
 in Z[X], never in (Z/m)[X]. Integer contents are gcds of the
 coefficients."""
@@ -20,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 from omegalab.absorbing import (
     DEFAULT_CAP,
     AbsorbingCheck,
-    multiset_scan,
     omega,
     violates,
 )
@@ -256,6 +257,65 @@ def reference_certify_sweep(
     )
 
 
+def reference_multiset_scan(
+    candidates: Sequence, one, table, inside, n: int
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """First violating (n+1)-multiset over candidates, and the leaves tried.
+
+    table[a][b] is the product of a and b, where a is a partial product and
+    b a candidate or a partial product; one is the empty product, and
+    ``p in inside`` tests whether p lies in the ideal I. A multiset whose
+    product lies in I violates when none of its n-subproducts does.
+    Multisets are walked as non-decreasing position tuples in lex order and
+    a prefix whose product lies in I is cut, so the first violation is the
+    lexicographically least. Returns (candidate positions or None, number
+    of (n+1)-th factors tried).
+
+    The scan multiset_scan replaced: each last factor is tried in turn and
+    a hit is checked subproduct by subproduct (``leaf_ok``), so partial
+    products need not be hashable.
+    """
+    count = len(candidates)
+    chosen = [0] * (n + 1)
+    prefix = [one] * (n + 1)  # prefix[t] = product of the first t chosen
+    leaves = 0
+
+    def leaf_ok() -> bool:
+        # the full product is in I; reject unless every n-subproduct is out
+        suffix = one
+        for t in range(n, -1, -1):
+            # subproduct omitting position t; equal neighbours give the same
+            if t == n or chosen[t] != chosen[t + 1]:
+                if table[prefix[t]][suffix] in inside:
+                    return False
+            suffix = table[suffix][candidates[chosen[t]]]
+        return True
+
+    def rec(start: int, depth: int) -> Optional[tuple[int, ...]]:
+        nonlocal leaves
+        row = table[prefix[depth]]
+        if depth == n:
+            for ci in range(start, count):
+                if row[candidates[ci]] in inside:
+                    chosen[n] = ci
+                    if leaf_ok():
+                        leaves += ci - start + 1
+                        return tuple(chosen)
+            leaves += count - start
+            return None
+        for ci in range(start, count):
+            p = row[candidates[ci]]
+            if p not in inside:
+                chosen[depth] = ci
+                prefix[depth + 1] = p
+                found = rec(ci, depth + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return rec(0, 0), leaves
+
+
 class _PolyRow:
     """Row a of the product table of R[X] over sparse coefficient dicts:
     row[b] = a*b. Nothing is stored; each entry is one sparse product."""
@@ -343,7 +403,7 @@ def reference_poly_omega(
     witness = None
     if sweep.exhaustive:
         cands = [as_dict(coeffs) for coeffs, _ in adm]
-        found, checked = multiset_scan(cands, one, table, in_ix, n)
+        found, checked = reference_multiset_scan(cands, one, table, in_ix, n)
         if found is not None:
             witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
     else:
@@ -379,12 +439,23 @@ def _in_mzx(f: IntPolynomial, m: int) -> bool:
     return all(c % m == 0 for c in f.coefficients())
 
 
+def int_poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """The product in Z[X], term by term."""
+    acc: dict[int, int] = {}
+    for da, ca in f.terms:
+        for db, cb in g.terms:
+            acc[da + db] = acc.get(da + db, 0) + ca * cb
+    return IntPolynomial(
+        tuple(sorted((d, c) for d, c in acc.items() if c != 0))
+    )
+
+
 def _product(polys: Sequence[IntPolynomial]) -> IntPolynomial:
     if not polys:
         return int_poly((1,))
     out = polys[0]
     for p in polys[1:]:
-        out = out * p
+        out = int_poly_mul(out, p)
     return out
 
 
@@ -406,7 +477,7 @@ def reference_conjecture_check_int(
     budget: int = DEFAULT_BUDGET,
 ) -> IntConjectureReport:
     """conjecture_check_int with every product expanded in Z[X] through
-    ``IntPolynomial.__mul__``, one tuple of ``combinations_with_replacement``
+    ``int_poly_mul``, one tuple of ``combinations_with_replacement``
     at a time, and mZ[X] membership read off the integer coefficients."""
     if m < 2:
         raise ValueError("conjecture check needs a modulus m >= 2")
@@ -488,4 +559,4 @@ def content_int(f: IntPolynomial) -> int:
 
 def gauss_lemma_check(f: IntPolynomial, g: IntPolynomial) -> bool:
     """content(fg) == content(f) * content(g); classical, always true."""
-    return content_int(f * g) == content_int(f) * content_int(g)
+    return content_int(int_poly_mul(f, g)) == content_int(f) * content_int(g)

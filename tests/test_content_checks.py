@@ -6,6 +6,7 @@ import itertools
 import pytest
 from oracles import generic_closure, reference_product
 
+from omegalab import content_checks
 from omegalab.content_checks import (
     armendariz_search,
     bezout_factor,
@@ -385,6 +386,31 @@ def test_poly_omega_frozen_z18_gen9():
     assert report.violation is None
     assert report.mode == "exhaustive"
     assert report.checked == 172971
+
+
+@pytest.mark.parametrize(
+    "m, gens, products", [(18, (9,), 1148), (12, (), 1777)]
+)
+def test_poly_omega_residue_products(monkeypatch, m, gens, products):
+    # the residue products one scan computes, counted at the row kernel;
+    # the frozen tests above pin checked for the same two inputs
+    calls = 0
+    make_kernel = content_checks._convolver
+
+    def counting_convolver(*args):
+        slots, convolve = make_kernel(*args)
+
+        def counted(fa, fb):
+            nonlocal calls
+            calls += 1
+            return convolve(fa, fb)
+
+        return slots, counted
+
+    monkeypatch.setattr(content_checks, "_convolver", counting_convolver)
+    ideal = ideal_from_generators(make_zmod(m), gens)
+    assert verify_poly_omega(ideal, max_deg=1).mode == "exhaustive"
+    assert calls == products
 
 
 def test_poly_omega_prime_ideal():

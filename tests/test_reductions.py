@@ -4,7 +4,9 @@ DM table and certify sweep over one pair per pair of unit orbits, weighted
 by the orbit sizes. Witnesses and every count must be those of the full
 walk. The poly-omega scan over residue polynomials and the row kernel
 against the sparse dict-product scan, the residue table's found path
-against the element scan, and the kernel itself against ``poly_mul``. The
+against the element scan, the hit-mask multiset scan against the
+per-candidate scan on element, lattice and residue-class tables, and the
+kernel itself against ``poly_mul``. The
 integer leg over (Z/m)[X] against the loop that expands every product in
 Z[X], its found path included. Last, the axiom check over an additive
 generating set against the full lexicographic axiom scan."""
@@ -25,14 +27,15 @@ from oracles import (
     reference_conjecture_check_int,
     reference_dm_table,
     reference_is_n_absorbing,
+    reference_multiset_scan,
     reference_poly_omega,
 )
 
 from omegalab.absorbing import is_n_absorbing, multiset_scan, omega
 from omegalab.content_checks import (
     DEFAULT_BUDGET,
+    _admissible_sweep,
     _convolver,
-    _residue_table,
     certify_pair_sweep,
     dm_exponent_table,
     verify_poly_omega,
@@ -44,9 +47,10 @@ from omegalab.ideals import (
     quotient_by,
 )
 from omegalab.integers import _mod_table, _walk, conjecture_check_int, omega_int
-from omegalab.polys import make_poly, monomials_up_to, poly_mul
+from omegalab.polys import _residue_table, make_poly, monomials_up_to, poly_mul
 from omegalab.rings import (
     AxiomReport,
+    LazyRow,
     TableRing,
     _additive_generators,
     _axiom_scan,
@@ -211,6 +215,68 @@ def test_residue_scan_finds_element_witness(spec, gens, witness):
     assert found is not None
     got = tuple(cands[i] for i in found)
     assert got == is_n_absorbing(ideal, n).violation == witness
+
+
+# rings whose multiset scans the reference walks in about a second in all
+SCAN_FAMILY = [f"zmod:{m}" for m in range(2, 19)] + [
+    "prod:zmod:2,zmod:4", "prod:zmod:2,zmod:6", "trunc:p=2,vars=2,nil=2",
+    "trunc:p=2,vars=1,nil=3", "trunc:p=3,vars=1,nil=2",
+]
+
+
+def scan_inputs(ideal, kind: str, n: int):
+    """(candidates, one, table, inside) as the element scan, the strong
+    scan or poly-omega at degree 1 (unit classes of residue polynomials
+    over the admissible polynomials) give them to multiset_scan."""
+    ring = ideal.ring
+    members = ideal.elements
+    space = ideal_space(ring)
+    if kind == "element":
+        cands = [
+            x for i, x in space.principal_reps().items()
+            if i != space.full_id and x not in members
+        ]
+        return cands, ring.one, ring.mul_rows(), members
+    if kind == "lattice":
+        ids = [space.intern(iv.elements) for iv in all_ideals(ring)]
+        inside = frozenset(i for i in ids if space.set_of(i) <= members)
+        cands = [i for i in ids if i not in inside and i != space.full_id]
+        table = LazyRow(lambda _, a: LazyRow(space.product, a), None)
+        return cands, space.full_id, table, inside
+    slots, convolve = _convolver(ring, 1, 1, n + 1)
+    adm, _ = _admissible_sweep(
+        ring, slots, members, lambda a: 0, DEFAULT_BUDGET, 0, 0
+    )
+    rows = ring.mul_rows()
+    reduce, one, table, inside = _residue_table(
+        coset_minima(ring, members), ring.zero, ring.one, convolve,
+        [rows[u] for u in ring.units()],
+    )
+    return [reduce(coeffs) for coeffs, _ in adm], one, table, inside
+
+
+@examples(max_examples=40)
+@given(st.sampled_from(SCAN_FAMILY))
+def test_multiset_scan_matches_reference(spec):
+    """The hit-mask scan against the per-candidate leaf scan, in the first
+    violation and the leaves tried, for n = 1 up to omega(I), where the
+    reference element scan first finds nothing; below omega(I) the class
+    scan finds a violation too, so the found path is compared."""
+    ring = ring_of(spec)
+    for ideal in all_ideals(ring):
+        if not ideal.is_proper:
+            continue
+        for n in itertools.count(1):
+            want = {}
+            for kind in ("element", "lattice", "class"):
+                args = (*scan_inputs(ideal, kind, n), n)
+                want[kind] = reference_multiset_scan(*args)
+                assert multiset_scan(*args) == want[kind], (
+                    spec, kind, ideal.generators, n
+                )
+            assert (want["class"][0] is None) == (want["element"][0] is None)
+            if want["element"][0] is None:
+                break
 
 
 # the largest reference walk the integer-leg property runs: multisets in
