@@ -11,15 +11,13 @@ search for violations of the absorbing-degree identity between I and its
 polynomial extension.
 
 Content ideals are ids of the ring's ideal registry (``ideals.IdealSpace``),
-which also holds their products and powers; every DM exponent comes
-from ``IdealSpace.dm_exponent``, memoized on the content ids of f, g and
-fg. Every sweep is planned by one driver, ``plan_sweep``: it goes
-exhaustive when the caller's exhaustive enumeration fits the budget, and
-otherwise draws seeded coefficient tuples and records the mode and seed.
-The DM table and the certify sweep read one weighted pair stream,
-``Sweep.weighted_pairs``: exhaustive, one pair per pair of unit orbits
-weighted by the orbit sizes, so every count still counts every pair;
-sampled, the draws with weight 1.
+found by folding the coefficients through its dense rows of I + (c); it
+also holds their products, powers and DM exponents. Every sweep is
+planned by ``plan_sweep``: exhaustive when the caller's enumeration fits
+the budget, else seeded draws (``uniform_draws``), with mode and seed
+recorded. The DM table and the certify sweep fold over one table of
+pairs grouped by content ids (``_pair_groups``), one per ring when
+exhaustive, so the orbit pairs are walked once for all of them.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
 omega, over bounded polynomials of R[X], each held as the id of the unit
 class of its residue polynomial in (R/I)[X] (``polys._residue_table``,
@@ -41,7 +39,6 @@ the Dedekind-Mertens law). Pruned and unpruned scans are compared in tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -182,29 +179,31 @@ class Sweep:
     def tuples(self, order: int, length: int, arity: int):
         """The sweep's items, each a tuple of arity coefficient tuples of the
         given length over range(order): all of them in lex order when
-        exhaustive, else the seeded draws, drawn tuple by tuple."""
+        exhaustive, else the seeded draws of ``uniform_draws``."""
         if self.exhaustive:
             tuples = itertools.product(range(order), repeat=length)
             return itertools.product(tuples, repeat=arity)
-        randrange = random.Random(self.seed).randrange
+        getrandbits = random.Random(self.seed).getrandbits
         return (
-            tuple(
-                tuple(randrange(order) for _ in range(length))
-                for _ in range(arity)
-            )
+            tuple(uniform_draws(getrandbits, order, length) for _ in range(arity))
             for _ in range(self.sample)
         )
 
-    def weighted_pairs(self, ring: FiniteRing, length: int):
-        """The sweep's (f, g) pairs of coefficient tuples, each with the
-        number of pairs it stands for. Sampled: the draws of ``tuples``,
-        weight 1 each. Exhaustive: one pair per pair of unit orbits, each
-        orbit by its lex-least tuple, weighted |O(f)|*|O(g)|; see
-        ``_unit_orbits`` for why that covers every pair."""
-        if not self.exhaustive:
-            return ((pair, 1) for pair in self.tuples(ring.order, length, 2))
-        orbits = _unit_orbits(ring, length)
-        return (((f, g), wf * wg) for f, wf in orbits for g, wg in orbits)
+
+def uniform_draws(getrandbits, n: int, length: int) -> tuple[int, ...]:
+    """length values of randrange(n) from the generator of getrandbits.
+    For n >= 1, CPython's randrange(n) is _randbelow_with_getrandbits(n):
+    it draws k = n.bit_length() bits until the value is below n. This loop
+    makes the same getrandbits(k) calls, so it returns the same values and
+    leaves the generator in the same state, minus randrange's overhead."""
+    k = n.bit_length()
+    out = []
+    for _ in range(length):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return tuple(out)
 
 
 def _unit_orbits(ring: FiniteRing, length: int) -> list[tuple[tuple, int]]:
@@ -284,8 +283,12 @@ def _admissible_draws(
     (coeffs, content id) pairs."""
     space = ideal_space(ring)
     for draw in sweep.tuples(ring.order, len(slots), arity):
-        ids = [space.id_of_coeffs(t) for t in draw]
-        if all(_admissible(space, cid, skip_inside) for cid in ids):
+        ids = []
+        for t in draw:  # every factor is drawn: stopping keeps the stream
+            ids.append(space.id_of_coeffs(t))
+            if not _admissible(space, ids[-1], skip_inside):
+                break
+        else:
             yield tuple(zip(draw, ids))
 
 
@@ -371,7 +374,52 @@ def armendariz_search(
 
 
 # ---------------------------------------------------------------------------
-# Dedekind-Mertens exponent table
+# grouped pair table and the Dedekind-Mertens exponent table
+
+
+def _pair_groups(
+    ring: FiniteRing, num_vars: int, max_deg: int, sweep: Sweep,
+    inside: Optional[frozenset[int]] = None,
+) -> dict[tuple[int, int, int, int], list]:
+    """The sweep's (f, g) pairs grouped by (c(f), c(g), c(fg), deg g), as
+    content ids, each group [weight, first pair], in walk order of first
+    pairs. Exhaustive: one pair per pair of unit orbits, by lex-least
+    tuples, weighted |O(f)|*|O(g)| (``_unit_orbits`` shows this covers
+    every pair), kept on the ring's registry for the DM table and every
+    certify ideal. Sampled: the draws, weight 1, grouped per call, less
+    those whose product leaves inside, if given, before contents are read.
+
+    What the DM table and certify read of a pair is a function of its key:
+    the DM exponent, the peel, the degree bound, and whether fg lies in
+    I[X], which holds exactly when c(fg) <= I as I is an ideal. So a count
+    is a sum of weights, and the first pair with such a property is the
+    first pair of the first group with it: earlier groups start earlier."""
+    space = ideal_space(ring)
+    if sweep.exhaustive and (num_vars, max_deg) in space.pair_groups:
+        return space.pair_groups[num_vars, max_deg]
+    slots, convolve = _convolver(ring, num_vars, max_deg)
+    slot_degs = [sum(e) for e in slots]
+    zero = ring.zero
+    id_of = space.id_of_coeffs
+    if sweep.exhaustive:
+        inside = None  # the kept table serves every ideal
+        orbits = _unit_orbits(ring, len(slots))
+        pairs = (((f, g), wf * wg) for f, wf in orbits for g, wg in orbits)
+    else:
+        pairs = ((pair, 1) for pair in sweep.tuples(ring.order, len(slots), 2))
+    groups: dict[tuple[int, int, int, int], list] = {}
+    for (fa, fb), weight in pairs:
+        prod = convolve(fa, fb)
+        if inside is not None and not inside.issuperset(prod):
+            continue
+        last = len(fb) - 1  # graded-lex: the last nonzero slot has deg g
+        while last and fb[last] == zero:
+            last -= 1
+        key = (id_of(fa), id_of(fb), id_of(prod), slot_degs[last])
+        groups.setdefault(key, [0, (fa, fb)])[0] += weight
+    if sweep.exhaustive:
+        space.pair_groups[num_vars, max_deg] = groups
+    return groups
 
 
 @dataclass(frozen=True)
@@ -398,17 +446,14 @@ def dm_exponent_table(
     seed: int = 0,
 ) -> DmTable:
     """dm_exponent over all (f, g) pairs, or a seeded sample over budget;
-    the exhaustive table walks one pair per pair of unit orbits and weights
-    the counts (``Sweep.weighted_pairs``).
+    a fold over the groups of ``_pair_groups``, which weight the counts.
 
     bound_holds reports the univariate classical bound l <= deg(g)+1 (with
     deg(0) treated as 0); None for multivariate sweeps where the classical
     degree bound statement does not apply.
     """
-    slots, convolve = _convolver(ring, num_vars, max_deg)
+    slots = monomials_up_to(num_vars, max_deg)
     space = ideal_space(ring)
-    slot_degs = [sum(e) for e in slots]
-    zero = ring.zero
 
     hist: dict[int, int] = {}
     max_exp = 0
@@ -417,31 +462,19 @@ def dm_exponent_table(
     checked = 0
     bound_ok: Optional[bool] = True if num_vars == 1 else None
 
-    # f and g repeat across the sweep, so their ids are memoized for this
-    # call; products rarely repeat and are looked up directly
-    id_of_factor = functools.cache(space.id_of_coeffs)
     sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
-    for (fa, fb), weight in sweep.weighted_pairs(ring, len(slots)):
+    groups = _pair_groups(ring, num_vars, max_deg, sweep)
+    for (cf, cg, cfg, deg_g), (weight, pair) in groups.items():
         checked += weight
-        n = space.dm_exponent(
-            id_of_factor(fa),
-            id_of_factor(fb),
-            space.id_of_coeffs(convolve(fa, fb)),
-            cap,
-        )
+        n = space.dm_exponent(cf, cg, cfg, cap)
         if n is None:
             cap_exceeded += weight
             continue
         hist[n] = hist.get(n, 0) + weight
         if n > max_exp:
             max_exp = n
-            witness = (fa, fb)
-        if bound_ok:
-            deg_g = max(
-                (d for c, d in zip(fb, slot_degs) if c != zero), default=0
-            )
-            if n > deg_g + 1:
-                bound_ok = False
+            witness = pair
+        bound_ok = bound_ok and n <= deg_g + 1
 
     if witness is not None:
         witness = _to_polys(ring, num_vars, slots, witness)
@@ -714,15 +747,13 @@ def certify_pair_sweep(
     sample: int = DEFAULT_SAMPLE,
     seed: int = 0,
 ) -> CertifySweep:
-    """Certify every bounded pair whose product lands in I[X].
-
-    Pairs are filtered with raw coefficient convolution; the certificate
-    machinery only runs on qualifying pairs, which are sparse. The
-    exhaustive sweep walks one pair per pair of unit orbits and weights
-    ``qualifying`` (``Sweep.weighted_pairs``).
+    """Certify every bounded pair whose product lands in I[X]: a fold over
+    the groups of ``_pair_groups`` whose c(fg) lies in I, which weight
+    ``qualifying``. Each group's certificate is the peeling of
+    certify_content_product on its content ids.
     """
     ring = ideal.ring
-    slots, convolve = _convolver(ring, num_vars, max_deg)
+    slots = monomials_up_to(num_vars, max_deg)
     members = ideal.elements
     space = ideal_space(ring)
 
@@ -733,18 +764,14 @@ def certify_pair_sweep(
     final_ok = True
     witness: Optional[tuple[Polynomial, Polynomial]] = None
 
-    # the pair certificate depends only on the content ids of f, g and fg,
-    # and it is the peeling of certify_content_product
     total_pairs = ring.order ** (2 * len(slots))
     sweep = plan_sweep(total_pairs, budget, sample, seed)
-    for (fa, fb), weight in sweep.weighted_pairs(ring, len(slots)):
-        prod_coeffs = convolve(fa, fb)
-        if any(c not in members for c in prod_coeffs):
+    groups = _pair_groups(ring, num_vars, max_deg, sweep, members)
+    for (cf, cg, cfg, _), (weight, pair) in groups.items():
+        if not space.set_of(cfg) <= members:
             continue
         qualifying += weight
-        cf = space.id_of_coeffs(fa)
-        cg = space.id_of_coeffs(fb)
-        l = space.dm_exponent(cf, cg, space.id_of_coeffs(prod_coeffs), cap)
+        l = space.dm_exponent(cf, cg, cfg, cap)
         if l is None:
             raise CapExceededError(f"dm exponent not found within cap {cap}")
         chain, final = _peel(space, (cf, cg), (l,), members)
@@ -754,7 +781,7 @@ def certify_pair_sweep(
         chain_ok = chain_ok and chain
         final_ok = final_ok and final
         if witness is None and not (bounded and chain and final):
-            witness = _to_polys(ring, num_vars, slots, (fa, fb))
+            witness = _to_polys(ring, num_vars, slots, pair)
 
     return CertifySweep(
         ideal=ideal,

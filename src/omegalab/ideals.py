@@ -5,15 +5,15 @@ generators it was built from.
 
 All ideal arithmetic goes through one registry per ring, ``IdealSpace``
 (``ideal_space(ring)``): it interns element sets as ids and memoizes
-I + (c), products, powers, minimal generators and the Dedekind-Mertens
-exponent. Closure has one route: (c) is the ring's ``principal(c)``,
-I + (c) is the union of the cosets y + I over y in (c), and the ideal
-generated by a set is a fold of ``IdealSpace.extend`` from the zero ideal,
-so this module never branches on the ring family; the worklist closure
-that tests compare against lives in the tests. The lattice BFS, the
-strong scan and the content formulas all use the registry, so
-``ring.caches`` holds only the registry and the sorted lattice
-(``"all_ideals"``).
+I + (c), products, powers, minimal generators, the Dedekind-Mertens
+exponent and radicals. Closure has one route: (c) is the ring's
+``principal(c)``, I + (c) is the union of the cosets y + I over y in (c),
+and the ideal generated by a set is a fold of ``IdealSpace.extend`` from
+the zero ideal, so this module never branches on the ring family; the
+worklist closure that tests compare against lives in the tests. The
+lattice BFS, the strong scan and the content formulas all use the
+registry, so ``ring.caches`` holds only the registry and the sorted
+lattice (``"all_ideals"``).
 """
 
 from __future__ import annotations
@@ -122,29 +122,32 @@ class IdealSpace:
         self.ring = ring
         self._ids: dict[frozenset[int], int] = {}
         self._sets: list[frozenset[int]] = []
+        self._sums: list[list[Optional[int]]] = []  # [I][(c)] -> I + (c)
+        self._principal: list[Optional[int]] = [None] * ring.order
         self.zero_id = self.intern(frozenset({ring.zero}))
         self.full_id = self.intern(frozenset(range(ring.order)))
         self.gens: dict[int, tuple[int, ...]] = {}  # filled by minimal_generators
-        self._principal: dict[int, int] = {}
         self._reps: Optional[dict[int, int]] = None
-        self._extended: dict[tuple[int, int], int] = {}
-        self._coeffs: dict[tuple[int, ...], int] = {}
+        self._cycle: Optional[list[int]] = None
         self._prod: dict[tuple[int, int], int] = {}
         self._pow: dict[tuple[int, int], int] = {}
         self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
+        # (num_vars, max_deg) -> content_checks' exhaustive pair groups
+        self.pair_groups: dict[tuple[int, int], dict] = {}
 
     def intern(self, els: frozenset[int]) -> int:
         got = self._ids.get(els)
         if got is None:
             got = self._ids[els] = len(self._sets)
             self._sets.append(els)
+            self._sums.append([])
         return got
 
     def set_of(self, ideal_id: int) -> frozenset[int]:
         return self._sets[ideal_id]
 
     def principal_id(self, elem: int) -> int:
-        got = self._principal.get(elem)
+        got = self._principal[elem]
         if got is None:
             got = self._principal[elem] = self.intern(self.ring.principal(elem))
         return got
@@ -164,11 +167,11 @@ class IdealSpace:
 
         I + (c) depends on c only through the principal ideal (c), so every
         generator of (c) shares one entry: the memo holds at most one entry
-        per pair of an ideal and a principal ideal. A miss needs the id of
-        (c) anyway, so (c) is still interned just before I + (c)."""
+        per pair of an ideal and a principal ideal, in the row of I at the
+        id of (c)."""
         pid = self.principal_id(elem)
-        key = (ideal_id, pid)
-        got = self._extended.get(key)
+        row = self._sums[ideal_id]
+        got = row[pid] if pid < len(row) else None
         if got is None:
             add = self.ring.add
             base = self._sets[ideal_id]
@@ -178,20 +181,42 @@ class IdealSpace:
             for y in self._sets[pid]:
                 if y not in acc:
                     acc.update(add(x, y) for x in base)
-            got = self._extended[key] = self.intern(frozenset(acc))
+            got = self.intern(frozenset(acc))
+            row.extend([None] * (pid + 1 - len(row)))
+            row[pid] = got
         return got
 
     def id_of_coeffs(self, coeffs: Sequence[int]) -> int:
-        """Id of the ideal generated by the given coefficients."""
-        zero = self.ring.zero
-        key = tuple(sorted(set(c for c in coeffs if c != zero)))
-        got = self._coeffs.get(key)
-        if got is None:
-            got = self.zero_id
-            for c in key:
-                got = self.extend(got, c)
-            self._coeffs[key] = got
+        """Id of the ideal generated by the coefficients: the fold
+        I <- I + (c) from (0), read from the rows of ``extend``. The sum of
+        ideals is associative and commutative with (0) neutral, so any
+        order, with repeats and zeros, reaches the element set
+        (c_1) + ... + (c_k) and its one id."""
+        principal = self._principal
+        sums = self._sums
+        got = self.zero_id
+        for c in coeffs:
+            pid = principal[c]
+            row = sums[got]
+            nxt = row[pid] if pid is not None and pid < len(row) else None
+            got = self.extend(got, c) if nxt is None else nxt
         return got
+
+    def radical(self, members: frozenset[int]) -> frozenset[int]:
+        """rad(I) = {x : x^t in I for some t >= 1} = {x : c_x in I}, with
+        c_x the first repeated power of x, tabled once. c_x is a power of
+        x, and once a power of x lies in I so does every later one, among
+        them a later c_x, which lies on the cycle of the powers of x."""
+        if self._cycle is None:
+            mul = self.ring.mul
+            self._cycle = []
+            for x in range(self.ring.order):
+                seen, p = set(), x
+                while p not in seen:
+                    seen.add(p)
+                    p = mul(p, x)
+                self._cycle.append(p)
+        return frozenset(x for x, c in enumerate(self._cycle) if c in members)
 
     def product(self, a: int, b: int) -> int:
         """IJ: generated by the products of the minimal generators."""
@@ -255,22 +280,10 @@ def _from_elements(ring: FiniteRing, elements: frozenset[int]) -> Ideal:
 
 
 def ideal_radical(ideal: Ideal) -> Ideal:
-    """{x : x^t in I for some 1 <= t <= |R|}, with power-cycle cutoff."""
+    """{x : x^t in I for some t >= 1}, from ``IdealSpace.radical``."""
     ring = ideal.ring
-    members = ideal.elements
-    mul = ring.mul
-    result = set()
-    for x in range(ring.order):
-        seen = set()
-        p = x
-        while p not in seen:
-            if p in members:
-                result.add(x)
-                break
-            seen.add(p)
-            p = mul(p, x)
     # minimal_generators raises if the set fails to close (corrupt tables)
-    return _from_elements(ring, frozenset(result))
+    return _from_elements(ring, ideal_space(ring).radical(ideal.elements))
 
 
 def is_radical_ideal(ideal: Ideal) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .absorbing import violates
-from .content_checks import DEFAULT_BUDGET, plan_sweep
+from .content_checks import DEFAULT_BUDGET, plan_sweep, uniform_draws
 from .polys import _residue_table
 from .rings import LazyRow
 
@@ -296,7 +296,7 @@ def conjecture_check_int(
 
     def draw_uniform() -> list[list[int]]:
         return [
-            [rng.randrange(len(span)) - height for _ in range(max_deg + 1)]
+            [v - height for v in uniform_draws(rng.getrandbits, len(span), max_deg + 1)]
             for _ in range(k)
         ]
 

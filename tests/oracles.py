@@ -3,14 +3,15 @@ against. Ideals are closed by the worklist fixpoint ``generic_closure``,
 never by the ideal registry or ``FiniteRing.principal``, and every
 product is taken element by element. The reference strong scan walks the
 lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
-DM and certify sweeps walk every (f, g) pair of ``Sweep.tuples``, one by
-one, with no unit-orbit weighting. The reference multiset scan tries
-each last factor in turn and checks a hit subproduct by subproduct, with
-no hit masks; the reference poly-omega scan runs it over sparse
-exponent->coefficient dicts, not unit classes of residue polynomials
-through the row kernel. The reference integer leg expands every product
-in Z[X], never in (Z/m)[X]. Integer contents are gcds of the
-coefficients."""
+DM and certify sweeps walk every (f, g) pair one by one, drawn by
+``randrange`` when sampled, with no unit-orbit weighting or grouping by
+contents. The reference radical walks the powers of every element. The
+reference multiset scan tries each last factor in turn and checks a hit
+subproduct by subproduct, with no hit masks; the reference poly-omega
+scan runs it over sparse exponent->coefficient dicts, not unit classes
+of residue polynomials through the row kernel. The reference integer leg
+expands every product in Z[X], never in (Z/m)[X]. Integer contents are
+gcds of the coefficients."""
 
 import functools
 import itertools
@@ -92,6 +93,40 @@ def reference_units(ring) -> frozenset[int]:
     return frozenset(
         x for x in range(ring.order)
         if any(mul(x, y) == one for y in range(ring.order))
+    )
+
+
+def reference_ideal_radical(ideal: Ideal) -> frozenset[int]:
+    """{x : x^t in I for some t >= 1}: the powers of each x, walked until
+    one repeats."""
+    ring = ideal.ring
+    members = ideal.elements
+    mul = ring.mul
+    result = set()
+    for x in range(ring.order):
+        seen = set()
+        p = x
+        while p not in seen:
+            if p in members:
+                result.add(x)
+                break
+            seen.add(p)
+            p = mul(p, x)
+    return frozenset(result)
+
+
+def reference_tuples(sweep, order: int, length: int, arity: int):
+    """``Sweep.tuples`` with the seeded draws made by ``randrange``."""
+    if sweep.exhaustive:
+        tuples = itertools.product(range(order), repeat=length)
+        return itertools.product(tuples, repeat=arity)
+    randrange = random.Random(sweep.seed).randrange
+    return (
+        tuple(
+            tuple(randrange(order) for _ in range(length))
+            for _ in range(arity)
+        )
+        for _ in range(sweep.sample)
     )
 
 
@@ -188,7 +223,7 @@ def reference_dm_table(
     checked = 0
     bound_ok = True if num_vars == 1 else None
     sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
-    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
+    for fa, fb in reference_tuples(sweep, ring.order, len(slots), 2):
         checked += 1
         n = space.dm_exponent(
             space.id_of_coeffs(fa),
@@ -232,7 +267,7 @@ def reference_certify_sweep(
     witness = None
     total_pairs = ring.order ** (2 * len(slots))
     sweep = plan_sweep(total_pairs, budget, sample, seed)
-    for fa, fb in sweep.tuples(ring.order, len(slots), 2):
+    for fa, fb in reference_tuples(sweep, ring.order, len(slots), 2):
         prod_coeffs = convolve(fa, fb)
         if any(c not in members for c in prod_coeffs):
             continue

@@ -2,9 +2,15 @@
 principal-content factorization, radical certificates, degree transfer."""
 
 import itertools
+import random
 
 import pytest
-from oracles import generic_closure, reference_product
+from oracles import (
+    generic_closure,
+    reference_certify_sweep,
+    reference_dm_table,
+    reference_product,
+)
 
 from omegalab import content_checks
 from omegalab.content_checks import (
@@ -18,10 +24,17 @@ from omegalab.content_checks import (
     gaussian_search,
     lift_poly,
     project_poly,
+    uniform_draws,
     verify_poly_omega,
 )
 from omegalab.errors import UnsupportedRingError
-from omegalab.ideals import ideal_from_generators, ideal_space, quotient_by
+from omegalab.ideals import (
+    all_ideals,
+    ideal_from_generators,
+    ideal_space,
+    is_radical_ideal,
+    quotient_by,
+)
 from omegalab.polys import (
     content,
     display_poly,
@@ -122,6 +135,51 @@ def test_dm_table_sampled_over_local_cube():
     assert table.seed == 9
     assert table.bound_holds is True
     assert table.max_exponent <= 2
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 255, 256, 257, 300, 360, 4096])
+def test_uniform_draws_match_randrange(order):
+    # the draw loop against randrange, value by value and in the state it
+    # leaves behind, across calls of several lengths
+    mine, theirs = random.Random(order), random.Random(order)
+    for length in (1, 2, 3, 7, 500):
+        got = uniform_draws(mine.getrandbits, order, length)
+        assert got == tuple(theirs.randrange(order) for _ in range(length))
+    assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("first", ["dm", "certify"])
+def test_pair_table_walked_once_per_ring(monkeypatch, first):
+    # the DM table and certify on every radical ideal of one ring read one
+    # exhaustive grouped table: the unit orbits are listed, and the orbit
+    # pairs walked, once
+    calls = 0
+    orbits = content_checks._unit_orbits
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return orbits(*args)
+
+    monkeypatch.setattr(content_checks, "_unit_orbits", counted)
+    ring = make_zmod(18)
+    radical = [i for i in all_ideals(ring) if i.is_proper and is_radical_ideal(i)]
+    assert len(radical) == 3
+
+    def certify():
+        return [certify_pair_sweep(ideal, 1, 1) for ideal in radical]
+
+    if first == "dm":
+        table, sweeps = dm_exponent_table(ring, 1, 1), certify()
+    else:
+        sweeps = certify()
+        table = dm_exponent_table(ring, 1, 1)
+    assert calls == 1
+    assert table.mode == "exhaustive"
+    assert table == reference_dm_table(ring, 1, 1)
+    for ideal, sweep in zip(radical, sweeps):
+        assert sweep.mode == "exhaustive"
+        assert sweep == reference_certify_sweep(ideal, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +469,27 @@ def test_poly_omega_residue_products(monkeypatch, m, gens, products):
     ideal = ideal_from_generators(make_zmod(m), gens)
     assert verify_poly_omega(ideal, max_deg=1).mode == "exhaustive"
     assert calls == products
+
+
+def test_poly_omega_draws_stop_at_first_inadmissible(monkeypatch):
+    # the content lookups of five sampled scans: the listing that decides
+    # to sample, then the draws up to their first inadmissible factor
+    # (40,816 lookups when every factor of a draw was looked up)
+    ring = make_zmod(18)
+    space = ideal_space(ring)
+    lookups = 0
+    lookup = space.id_of_coeffs
+
+    def counted(coeffs):
+        nonlocal lookups
+        lookups += 1
+        return lookup(coeffs)
+
+    monkeypatch.setattr(space, "id_of_coeffs", counted)
+    zero = ideal_from_generators(ring, ())
+    checked = [verify_poly_omega(zero, sample=2000, seed=s).checked for s in range(5)]
+    assert checked == [24, 27, 22, 28, 28]
+    assert lookups == 15540
 
 
 def test_poly_omega_prime_ideal():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     generic_closure,
     oracle_lattice,
+    reference_ideal_radical,
     reference_product,
     reference_strong_violation,
     reference_units,
@@ -24,8 +25,10 @@ from omegalab.ideals import (
     Ideal,
     all_ideals,
     closure_elements,
+    ideal_radical,
     ideal_space,
     parse_ideal_spec,
+    quotient_by,
 )
 from omegalab.rings import make_zmod, parse_ring_spec
 
@@ -108,6 +111,40 @@ def test_principal_by_method_calls_above_table_limit():
     assert ring.units() == reference_units(ring)
 
 
+@functools.cache
+def content_ring(spec: str):
+    """A ring of the family, zmod:300 (lazy rows above TABLE_LIMIT), or
+    "quotient", a table ring: trunc:p=2,vars=2,nil=3 modulo (y^2)."""
+    if spec == "quotient":
+        parent = ring_of("trunc:p=2,vars=2,nil=3")
+        return quotient_by(parse_ideal_spec(parent, "gen:8"))
+    return ring_of(spec)
+
+
+@examples(max_examples=300)
+@given(st.sampled_from(FAMILY + ["zmod:300", "quotient"]), st.data())
+def test_content_fold_matches_worklist_closure(spec, data):
+    # the fold against the worklist closure, on a registry warmed by the
+    # earlier examples; the coefficients come unsorted, and again reversed
+    # with a zero and a repeat mixed in
+    ring = content_ring(spec)
+    coeffs = data.draw(st.lists(st.integers(0, ring.order - 1), max_size=5))
+    space = ideal_space(ring)
+    expected = space.intern(generic_closure(ring, coeffs))
+    assert space.id_of_coeffs(coeffs) == expected
+    mixed = coeffs[::-1] + [ring.zero] + coeffs[:1]
+    assert space.id_of_coeffs(mixed) == expected
+
+
+def test_radical_table_matches_reference():
+    for spec in FAMILY:
+        ring = ring_of(spec)
+        for ideal in all_ideals(ring):
+            if ideal.is_proper:
+                got = ideal_radical(ideal).elements
+                assert got == reference_ideal_radical(ideal), (spec, ideal)
+
+
 @examples(max_examples=150)
 @given(ring_and_ideals(2))
 def test_registry_sum_matches_pairwise_sums(drawn):
@@ -143,7 +180,13 @@ def test_extend_memo_keyed_by_principal_ideal():
     ring = make_zmod(300)
     dm_exponent_table(ring, 1, 1, sample=1000)
     space = ideal_space(ring)
-    keys = list(space._extended)
+    # the filled entries of the per-ideal rows of I + (c)
+    keys = [
+        (i, pid)
+        for i, row in enumerate(space._sums)
+        for pid, got in enumerate(row)
+        if got is not None
+    ]
     principals = set(space.principal_reps())
     assert {pid for _, pid in keys} <= principals
     assert len(keys) <= len(all_ideals(ring)) * len(principals)
