@@ -6,11 +6,11 @@ with omega(R) = 0 by convention. The strong variant quantifies over ideal
 tuples instead of element tuples.
 
 One scanner, ``multiset_scan``, decides the definition wherever it is read:
-over ring elements here, over the ideal lattice for the strong variant, and
+over ring elements here, over the ideal lattice for the strong variant,
 over bounded polynomials of R[X], held as residues in (R/I)[X], in
-content_checks. It enumerates
-non-decreasing tuples (multisets) in index order with four sound
-prunings, each of which removes no violation:
+content_checks, and over bounded polynomials of Z[X], held in (Z/m)[X],
+in integers. It enumerates non-decreasing tuples (multisets) in index
+order with four sound prunings, each of which removes no violation:
 
 * elements of I are skipped (any tuple containing one has an n-subproduct
   containing it, which then lies in I);
@@ -29,8 +29,11 @@ prunings, each of which removes no violation:
 
 The callers apply the first three when they choose the candidates; the
 scan applies the fourth. The first violation found is therefore the
-lexicographically least violating multiset. The pruning-free reference
-scan that tests compare against lives in the tests.
+lexicographically least violating multiset. Beside it the scan counts the
+leaves it tried (last factors of uncut prefixes) and those among them
+whose product lies in I; the integer leg reads its report counts off
+these two. The pruning-free reference scan that tests compare against
+lives in the tests.
 """
 
 from __future__ import annotations
@@ -104,8 +107,9 @@ def _check_args(ideal: Ideal, n: int) -> None:
 
 def multiset_scan(
     candidates: Sequence, one, table, inside, n: int
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """First violating (n+1)-multiset over candidates, and the leaves tried.
+) -> tuple[Optional[tuple[int, ...]], int, int]:
+    """First violating (n+1)-multiset over candidates, the leaves tried,
+    and the leaves tried whose product lies in I.
 
     table[a][b] is the product of a and b, where a is a partial product and
     b a candidate or a partial product; one is the empty product, and
@@ -114,7 +118,8 @@ def multiset_scan(
     of its n-subproducts does. Multisets are walked as non-decreasing
     position tuples in lex order and a prefix whose product lies in I is
     cut, so the first violation is the lexicographically least. Returns
-    (candidate positions or None, number of (n+1)-th factors tried).
+    (candidate positions or None, number of (n+1)-th factors tried, number
+    of those whose product lies in I).
 
     The last factor is decided by hit masks: H(p), memoized per p and
     filled downward from the least start asked, has bit ci set when
@@ -122,13 +127,14 @@ def multiset_scan(
     factors but the t-th, c >= start completes a violation exactly when
     prefix*c lies in I and no q_t*c does (prefix, which omits c, is outside
     by the cut): the bits of H(prefix) & ~H(q_0) & ... & ~H(q_(n-1)).
-    leaves counts the factors up to the lowest, as trying each did.
+    leaves counts the factors up to the lowest, as trying each did, and
+    inside_leaves the bits of H(prefix) among them.
     """
     count = len(candidates)
     chosen = [0] * (n + 1)
     prefix = [one] * (n + 1)  # prefix[t] = product of the first t chosen
     hits: dict = {}  # p -> (low, H(p) over the positions >= low)
-    leaves = 0
+    leaves = inside_leaves = 0
 
     def mask(p, start: int) -> int:
         # H(p) >> start
@@ -142,9 +148,9 @@ def multiset_scan(
         return bits >> start
 
     def rec(start: int, depth: int) -> Optional[tuple[int, ...]]:
-        nonlocal leaves
+        nonlocal leaves, inside_leaves
         if depth == n:
-            found = mask(prefix[n], start)
+            full = found = mask(prefix[n], start)
             t, suffix = n - 1, one  # suffix: product of chosen[t+1:n]
             while found and t >= 0:
                 found &= ~mask(table[prefix[t]][suffix], start)
@@ -152,9 +158,12 @@ def multiset_scan(
                 t -= 1
             if not found:
                 leaves += count - start
+                inside_leaves += full.bit_count()
                 return None
-            chosen[n] = start + (found & -found).bit_length() - 1
+            low = found & -found
+            chosen[n] = start + low.bit_length() - 1
             leaves += chosen[n] - start + 1
+            inside_leaves += (full & (2 * low - 1)).bit_count()
             return tuple(chosen)
         row = table[prefix[depth]]
         for ci in range(start, count):
@@ -167,7 +176,7 @@ def multiset_scan(
                     return found
         return None
 
-    return rec(0, 0), leaves
+    return rec(0, 0), leaves, inside_leaves
 
 
 def violates(factors: Sequence, one, table, inside) -> bool:
@@ -199,7 +208,7 @@ def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
         x for i, x in space.principal_reps().items()
         if i != space.full_id and x not in members
     ]
-    found, _ = multiset_scan(candidates, ring.one, ring.mul_rows(), members, n)
+    found = multiset_scan(candidates, ring.one, ring.mul_rows(), members, n)[0]
     if found is None:
         return AbsorbingCheck(holds=True)
     return AbsorbingCheck(
@@ -250,9 +259,9 @@ def is_strongly_n_absorbing(
     ]
     # rows of the registry's product over ideal ids, filled on first use
     table = LazyRow(lambda _, a: LazyRow(space.product, a), None)
-    found, _ = multiset_scan(
+    found = multiset_scan(
         [ids[p] for p in positions], space.full_id, table, inside, n
-    )
+    )[0]
     if found is None:
         return AbsorbingCheck(holds=True)
     return AbsorbingCheck(

@@ -63,10 +63,15 @@ from .polys import (
     display_mono,
     display_poly,
     make_poly,
-    monomials_up_to,
     parse_poly,
 )
-from .rings import DEFAULT_ORDER_CAP, FiniteRing, ZmodRing, parse_ring_spec
+from .rings import (
+    DEFAULT_ORDER_CAP,
+    FiniteRing,
+    ZmodRing,
+    monomials_up_to,
+    parse_ring_spec,
+)
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,7 @@ from .polys import (
     Polynomial,
     _residue_table,
     constant_poly,
-    content,
     make_poly,
-    monomials_up_to,
     poly_mul,
 )
 from .rings import (
@@ -71,12 +69,12 @@ from .rings import (
     QuotientRing,
     ZmodRing,
     coset_minima,
+    monomials_up_to,
 )
 
 __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_SAMPLE",
-    "dm_exponent",
     "SearchOutcome",
     "gaussian_search",
     "armendariz_search",
@@ -109,12 +107,6 @@ def _content_ids(f: Polynomial, g: Polynomial):
     cg = space.id_of_coeffs(g.coefficients())
     cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
     return space, cf, cg, cfg
-
-
-def dm_exponent(f: Polynomial, g: Polynomial, cap: int = DEFAULT_CAP) -> Optional[int]:
-    """Least n >= 1 with c(f)^n c(g) = c(f)^(n-1) c(fg); None past cap."""
-    space, cf, cg, cfg = _content_ids(f, g)
-    return space.dm_exponent(cf, cg, cfg, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +437,7 @@ def dm_exponent_table(
     sample: int = DEFAULT_SAMPLE,
     seed: int = 0,
 ) -> DmTable:
-    """dm_exponent over all (f, g) pairs, or a seeded sample over budget;
+    """The DM exponent over all (f, g) pairs, or a seeded sample over budget;
     a fold over the groups of ``_pair_groups``, which weight the counts.
 
     bound_holds reports the univariate classical bound l <= deg(g)+1 (with
@@ -694,16 +686,18 @@ def certify_content_product(
         raise ValueError("product of the polynomials does not lie in I[X]")
 
     space = ideal_space(ring)
+    content_ids = [space.id_of_coeffs(f.coefficients()) for f in fs]
+    tails = [space.id_of_coeffs(s.coefficients()) for s in suffix]
     exponents: list[int] = []
     for i in range(len(fs) - 1):
-        l = dm_exponent(fs[i], suffix[i + 1], cap)
+        # f_i times suffix[i + 1] is suffix[i]
+        l = space.dm_exponent(content_ids[i], tails[i + 1], tails[i], cap)
         if l is None:
             raise CapExceededError(
                 f"dm exponent of factor {i} not found within cap {cap}"
             )
         exponents.append(l)
 
-    content_ids = [space.id_of_coeffs(f.coefficients()) for f in fs]
     chain_ok, final_ok = _peel(space, content_ids, exponents, members)
     return ContainmentCertificate(
         ideal=ideal,
@@ -885,7 +879,7 @@ def verify_poly_omega(
     witness = None
     if sweep.exhaustive:
         cands = [reduce(coeffs) for coeffs, _ in adm]
-        found, checked = multiset_scan(cands, one, table, inside, n)
+        found, checked, _ = multiset_scan(cands, one, table, inside, n)
         if found is not None:
             witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
     else:
@@ -982,8 +976,9 @@ def gaussian_iff_armendariz_quotients(
     forward: Optional[bool] = None
     if g_out.found:
         f, g = g_out.witness
-        prod_content = content(poly_mul(f, g))
-        q = quotients.get(prod_content.elements)
+        space, _, _, cfg = _content_ids(f, g)
+        prod_content = space.set_of(cfg)
+        q = quotients.get(prod_content)
         forward = False
         if q is not None:
             fq = project_poly(q, f)
@@ -992,7 +987,7 @@ def gaussian_iff_armendariz_quotients(
             image_zero = cfg == space.zero_id
             nonzero = space.product(cf, cg) != space.zero_id
             row_found = any(
-                out.found for ideal, out in rows if ideal.elements == prod_content.elements
+                out.found for ideal, out in rows if ideal.elements == prod_content
             )
             forward = image_zero and nonzero and row_found
 

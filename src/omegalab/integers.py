@@ -11,18 +11,20 @@ honestly with integer coefficient arithmetic, never shortcut through the
 content identity they are meant to test. They are expanded in (Z/m)[X],
 coefficients reduced mod m, which decides membership in mZ[X] exactly
 (the proof sketch is on ``conjecture_check_int``). The report's drawn
-counts the raw draws in sampled mode and the multisets walked in
-exhaustive mode.
+counts the raw draws in sampled mode; in exhaustive mode it counts the
+multisets up to the first violation in ``combinations_with_replacement``
+order, read off the pruned ``absorbing.multiset_scan`` walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .absorbing import violates
+from .absorbing import multiset_scan, violates
 from .content_checks import DEFAULT_BUDGET, plan_sweep, uniform_draws
 from .polys import _residue_table
 from .rings import LazyRow
@@ -131,8 +133,9 @@ class IntConjectureReport:
     property, where n = Omega(m). witness_valid re-verifies the prime
     factorization as a tuple of constant polynomials. checked counts the
     qualifying tuples (product actually in mZ[X]) whose subproducts were
-    examined; drawn counts raw draws in sampled mode and the multisets
-    walked in exhaustive mode.
+    examined; drawn counts raw draws in sampled mode and, in exhaustive
+    mode, the multisets up to and including the violation (all of them
+    when there is none) in ``combinations_with_replacement`` order.
     """
 
     modulus: int
@@ -148,8 +151,8 @@ class IntConjectureReport:
 
 
 def _convolve(fa: Sequence[int], fb: Sequence[int]) -> list[int]:
-    """Product of two coefficient tuples, constant term first; fb, the
-    candidate factor in the walk, is the shorter one there."""
+    """Product of two coefficient tuples, constant term first; fb, mostly
+    a candidate factor in the scan, is the shorter one there."""
     if not fa or not fb:
         return []
     out = [0] * (len(fa) + len(fb) - 1)
@@ -182,47 +185,24 @@ def _mod_table(m: int):
     return _residue_table(LazyRow(lambda _, c: c % m, None), 0, 1, _convolve)
 
 
-def _walk(
-    cands: Sequence[int], one: int, table, inside, n: int
-) -> tuple[Optional[tuple[int, ...]], int, int]:
-    """First violating (n+1)-multiset of candidate ids, as positions, with
-    checked and drawn; one, table and inside as for absorbing.violates.
+def _lex_rank(found: Optional[Sequence[int]], count: int, n: int) -> int:
+    """1-based rank of found among the (n+1)-multisets of count positions
+    in lex (``combinations_with_replacement``) order; their number when
+    found is None.
 
-    The multisets are walked in ``combinations_with_replacement`` order as
-    a prefix tree: the product of the first t factors is kept, so each
-    multiset costs one table lookup, and violates runs only on the
-    multisets whose product is inside. drawn counts the multisets walked
-    and checked those with their product inside, both up to and including
-    the violation. Unlike absorbing.multiset_scan, no prefix whose product
-    is inside is cut: every completion of it still counts as checked."""
-    count = len(cands)
-    chosen = [0] * (n + 1)
-    checked = drawn = 0
-
-    def rec(start: int, depth: int, acc: int) -> Optional[tuple[int, ...]]:
-        # chosen[:depth] multiplies to acc; the next factor runs over
-        # cands[start:]
-        nonlocal checked, drawn
-        row = table[acc]
-        if depth == n:
-            hits = [ci for ci in range(start, count) if row[cands[ci]] in inside]
-            for ci in hits:
-                checked += 1
-                chosen[n] = ci
-                if violates([cands[c] for c in chosen], one, table, inside):
-                    drawn += ci - start + 1
-                    return tuple(chosen)
-            drawn += count - start
-            return None
-        for ci in range(start, count):
-            chosen[depth] = ci
-            found = rec(ci, depth + 1, row[cands[ci]])
-            if found is not None:
-                return found
-        return None
-
-    found = rec(0, 0, one)
-    return found, checked, drawn
+    A multiset before found agrees with it on the first t positions and is
+    smaller at position t. With c_(-1) = 0 and k_t = n - t, the
+    non-decreasing tails of k_t + 1 positions that start at c or later
+    number C(count - c + k_t, k_t + 1), so position t adds
+    C(count - c_(t-1) + k_t, k_t + 1) - C(count - c_t + k_t, k_t + 1)."""
+    if found is None:
+        return math.comb(count + n, n + 1)
+    rank, prev = 1, 0
+    for t, c in enumerate(found):
+        k = n - t
+        rank += math.comb(count - prev + k, k + 1) - math.comb(count - c + k, k + 1)
+        prev = c
+    return rank
 
 
 def conjecture_check_int(
@@ -235,13 +215,22 @@ def conjecture_check_int(
 ) -> IntConjectureReport:
     """Exhaustive box sweep when it fits the budget, else seeded sampling.
 
-    The exhaustive sweep walks every multiset of box polynomials outside
-    mZ[X] (the k-tuples of ``combinations_with_replacement``, in its
-    order) as a prefix tree, so each multiset costs one product. Sampling
-    alternates uniform draws over the coefficient box (rejecting tuples
-    whose product misses mZ[X]) with constructed draws that scale a random
-    tuple by a random split of the prime factorization, so that qualifying
-    tuples are actually exercised.
+    The exhaustive sweep runs ``absorbing.multiset_scan`` over the box
+    polynomials outside mZ[X] and reports the counts of the walk that
+    prunes nothing. drawn, the multisets up to and including the first
+    violation in ``combinations_with_replacement`` order, is its lex rank
+    (``_lex_rank``). checked, those of them with product in mZ[X], is
+    drawn - leaves + inside_leaves. Each multiset up to the violation
+    either has a prefix of 1..n factors in mZ[X] or is a leaf the scan
+    tried. The scan cut the first kind: its product lies in mZ[X], and it
+    cannot violate, since omitting a factor outside the prefix leaves an
+    n-subproduct in mZ[X]. So drawn - leaves multisets were cut, all of
+    them qualify, and the violation, a leaf, is the one the scan finds.
+
+    Sampling alternates uniform draws over the coefficient box (rejecting
+    tuples whose product misses mZ[X]) with constructed draws that scale a
+    random tuple by a random split of the prime factorization, so that
+    qualifying tuples are actually exercised.
 
     Every product is taken in (Z/m)[X] (``polys._residue_table``
     with c -> c mod m): reduction mod m is a ring homomorphism
@@ -286,10 +275,11 @@ def conjecture_check_int(
             if cid not in inside:
                 box.append(coeffs)
                 cands.append(cid)
-        found, checked, drawn = _walk(cands, one, table, inside, n)
+        found, leaves, inside_leaves = multiset_scan(cands, one, table, inside, n)
+        drawn = _lex_rank(found, len(cands), n)
         if found is not None:
             found = [box[c] for c in found]
-        return report(found, checked, drawn)
+        return report(found, drawn - leaves + inside_leaves, drawn)
 
     checked = drawn = 0
     rng = random.Random(sweep.seed)

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over a finite ring, and content ideals.
+"""Sparse multivariate polynomials over a finite ring.
 
 A polynomial in k variables is a finite map from exponent vectors in N^k to
 nonzero coefficient indices, stored as a tuple of (exponent, coefficient)
@@ -17,31 +17,21 @@ Examples over zmod:12 in one variable: "2+4x" is 2 + 4X; over two variables
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import SpecParseError
-from .ideals import Ideal, ideal_from_generators
-from .rings import FiniteRing, LazyRow, take_digits, var_names
+from .rings import FiniteRing, LazyRow, grlex_key, take_digits, var_names
 
 __all__ = [
     "Polynomial",
     "make_poly",
     "constant_poly",
     "poly_mul",
-    "content",
-    "monomials_up_to",
-    "grlex_key",
     "parse_poly",
     "display_mono",
     "display_poly",
 ]
-
-
-def grlex_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Graded-lex sort key: total degree first, then the exponent tuple."""
-    return (sum(exp), exp)
 
 
 @dataclass(frozen=True)
@@ -113,22 +103,6 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ValueError("polynomials from different rings or variable counts")
     product = _poly_dict_mul(a.ring, a.as_dict(), b.as_dict())
     return make_poly(a.ring, a.num_vars, product)
-
-
-def content(f: Polynomial) -> Ideal:
-    """The ideal generated by the coefficients of f."""
-    return ideal_from_generators(f.ring, f.coefficients())
-
-
-def monomials_up_to(num_vars: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of total degree <= max_deg, graded-lex sorted."""
-    monos = [
-        m
-        for m in itertools.product(range(max_deg + 1), repeat=num_vars)
-        if sum(m) <= max_deg
-    ]
-    monos.sort(key=grlex_key)
-    return tuple(monos)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ __all__ = [
     "QuotientRing",
     "AxiomReport",
     "coset_minima",
+    "grlex_key",
+    "monomials_up_to",
     "make_zmod",
     "make_product",
     "make_truncated_local",
@@ -266,7 +268,7 @@ class TruncatedLocalRing(FiniteRing):
     """
 
     def __init__(self, p: int, k: int, e: int):
-        monos = _monomials_below(k, e)
+        monos = monomials_up_to(k, e - 1)
         order = p ** len(monos)
         super().__init__(order, f"trunc:p={p},vars={k},nil={e}", 0, 1)
         self.p = p
@@ -636,10 +638,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _monomials_below(k: int, e: int) -> tuple[tuple[int, ...], ...]:
-    monos = [m for m in itertools.product(range(e), repeat=k) if sum(m) < e]
-    monos.sort(key=lambda m: (sum(m), m))
-    return tuple(monos)
+def grlex_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded-lex sort key: total degree first, then the exponent tuple."""
+    return (sum(exp), exp)
+
+
+def monomials_up_to(num_vars: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent vectors of total degree <= max_deg, graded-lex sorted."""
+    monos = itertools.product(range(max_deg + 1), repeat=num_vars)
+    return tuple(sorted((m for m in monos if sum(m) <= max_deg), key=grlex_key))
 
 
 def make_truncated_local(
@@ -652,7 +659,7 @@ def make_truncated_local(
         raise RingConstructionError(f"vars must be >= 1, got {k}")
     if e < 2:
         raise RingConstructionError(f"nil exponent must be >= 2, got {e}")
-    count = len(_monomials_below(k, e))
+    count = len(monomials_up_to(k, e - 1))
     order = p**count
     if order > order_cap:
         raise RingConstructionError(f"order {order} exceeds cap {order_cap}")

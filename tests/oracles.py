@@ -48,8 +48,8 @@ from omegalab.integers import (
     int_poly,
     omega_int,
 )
-from omegalab.polys import _poly_dict_mul, monomials_up_to
-from omegalab.rings import FiniteRing
+from omegalab.polys import _poly_dict_mul
+from omegalab.rings import FiniteRing, monomials_up_to
 
 
 def generic_closure(ring, gens: Iterable[int]) -> frozenset[int]:
@@ -294,8 +294,9 @@ def reference_certify_sweep(
 
 def reference_multiset_scan(
     candidates: Sequence, one, table, inside, n: int
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """First violating (n+1)-multiset over candidates, and the leaves tried.
+) -> tuple[Optional[tuple[int, ...]], int, int]:
+    """First violating (n+1)-multiset over candidates, the leaves tried,
+    and the leaves tried whose product lies in I.
 
     table[a][b] is the product of a and b, where a is a partial product and
     b a candidate or a partial product; one is the empty product, and
@@ -304,7 +305,7 @@ def reference_multiset_scan(
     Multisets are walked as non-decreasing position tuples in lex order and
     a prefix whose product lies in I is cut, so the first violation is the
     lexicographically least. Returns (candidate positions or None, number
-    of (n+1)-th factors tried).
+    of (n+1)-th factors tried, number of those whose product lies in I).
 
     The scan multiset_scan replaced: each last factor is tried in turn and
     a hit is checked subproduct by subproduct (``leaf_ok``), so partial
@@ -313,7 +314,7 @@ def reference_multiset_scan(
     count = len(candidates)
     chosen = [0] * (n + 1)
     prefix = [one] * (n + 1)  # prefix[t] = product of the first t chosen
-    leaves = 0
+    leaves = inside_leaves = 0
 
     def leaf_ok() -> bool:
         # the full product is in I; reject unless every n-subproduct is out
@@ -327,11 +328,12 @@ def reference_multiset_scan(
         return True
 
     def rec(start: int, depth: int) -> Optional[tuple[int, ...]]:
-        nonlocal leaves
+        nonlocal leaves, inside_leaves
         row = table[prefix[depth]]
         if depth == n:
             for ci in range(start, count):
                 if row[candidates[ci]] in inside:
+                    inside_leaves += 1
                     chosen[n] = ci
                     if leaf_ok():
                         leaves += ci - start + 1
@@ -348,7 +350,7 @@ def reference_multiset_scan(
                     return found
         return None
 
-    return rec(0, 0), leaves
+    return rec(0, 0), leaves, inside_leaves
 
 
 class _PolyRow:
@@ -438,7 +440,7 @@ def reference_poly_omega(
     witness = None
     if sweep.exhaustive:
         cands = [as_dict(coeffs) for coeffs, _ in adm]
-        found, checked = reference_multiset_scan(cands, one, table, in_ix, n)
+        found, checked, _ = reference_multiset_scan(cands, one, table, in_ix, n)
         if found is not None:
             witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
     else:

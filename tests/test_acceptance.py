@@ -23,10 +23,15 @@ from omegalab.content_checks import (
     gaussian_search,
     verify_poly_omega,
 )
-from omegalab.ideals import all_ideals, ideal_from_generators, is_radical_ideal
+from omegalab.ideals import (
+    all_ideals,
+    ideal_from_generators,
+    ideal_space,
+    is_radical_ideal,
+)
 from omegalab.integers import conjecture_check_int, int_poly, omega_int
-from omegalab.polys import content, display_poly, make_poly, monomials_up_to, poly_mul
-from omegalab.rings import make_zmod, parse_ring_spec
+from omegalab.polys import display_poly, make_poly, poly_mul
+from omegalab.rings import make_zmod, monomials_up_to, parse_ring_spec
 
 
 def _check(number: int, title: str, fn) -> None:
@@ -128,6 +133,7 @@ def test_criterion_05_principal_content_factorization():
     def run():
         z12 = make_zmod(12)
         slots = monomials_up_to(1, 2)
+        space = ideal_space(z12)
         count = 0
         for coeffs in itertools.product(range(12), repeat=3):
             if coeffs == (0, 0, 0):
@@ -139,12 +145,12 @@ def test_criterion_05_principal_content_factorization():
             )
             if scaled.terms != g.terms:
                 return False, f"zmod:12 reconstruction failed for {display_poly(g)}"
-            if content(fact.unit_part).elements != frozenset(range(12)):
+            if space.id_of_coeffs(fact.unit_part.coefficients()) != space.full_id:
                 return False, f"zmod:12 content not full for {display_poly(g)}"
             count += 1
         big = make_zmod(360)
         rng = random.Random(360)
-        full = frozenset(range(360))
+        space = ideal_space(big)
         for _ in range(1000):
             coeffs = [rng.randrange(360) for _ in range(rng.randrange(1, 4))]
             if all(c == 0 for c in coeffs):
@@ -154,7 +160,8 @@ def test_criterion_05_principal_content_factorization():
             scaled = poly_mul(
                 fact.unit_part, make_poly(big, 1, {(0,): fact.b})
             )
-            if scaled.terms != g.terms or content(fact.unit_part).elements != full:
+            unit_content = space.id_of_coeffs(fact.unit_part.coefficients())
+            if scaled.terms != g.terms or unit_content != space.full_id:
                 return False, f"zmod:360 invariant failed for {display_poly(g)}"
         return True, f"{count} polynomials over zmod:12, 1000 seeded over zmod:360"
 

@@ -18,7 +18,6 @@ from omegalab.content_checks import (
     bezout_factor,
     certify_content_product,
     certify_pair_sweep,
-    dm_exponent,
     dm_exponent_table,
     gaussian_iff_armendariz_quotients,
     gaussian_search,
@@ -36,14 +35,17 @@ from omegalab.ideals import (
     quotient_by,
 )
 from omegalab.polys import (
-    content,
     display_poly,
     make_poly,
-    monomials_up_to,
     parse_poly,
     poly_mul,
 )
-from omegalab.rings import make_product, make_truncated_local, make_zmod
+from omegalab.rings import (
+    make_product,
+    make_truncated_local,
+    make_zmod,
+    monomials_up_to,
+)
 
 Z4 = make_zmod(4)
 Z6 = make_zmod(6)
@@ -86,6 +88,12 @@ def test_content_space_interning():
 
 # ---------------------------------------------------------------------------
 # peeling exponents
+
+
+def dm_exponent(f, g, cap=content_checks.DEFAULT_CAP):
+    """Least n >= 1 with c(f)^n c(g) = c(f)^(n-1) c(fg); None past cap."""
+    space, cf, cg, cfg = content_checks._content_ids(f, g)
+    return space.dm_exponent(cf, cg, cfg, cap)
 
 
 def test_dm_exponent_examples():
@@ -305,7 +313,8 @@ def _check_factorization(g, fact):
     scaled = poly_mul(fact.unit_part,
                       make_poly(ring, g.num_vars, {(0,) * g.num_vars: fact.b}))
     assert scaled.terms == g.terms
-    assert content(fact.unit_part).elements == frozenset(range(ring.order))
+    space = ideal_space(ring)
+    assert space.id_of_coeffs(fact.unit_part.coefficients()) == space.full_id
 
 
 def test_bezout_exhaustive_z12_deg1():
@@ -368,6 +377,23 @@ def test_certify_three_factors():
     cert = certify_content_product(zero, fs)
     assert cert.exponents == (1, 1)
     assert cert.chain_containment and cert.final_containment
+
+
+def test_certify_multiplies_each_suffix_once(monkeypatch):
+    """m factors take m - 1 products: the suffix products, whose content
+    ids give every c(f_i g) of the peeling exponents."""
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return poly_mul(f, g)
+
+    monkeypatch.setattr(content_checks, "poly_mul", counted)
+    z30 = make_zmod(30)
+    fs = [parse_poly(z30, 1, t) for t in ("2x", "3x", "5")]
+    cert = certify_content_product(ideal_from_generators(z30, ()), fs)
+    assert cert.exponents == (1, 1)
+    assert len(calls) == 2
 
 
 def test_certify_requires_qualifying_product():

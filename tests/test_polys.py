@@ -5,15 +5,12 @@ import pytest
 from omegalab.errors import SpecParseError
 from omegalab.ideals import ideal_space
 from omegalab.polys import (
-    constant_poly,
-    content,
     display_poly,
     make_poly,
-    monomials_up_to,
     parse_poly,
     poly_mul,
 )
-from omegalab.rings import make_truncated_local, make_zmod
+from omegalab.rings import make_truncated_local, make_zmod, monomials_up_to
 
 Z4 = make_zmod(4)
 Z6 = make_zmod(6)
@@ -29,6 +26,16 @@ def test_zero_divisor_product_over_z6():
     f = parse_poly(Z6, 1, "2x")
     g = parse_poly(Z6, 1, "3x")
     assert poly_mul(f, g).is_zero
+
+
+def test_high_degree_sparse_square():
+    """poly_mul costs the product of the term counts, whatever the degree.
+    The dense row kernel, ``content_checks._convolver``, would keep a
+    position table over the 3,321 monomials of degree <= 80 in two
+    variables: 11 million entries for this one square."""
+    f = parse_poly(Z12, 2, "x^20*y^20+1")
+    square = poly_mul(f, f)
+    assert square.terms == (((0, 0), 1), ((20, 20), 2), ((40, 40), 1))
 
 
 def test_multivariate_mul_char2():
@@ -97,9 +104,10 @@ def test_monomials_up_to():
 
 
 def test_content_ideal():
-    f = parse_poly(Z12, 1, "2+4x")
-    assert sorted(content(f).elements) == [0, 2, 4, 6, 8, 10]
-    assert sorted(content(constant_poly(Z12, 0)).elements) == [0]
+    space = ideal_space(Z12)
+    for text, want in (("2+4x", [0, 2, 4, 6, 8, 10]), ("0", [0])):
+        cid = space.id_of_coeffs(parse_poly(Z12, 1, text).coefficients())
+        assert sorted(space.set_of(cid)) == want
 
 
 def test_content_subset_property_exhaustive_small():

@@ -46,8 +46,8 @@ from omegalab.ideals import (
     ideal_space,
     quotient_by,
 )
-from omegalab.integers import _mod_table, _walk, conjecture_check_int, omega_int
-from omegalab.polys import _residue_table, make_poly, monomials_up_to, poly_mul
+from omegalab.integers import _lex_rank, _mod_table, conjecture_check_int, omega_int
+from omegalab.polys import _residue_table, make_poly, poly_mul
 from omegalab.rings import (
     AxiomReport,
     LazyRow,
@@ -55,6 +55,7 @@ from omegalab.rings import (
     _additive_generators,
     _axiom_scan,
     coset_minima,
+    monomials_up_to,
     parse_ring_spec,
     verify_ring_axioms,
 )
@@ -211,7 +212,7 @@ def test_residue_scan_finds_element_witness(spec, gens, witness):
     reduce, one, table, inside = _residue_table(
         coset_minima(ring, ideal.elements), ring.zero, ring.one, convolve
     )
-    found, _ = multiset_scan([reduce((x,)) for x in cands], one, table, inside, n)
+    found = multiset_scan([reduce((x,)) for x in cands], one, table, inside, n)[0]
     assert found is not None
     got = tuple(cands[i] for i in found)
     assert got == is_n_absorbing(ideal, n).violation == witness
@@ -259,7 +260,8 @@ def scan_inputs(ideal, kind: str, n: int):
 @given(st.sampled_from(SCAN_FAMILY))
 def test_multiset_scan_matches_reference(spec):
     """The hit-mask scan against the per-candidate leaf scan, in the first
-    violation and the leaves tried, for n = 1 up to omega(I), where the
+    violation, the leaves tried and those of them whose product lies in I,
+    for n = 1 up to omega(I), where the
     reference element scan first finds nothing; below omega(I) the class
     scan finds a violation too, so the found path is compared."""
     ring = ring_of(spec)
@@ -328,19 +330,21 @@ def test_int_leg_exhaustive_counts(m, checked, drawn):
     [(12, (-3, -2, -2), 1, 7), (18, (-3, -3, -2), 1, 2), (8, (-2, -2, -2), 1, 22)],
 )
 def test_int_walk_finds_constant_witness(m, witness, checked, drawn):
-    """The found path of the integer walk, which no input of
+    """The found path of the integer leg's counts, which no input of
     conjecture_check_int reaches (Z is a PID, so the degree identity
     holds): over the constants of height 3 and n = Omega(m) - 1 factors,
-    the walk returns the violation, checked and drawn of the expanding
-    loop over ``combinations_with_replacement``."""
+    multiset_scan with drawn = _lex_rank(found) and checked = drawn -
+    leaves + inside_leaves gives the violation, checked and drawn of the
+    expanding loop over ``combinations_with_replacement``."""
     n = omega_int(m).value - 1
     consts = [c for c in range(-3, 4) if c % m]
     reduce, one, table, inside = _mod_table(m)
-    found, got_checked, got_drawn = _walk(
+    found, leaves, inside_leaves = multiset_scan(
         [reduce((c,)) for c in consts], one, table, inside, n
     )
     assert found is not None
-    got = (tuple(consts[i] for i in found), got_checked, got_drawn)
+    drawn = _lex_rank(found, len(consts), n)
+    got = (tuple(consts[i] for i in found), drawn - leaves + inside_leaves, drawn)
 
     polys = _box_polys(0, 3, m)
     ref_checked = ref_drawn = 0
@@ -354,6 +358,18 @@ def test_int_walk_finds_constant_witness(m, witness, checked, drawn):
                 break
     expected = (tuple(p.coefficients()[0] for p in tup), ref_checked, ref_drawn)
     assert got == expected == (witness, checked, drawn)
+
+
+def test_lex_rank_matches_enumeration_order():
+    """_lex_rank is the 1-based position of a multiset in the order of
+    ``combinations_with_replacement`` (every multiset of up to 8 positions
+    and 4 factors), and None ranks as the last."""
+    for count in range(1, 9):
+        for n in range(4):
+            combos = itertools.combinations_with_replacement(range(count), n + 1)
+            for rank, combo in enumerate(combos, 1):
+                assert _lex_rank(combo, count, n) == rank, (combo, count)
+            assert _lex_rank(None, count, n) == rank
 
 
 KERNEL_RINGS = [
