@@ -17,7 +17,11 @@ planned by ``plan_sweep``: exhaustive when the caller's enumeration fits
 the budget, else seeded draws (``uniform_draws``), with mode and seed
 recorded. The DM table and the certify sweep fold over one table of
 pairs grouped by content ids (``_pair_groups``), one per ring when
-exhaustive, so the orbit pairs are walked once for all of them.
+exhaustive, so the orbit pairs are walked once for all of them. Every
+exhaustive pair sweep multiplies each unordered pair of unit orbits
+({u*f : u a unit}, ``_unit_orbits``) once, as fg = gf and scaling by
+units changes no content: the table folds each product into the keys of
+both orders, and the searches memoize each verdict along their walk.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
 omega, over bounded polynomials of R[X], each held as the id of the unit
 class of its residue polynomial in (R/I)[X] (``polys._residue_table``,
@@ -29,7 +33,8 @@ once per call.
 
 Search enumeration order is fixed: coefficient tuples over the graded-lex
 slot list, ascending lexicographically; pairs run f <= g (both predicates
-are symmetric), so a returned witness is the canonically first one.
+are symmetric), so a returned witness is the canonically first one, and
+checked counts the pairs of that walk.
 Searches skip polynomials whose content is zero (or contained in the target
 ideal) and polynomials with unit content; both skips are sound because such
 polynomials can never appear in a violation (the first kind forces every
@@ -47,15 +52,7 @@ from typing import Callable, Optional, Sequence
 
 from .absorbing import DEFAULT_CAP, OmegaResult, multiset_scan, omega, violates
 from .errors import CapExceededError, UnsupportedRingError
-from .ideals import (
-    DEFAULT_LATTICE_CAP,
-    Ideal,
-    IdealSpace,
-    all_ideals,
-    ideal_space,
-    is_radical_ideal,
-    quotient_by,
-)
+from .ideals import Ideal, IdealSpace, ideal_space, is_radical_ideal
 from .polys import (
     Polynomial,
     _residue_table,
@@ -66,7 +63,6 @@ from .polys import (
 from .rings import (
     FiniteRing,
     ProductRing,
-    QuotientRing,
     ZmodRing,
     coset_minima,
     monomials_up_to,
@@ -90,23 +86,10 @@ __all__ = [
     "certify_pair_sweep",
     "PolyOmegaReport",
     "verify_poly_omega",
-    "QuotientAgreementReport",
-    "gaussian_iff_armendariz_quotients",
-    "project_poly",
-    "lift_poly",
 ]
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLE = 10000
-
-
-def _content_ids(f: Polynomial, g: Polynomial):
-    """(space, c(f), c(g), c(fg)) with the contents as ids of f's ring."""
-    space = ideal_space(f.ring)
-    cf = space.id_of_coeffs(f.coefficients())
-    cg = space.id_of_coeffs(g.coefficients())
-    cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
-    return space, cf, cg, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +181,20 @@ def uniform_draws(getrandbits, n: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unit_orbits(ring: FiniteRing, length: int) -> list[tuple[tuple, int]]:
-    """(f, |O(f)|) for each orbit O(f) = {u*f : u a unit} of coefficient
-    tuples of the given length, f the lex-least tuple of its orbit, in lex
-    order.
+def _unit_orbits(
+    ring: FiniteRing, tuples: Sequence[tuple]
+) -> tuple[list[tuple], list[int], list[int]]:
+    """(reps, weights, orbit): the orbits O(f) = {u*f : u a unit} that
+    partition the coefficient tuples, each by its first tuple f in reps
+    and |O(f)| in weights, in order of first tuple, and orbit[k] the index
+    of the orbit of tuples[k]. The tuples must be closed under units; in
+    lex order, each f is the lex-least tuple of its orbit.
 
     Scaling by units changes nothing a pair sweep reads: for units u and v,
-    c(uf) = c(f), c(uf*vg) = c(uv*fg) = c(fg), uv*fg lies in I[X] exactly
-    when fg does, and uf has the support (so the degree) of f. Every
-    per-pair value is therefore constant on O(f) x O(g), and a count over
-    all pairs is the sum over representative pairs weighted by
+    c(uf) = c(f), c(uf*vg) = c(uv*fg) = c(fg), uv*fg lies in I[X] (is zero)
+    exactly when fg does, and uf has the support (so the degree) of f.
+    Every per-pair value is therefore constant on O(f) x O(g), and a count
+    over all pairs is the sum over representative pairs weighted by
     |O(f)|*|O(g)|. A representative pair also comes first among the pairs
     with any such property: if (f, g) has it, so does (min O(f), min O(g)),
     which is no larger in the lex order of pairs. So the first pair at the
@@ -215,14 +202,16 @@ def _unit_orbits(ring: FiniteRing, length: int) -> list[tuple[tuple, int]]:
     and the sweeps report the witnesses of the full walk."""
     rows = ring.mul_rows()
     unit_rows = [rows[u] for u in sorted(ring.units())]
-    seen: set[tuple] = set()
-    orbits = []
-    for f in itertools.product(range(ring.order), repeat=length):
-        if f not in seen:
+    index: dict[tuple, int] = {}
+    reps: list[tuple] = []
+    weights: list[int] = []
+    for f in tuples:
+        if f not in index:
             orbit = {tuple(row[c] for c in f) for row in unit_rows}
-            seen |= orbit
-            orbits.append((f, len(orbit)))
-    return orbits
+            index.update(dict.fromkeys(orbit, len(reps)))
+            reps.append(f)
+            weights.append(len(orbit))
+    return reps, weights, [index[f] for f in tuples]
 
 
 def plan_sweep(
@@ -304,7 +293,20 @@ def _pair_search(
     sample: int,
     seed: int,
 ) -> SearchOutcome:
-    """Exhaustive over unordered admissible pairs when they fit the budget."""
+    """Exhaustive over unordered admissible pairs when they fit the budget,
+    in the lex order of combinations_with_replacement, so checked counts
+    the pairs up to the first violation and that pair is the witness.
+
+    The exhaustive walk decides each unordered pair of unit orbits once
+    and reads the memoized verdict for every later pair of those orbits.
+    Both predicates read a pair only through c(f), c(g) and fg: by
+    ``_unit_orbits`` a verdict is constant on O(f) x O(g), as c(uf) = c(f),
+    c(uf*vg) = c(fg) and uv*fg = 0 exactly when fg = 0; and fg = gf with
+    c(f)c(g) = c(g)c(f), so it is the verdict on O(g) x O(f) too. Units
+    preserve contents, so the admissible tuples are closed under units and
+    their orbits partition them. The walk itself is unchanged, so checked
+    and the witness are those of the unmemoized walk. Sampled draws are
+    decided one by one."""
     slots, convolve = _convolver(ring, num_vars, max_deg)
     space = ideal_space(ring)
     zero = frozenset({ring.zero})
@@ -312,15 +314,28 @@ def _pair_search(
         ring, slots, zero, lambda a: a * (a + 1) // 2, budget, sample, seed
     )
 
-    pairs = (
-        itertools.combinations_with_replacement(adm, 2)
-        if sweep.exhaustive
-        else _admissible_draws(sweep, ring, slots, 2, zero)
-    )
+    if sweep.exhaustive:
+        _, _, orbit = _unit_orbits(ring, [t for t, _ in adm])
+        pairs = itertools.combinations_with_replacement(
+            [(t, c, o) for (t, c), o in zip(adm, orbit)], 2
+        )
+    else:
+        pairs = (
+            tuple((t, c, None) for t, c in draw)
+            for draw in _admissible_draws(sweep, ring, slots, 2, zero)
+        )
+    verdicts: dict[tuple[int, int], bool] = {}  # by unordered orbit pair
     checked = 0
-    for (fa, ca), (fb, cb) in pairs:
+    for (fa, ca, oa), (fb, cb, ob) in pairs:
         checked += 1
-        if is_violation(space, convolve(fa, fb), ca, cb):
+        if oa is None:  # a sampled draw
+            hit = is_violation(space, convolve(fa, fb), ca, cb)
+        else:
+            key = (oa, ob) if oa <= ob else (ob, oa)
+            hit = verdicts.get(key)
+            if hit is None:
+                hit = verdicts[key] = is_violation(space, convolve(fa, fb), ca, cb)
+        if hit:
             witness = _to_polys(ring, num_vars, slots, sorted((fa, fb)))
             return SearchOutcome(True, witness, sweep.mode, checked, sweep.seed)
     return SearchOutcome(False, None, sweep.mode, checked, sweep.seed)
@@ -385,7 +400,19 @@ def _pair_groups(
     the DM exponent, the peel, the degree bound, and whether fg lies in
     I[X], which holds exactly when c(fg) <= I as I is an ideal. So a count
     is a sum of weights, and the first pair with such a property is the
-    first pair of the first group with it: earlier groups start earlier."""
+    first pair of the first group with it: earlier groups start earlier.
+
+    The exhaustive walk over the K representatives f_0 < .. < f_(K-1) is
+    that of the ordered pairs (f_i, f_j), rank i*K + j. As fg = gf, it
+    multiplies only the pairs i <= j, once each, and folds the product
+    into the keys of both (f_i, f_j) and (f_j, f_i), with the weight
+    |O(f_i)|*|O(f_j)| and the ranks i*K + j and j*K + i. Every ordered
+    pair is folded exactly once, so each group's weight is that of the
+    full walk. A group keeps the least rank folded into it on either path
+    (a mirrored rank j*K + i can open a group before a smaller rank
+    arrives), which is the rank of its first pair in the walk; sorting the
+    groups by it gives them in the walk's order of first pairs. The table
+    holds the representatives and the groups, never one entry per pair."""
     space = ideal_space(ring)
     if sweep.exhaustive and (num_vars, max_deg) in space.pair_groups:
         return space.pair_groups[num_vars, max_deg]
@@ -393,24 +420,48 @@ def _pair_groups(
     slot_degs = [sum(e) for e in slots]
     zero = ring.zero
     id_of = space.id_of_coeffs
-    if sweep.exhaustive:
-        inside = None  # the kept table serves every ideal
-        orbits = _unit_orbits(ring, len(slots))
-        pairs = (((f, g), wf * wg) for f, wf in orbits for g, wg in orbits)
-    else:
-        pairs = ((pair, 1) for pair in sweep.tuples(ring.order, len(slots), 2))
-    groups: dict[tuple[int, int, int, int], list] = {}
-    for (fa, fb), weight in pairs:
-        prod = convolve(fa, fb)
-        if inside is not None and not inside.issuperset(prod):
-            continue
-        last = len(fb) - 1  # graded-lex: the last nonzero slot has deg g
-        while last and fb[last] == zero:
+
+    def degree(f) -> int:
+        last = len(f) - 1  # graded-lex: the last nonzero slot has deg f
+        while last and f[last] == zero:
             last -= 1
-        key = (id_of(fa), id_of(fb), id_of(prod), slot_degs[last])
-        groups.setdefault(key, [0, (fa, fb)])[0] += weight
-    if sweep.exhaustive:
-        space.pair_groups[num_vars, max_deg] = groups
+        return slot_degs[last]
+
+    groups: dict[tuple[int, int, int, int], list] = {}
+    if not sweep.exhaustive:
+        for fa, fb in sweep.tuples(ring.order, len(slots), 2):
+            prod = convolve(fa, fb)
+            if inside is not None and not inside.issuperset(prod):
+                continue
+            key = (id_of(fa), id_of(fb), id_of(prod), degree(fb))
+            groups.setdefault(key, [0, (fa, fb)])[0] += 1
+        return groups
+
+    def fold(key, weight: int, rank: int) -> None:  # key -> [weight, least rank]
+        entry = groups.get(key)
+        if entry is None:
+            groups[key] = [weight, rank]
+        else:
+            entry[0] += weight
+            entry[1] = min(entry[1], rank)
+
+    tuples = list(itertools.product(range(ring.order), repeat=len(slots)))
+    reps, weights, _ = _unit_orbits(ring, tuples)
+    count = len(reps)
+    ids = [id_of(f) for f in reps]
+    degs = [degree(f) for f in reps]
+    for i, fa in enumerate(reps):
+        for j in range(i, count):
+            cfg = id_of(convolve(fa, reps[j]))
+            weight = weights[i] * weights[j]
+            fold((ids[i], ids[j], cfg, degs[j]), weight, i * count + j)
+            if j > i:
+                fold((ids[j], ids[i], cfg, degs[i]), weight, j * count + i)
+    groups = {
+        key: [weight, (reps[rank // count], reps[rank % count])]
+        for key, (weight, rank) in sorted(groups.items(), key=lambda g: g[1][1])
+    }
+    space.pair_groups[num_vars, max_deg] = groups
     return groups
 
 
@@ -893,121 +944,4 @@ def verify_poly_omega(
     return PolyOmegaReport(
         ideal, max_deg, base, witness_valid, witness, sweep.mode, checked,
         sweep.seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# quotient transfer (content multiplicativity vs annihilator condition)
-
-
-def project_poly(quotient: QuotientRing, f: Polynomial) -> Polynomial:
-    """Image of a parent-ring polynomial in the quotient ring."""
-    if f.ring is not quotient.parent:
-        raise ValueError("polynomial does not live in the quotient's parent")
-    project = quotient.project
-    return make_poly(
-        quotient, f.num_vars, {exp: project[c] for exp, c in f.terms}
-    )
-
-
-def lift_poly(quotient: QuotientRing, f: Polynomial) -> Polynomial:
-    """Representative lift of a quotient-ring polynomial to the parent."""
-    if f.ring is not quotient:
-        raise ValueError("polynomial does not live in the quotient ring")
-    reps = quotient.reps
-    return make_poly(
-        quotient.parent, f.num_vars, {exp: reps[c] for exp, c in f.terms}
-    )
-
-
-@dataclass(frozen=True)
-class QuotientAgreementReport:
-    """Bounded two-way transfer between content multiplicativity on R and
-    the annihilator-content condition on every proper quotient R/I.
-
-    forward_verified: a multiplicativity counterexample (f, g) on R was
-    re-verified to project to an annihilating violation over R/c(fg).
-    backward_verified: the first quotient violation found was lifted and
-    re-verified as a multiplicativity counterexample on R. agree summarizes
-    that the bounded verdicts match in both directions.
-    """
-
-    ring: FiniteRing
-    num_vars: int
-    max_deg: int
-    gaussian: SearchOutcome
-    rows: tuple[tuple[Ideal, SearchOutcome], ...]
-    forward_verified: Optional[bool]
-    backward_verified: Optional[bool]
-
-    @property
-    def agree(self) -> bool:
-        any_found = any(out.found for _, out in self.rows)
-        if self.gaussian.found != any_found:
-            return False
-        if self.forward_verified is False or self.backward_verified is False:
-            return False
-        return True
-
-
-def gaussian_iff_armendariz_quotients(
-    ring: FiniteRing,
-    num_vars: int = 1,
-    max_deg: int = 1,
-    budget: int = DEFAULT_BUDGET,
-    sample: int = DEFAULT_SAMPLE,
-    seed: int = 0,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> QuotientAgreementReport:
-    """Run the multiplicativity search on R and the annihilator search on
-    R/I for every proper ideal I; verify the two transfer constructions."""
-    g_out = gaussian_search(ring, num_vars, max_deg, budget, sample, seed)
-    rows: list[tuple[Ideal, SearchOutcome]] = []
-    quotients: dict[frozenset[int], QuotientRing] = {}
-    for ideal in all_ideals(ring, lattice_cap):
-        if not ideal.is_proper:
-            continue
-        q = quotient_by(ideal)
-        quotients[ideal.elements] = q
-        rows.append(
-            (ideal, armendariz_search(q, num_vars, max_deg, budget, sample, seed))
-        )
-
-    forward: Optional[bool] = None
-    if g_out.found:
-        f, g = g_out.witness
-        space, _, _, cfg = _content_ids(f, g)
-        prod_content = space.set_of(cfg)
-        q = quotients.get(prod_content)
-        forward = False
-        if q is not None:
-            fq = project_poly(q, f)
-            gq = project_poly(q, g)
-            space, cf, cg, cfg = _content_ids(fq, gq)
-            image_zero = cfg == space.zero_id
-            nonzero = space.product(cf, cg) != space.zero_id
-            row_found = any(
-                out.found for ideal, out in rows if ideal.elements == prod_content
-            )
-            forward = image_zero and nonzero and row_found
-
-    backward: Optional[bool] = None
-    for ideal, out in rows:
-        if out.found:
-            q = quotients[ideal.elements]
-            fq, gq = out.witness
-            fr = lift_poly(q, fq)
-            gr = lift_poly(q, gq)
-            space, cf, cg, cfg = _content_ids(fr, gr)
-            backward = cfg != space.product(cf, cg) and g_out.found
-            break
-
-    return QuotientAgreementReport(
-        ring=ring,
-        num_vars=num_vars,
-        max_deg=max_deg,
-        gaussian=g_out,
-        rows=tuple(rows),
-        forward_verified=forward,
-        backward_verified=backward,
     )

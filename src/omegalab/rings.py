@@ -14,8 +14,9 @@ structured arithmetic per family:
 
 Each ring builds its operation tables once (``add_rows``/``mul_rows``) and
 keeps them up to TABLE_LIMIT (256), so every scan reads the rows that
-``verify_ring_axioms`` checked; above the limit rows fill lazily and the
-axioms go unchecked. The check runs over an additive generating set G in
+``verify_ring_axioms`` checked (truncated rings build theirs by digit
+arithmetic); above the limit rows fill lazily and the axioms go
+unchecked. The check runs over an additive generating set G in
 O(|G|·n²), and a ring that fails it is rescanned for its first violation. The
 ideal generated by c is ``principal(c)``, the set Rc; c is a unit iff 1 is
 in Rc. Constructors self-test and refuse orders above the configurable cap.
@@ -294,6 +295,41 @@ class TruncatedLocalRing(FiniteRing):
                 digits.append(d)
             self._digit_cache.append(tuple(digits))
         self._names = var_names(k)
+        if order <= TABLE_LIMIT:
+            self._add_rows, self._mul_rows = self._digit_tables()
+
+    def _digit_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The add and mul rows, each row from an earlier one in O(order).
+
+        Let k be the lowest nonzero digit of a > 0 and a' = a - p^k, so a is
+        a' + e_k with e_k the monomial at slot k. Then a + b = a' + (b + e_k),
+        where b + e_k raises digit k of b by one mod p, and a*b = a'*b +
+        e_k*b, where e_k*b moves digit j of b to the slot of the product of
+        monomials k and j, or drops it past the truncation; distinct j give
+        distinct products, so no two digits meet. Both follow from
+        digit-wise addition mod p and bilinearity, so the rows equal those
+        of ``add`` and ``mul``, and ``verify_ring_axioms`` checks them."""
+        p, n, digits = self.p, self.order, self._digit_cache
+        powers = [p**k for k in range(len(self.monomials))]
+        step = [
+            [b - (p - 1) * s if digits[b][k] == p - 1 else b + s for b in range(n)]
+            for k, s in enumerate(powers)
+        ]
+        mono = [
+            [
+                sum(d * powers[pos] for d, pos in zip(digits[b], row) if pos >= 0)
+                for b in range(n)
+            ]
+            for row in self._posmap
+        ]
+        add, mul = [list(range(n))], [[0] * n]
+        for a in range(1, n):
+            k = next(i for i, d in enumerate(digits[a]) if d)
+            add.append([add[a - powers[k]][s] for s in step[k]])
+        for a in range(1, n):
+            k = next(i for i, d in enumerate(digits[a]) if d)
+            mul.append([add[x][y] for x, y in zip(mul[a - powers[k]], mono[k])])
+        return add, mul
 
     def encode(self, digits: Sequence[int]) -> int:
         idx = 0

@@ -5,7 +5,10 @@ product is taken element by element. The reference strong scan walks the
 lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
 DM and certify sweeps walk every (f, g) pair one by one, drawn by
 ``randrange`` when sampled, with no unit-orbit weighting or grouping by
-contents. The reference radical walks the powers of every element. The
+contents. The reference pair search walks every admissible pair and
+decides each one on its own, with no memo over unit orbits, taking the
+ideal product of the contents by ``reference_product``. The reference
+radical walks the powers of every element. The
 reference multiset scan tries each last factor in turn and checks a hit
 subproduct by subproduct, with no hit masks; the reference poly-omega
 scan runs it over sparse exponent->coefficient dicts, not unit classes
@@ -32,6 +35,7 @@ from omegalab.content_checks import (
     CertifySweep,
     DmTable,
     PolyOmegaReport,
+    SearchOutcome,
     _admissible_draws,
     _admissible_sweep,
     _convolver,
@@ -290,6 +294,58 @@ def reference_certify_sweep(
         qualifying, max_exp, exp_ok, chain_ok, final_ok, witness, sweep.mode,
         sweep.seed,
     )
+
+
+def reference_pair_search(
+    ring, num_vars, max_deg, kind, budget=DEFAULT_BUDGET,
+    sample=DEFAULT_SAMPLE, seed=0,
+) -> SearchOutcome:
+    """gaussian_search (kind "gaussian": c(fg) != c(f)c(g)) or
+    armendariz_search (kind "armendariz": fg = 0 but c(f)c(g) != 0) as a
+    plain lex walk over the admissible pairs f <= g, or the randrange
+    draws when sampled, each pair decided on its own."""
+    slots, convolve = _convolver(ring, num_vars, max_deg)
+    space = ideal_space(ring)
+    length = len(slots)
+    content = space.id_of_coeffs
+    product = functools.cache(
+        lambda a, b: reference_product(ring, space.set_of(a), space.set_of(b))
+    )
+    zero_ideal = frozenset({ring.zero})
+
+    def admissible(cid) -> bool:
+        return cid not in (space.zero_id, space.full_id)
+
+    def violation(fa, ca, fb, cb) -> bool:
+        prod = convolve(fa, fb)
+        if kind == "gaussian":
+            return space.set_of(content(prod)) != product(ca, cb)
+        return set(prod) == {ring.zero} and product(ca, cb) != zero_ideal
+
+    adm = None
+    if ring.order ** length <= budget:
+        adm = [
+            (t, cid)
+            for t in itertools.product(range(ring.order), repeat=length)
+            if admissible(cid := content(t))
+        ]
+    size = None if adm is None else len(adm) * (len(adm) + 1) // 2
+    sweep = plan_sweep(size, budget, sample, seed)
+    if sweep.exhaustive:
+        pairs = combinations_with_replacement(adm, 2)
+    else:
+        pairs = (
+            ((fa, ca), (fb, cb))
+            for fa, fb in reference_tuples(sweep, ring.order, length, 2)
+            if admissible(ca := content(fa)) and admissible(cb := content(fb))
+        )
+    checked = 0
+    for (fa, ca), (fb, cb) in pairs:
+        checked += 1
+        if violation(fa, ca, fb, cb):
+            witness = _to_polys(ring, num_vars, slots, sorted((fa, fb)))
+            return SearchOutcome(True, witness, sweep.mode, checked, sweep.seed)
+    return SearchOutcome(False, None, sweep.mode, checked, sweep.seed)
 
 
 def reference_multiset_scan(

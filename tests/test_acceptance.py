@@ -11,6 +11,7 @@ import random
 
 from conftest import record_acceptance
 from oracles import gauss_lemma_check
+from quotients import gaussian_iff_armendariz_quotients
 
 from omegalab.absorbing import omega, omega_agreement_table
 from omegalab.cli import main as cli_main
@@ -19,7 +20,6 @@ from omegalab.content_checks import (
     bezout_factor,
     certify_pair_sweep,
     dm_exponent_table,
-    gaussian_iff_armendariz_quotients,
     gaussian_search,
     verify_poly_omega,
 )

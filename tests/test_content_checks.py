@@ -11,6 +11,12 @@ from oracles import (
     reference_dm_table,
     reference_product,
 )
+from quotients import (
+    content_ids,
+    gaussian_iff_armendariz_quotients,
+    lift_poly,
+    project_poly,
+)
 
 from omegalab import content_checks
 from omegalab.content_checks import (
@@ -19,10 +25,7 @@ from omegalab.content_checks import (
     certify_content_product,
     certify_pair_sweep,
     dm_exponent_table,
-    gaussian_iff_armendariz_quotients,
     gaussian_search,
-    lift_poly,
-    project_poly,
     uniform_draws,
     verify_poly_omega,
 )
@@ -92,7 +95,7 @@ def test_content_space_interning():
 
 def dm_exponent(f, g, cap=content_checks.DEFAULT_CAP):
     """Least n >= 1 with c(f)^n c(g) = c(f)^(n-1) c(fg); None past cap."""
-    space, cf, cg, cfg = content_checks._content_ids(f, g)
+    space, cf, cg, cfg = content_ids(f, g)
     return space.dm_exponent(cf, cg, cfg, cap)
 
 
@@ -188,6 +191,69 @@ def test_pair_table_walked_once_per_ring(monkeypatch, first):
     for ideal, sweep in zip(radical, sweeps):
         assert sweep.mode == "exhaustive"
         assert sweep == reference_certify_sweep(ideal, 1, 1)
+
+
+def _unit_orbit(ring, f) -> frozenset:
+    """{u*f : u a unit}, by method calls."""
+    return frozenset(
+        tuple(ring.mul(u, c) for c in f) for u in ring.units()
+    )
+
+
+def test_pair_table_multiplies_each_unordered_orbit_pair_once(monkeypatch):
+    # K orbit representatives give K(K+1)/2 products, not K^2, and the
+    # kept groups list their first pairs in the walk's order
+    products = 0
+    convolver = content_checks._convolver
+
+    def counted_convolver(*args):
+        slots, convolve = convolver(*args)
+
+        def counted(fa, fb):
+            nonlocal products
+            products += 1
+            return convolve(fa, fb)
+
+        return slots, counted
+
+    monkeypatch.setattr(content_checks, "_convolver", counted_convolver)
+    ring = make_zmod(18)
+    table = dm_exponent_table(ring, 1, 1)
+    assert table.mode == "exhaustive"
+    assert table.checked == 18**4
+    orbits = {_unit_orbit(ring, f) for f in itertools.product(range(18), repeat=2)}
+    count = len(orbits)
+    assert products == count * (count + 1) // 2
+    firsts = [pair for _, pair in ideal_space(ring).pair_groups[1, 1].values()]
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    assert sum(w for w, _ in ideal_space(ring).pair_groups[1, 1].values()) == 18**4
+
+
+def test_cube_search_decides_each_unordered_orbit_pair_once(monkeypatch):
+    # the walk still counts its 33,232 pairs up to the witness, but the
+    # predicate runs once per unordered pair of unit orbits among them
+    calls = 0
+    predicate = content_checks._gaussian_violation
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return predicate(*args)
+
+    monkeypatch.setattr(content_checks, "_gaussian_violation", counted)
+    ring = make_truncated_local(2, 2, 3)
+    out = gaussian_search(ring, 1, 1)
+    assert (out.found, out.checked) == (True, 33232)
+    space = ideal_space(ring)
+    adm = [
+        f for f in itertools.product(range(ring.order), repeat=2)
+        if space.id_of_coeffs(f) not in (space.zero_id, space.full_id)
+    ]
+    orbit = {f: _unit_orbit(ring, f) for f in adm}
+    walked = itertools.islice(itertools.combinations_with_replacement(adm, 2), 33232)
+    orbit_pairs = {frozenset((orbit[f], orbit[g])) for f, g in walked}
+    assert calls == len(orbit_pairs)
+    assert calls < 33232 // 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The exact reductions against the unreduced references of ``oracles``:
 the element scan over one element per principal ideal, and the exhaustive
 DM table and certify sweep over one pair per pair of unit orbits, weighted
-by the orbit sizes. Witnesses and every count must be those of the full
+by the orbit sizes, and the pair searches deciding each unordered pair of
+unit orbits once. Witnesses and every count must be those of the full
 walk. The poly-omega scan over residue polynomials and the row kernel
 against the sparse dict-product scan, the residue table's found path
 against the element scan, the hit-mask multiset scan against the
@@ -9,7 +10,9 @@ per-candidate scan on element, lattice and residue-class tables, and the
 kernel itself against ``poly_mul``. The
 integer leg over (Z/m)[X] against the loop that expands every product in
 Z[X], its found path included. Last, the axiom check over an additive
-generating set against the full lexicographic axiom scan."""
+generating set against the full lexicographic axiom scan, and the
+truncated rings' tables built by digit arithmetic against the tables of
+their ``add`` and ``mul``."""
 
 import functools
 import itertools
@@ -28,6 +31,7 @@ from oracles import (
     reference_dm_table,
     reference_is_n_absorbing,
     reference_multiset_scan,
+    reference_pair_search,
     reference_poly_omega,
 )
 
@@ -36,8 +40,10 @@ from omegalab.content_checks import (
     DEFAULT_BUDGET,
     _admissible_sweep,
     _convolver,
+    armendariz_search,
     certify_pair_sweep,
     dm_exponent_table,
+    gaussian_search,
     verify_poly_omega,
 )
 from omegalab.ideals import (
@@ -47,13 +53,15 @@ from omegalab.ideals import (
     quotient_by,
 )
 from omegalab.integers import _lex_rank, _mod_table, conjecture_check_int, omega_int
-from omegalab.polys import _residue_table, make_poly, poly_mul
+from omegalab.polys import _residue_table, display_poly, make_poly, poly_mul
 from omegalab.rings import (
+    TABLE_LIMIT,
     AxiomReport,
     LazyRow,
     TableRing,
     _additive_generators,
     _axiom_scan,
+    _full_table,
     coset_minima,
     monomials_up_to,
     parse_ring_spec,
@@ -158,6 +166,53 @@ def test_certify_sweep_matches_reference(shape, budget, data):
     ideal = data.draw(st.sampled_from(proper))
     args = (ideal, num_vars, max_deg, 8, budget, 500, 3)
     assert certify_pair_sweep(*args) == reference_certify_sweep(*args)
+
+
+# the reference search lists order**slots polynomials and walks their
+# admissible pairs one by one
+SEARCH_LIMIT = 2048
+SEARCHES = {"gaussian": gaussian_search, "armendariz": armendariz_search}
+
+
+@examples(max_examples=60)
+@given(
+    st.sampled_from(CONTENT_FAMILY),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.sampled_from(sorted(SEARCHES)),
+    budgets,
+)
+def test_pair_search_matches_reference(spec, num_vars, max_deg, kind, budget):
+    # found, witness, checked, mode and seed of the orbit-memoized walk
+    # against the walk that decides every pair on its own
+    ring = cube_quotient() if spec == "cube-quotient" else ring_of(spec)
+    assume(ring.order ** math.comb(num_vars + max_deg, max_deg) <= SEARCH_LIMIT)
+    args = (ring, num_vars, max_deg, budget, 500, 3)
+    got = SEARCHES[kind](*args)
+    assert got == reference_pair_search(*args[:3], kind, *args[3:])
+    assert got.mode == ("exhaustive" if budget else "sampled:500")
+
+
+@pytest.mark.parametrize("kind", sorted(SEARCHES))
+@pytest.mark.parametrize("num_vars, max_deg", [(1, 1), (1, 2), (2, 1)])
+def test_found_searches_match_reference(kind, num_vars, max_deg):
+    # the shapes where both searches find a pair on the cube quotient, at
+    # the 532nd or 4,564th admissible pair: the property's draws rarely
+    # reach a found walk
+    ring = cube_quotient()
+    got = SEARCHES[kind](ring, num_vars, max_deg)
+    assert got.found
+    assert got == reference_pair_search(ring, num_vars, max_deg, kind)
+
+
+def test_cube_search_matches_reference():
+    # the paper's non-Gaussian ring, pinned outright: the first failing
+    # pair is (2+4x, 2+4x), the 33,232nd admissible pair of the walk
+    ring = ring_of("trunc:p=2,vars=2,nil=3")
+    got = gaussian_search(ring, 1, 1)
+    assert got == reference_pair_search(ring, 1, 1, "gaussian")
+    assert (got.found, got.checked, got.mode) == (True, 33232, "exhaustive")
+    assert [display_poly(f) for f in got.witness] == ["2+4x", "2+4x"]
 
 
 # a budget that fits the small scans (larger ones sample) and one that
@@ -481,3 +536,14 @@ def test_generating_set_pass_decides_real_rings():
         ring = parse_ring_spec(spec)
         assert _axiom_scan(ring, generated=True) == AxiomReport(ok=True, checked=True), spec
         assert verify_ring_axioms(ring) == AxiomReport(ok=True, checked=True), spec
+
+
+def test_trunc_digit_tables_match_methods():
+    # the kept rows of every trunc ring of the axiom family and the absorb
+    # list, built by digit arithmetic, against the tables of add and mul
+    specs = {s for s in AXIOM_FAMILY + BUILT_RINGS if s.startswith("trunc:")}
+    for spec in sorted(specs):
+        ring = parse_ring_spec(spec)
+        assert ring.order <= TABLE_LIMIT
+        assert ring.add_rows() == _full_table(ring.add, ring.order), spec
+        assert ring.mul_rows() == _full_table(ring.mul, ring.order), spec
