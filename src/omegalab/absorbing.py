@@ -32,12 +32,14 @@ scan applies the fourth. The first violation found is therefore the
 lexicographically least violating multiset. Beside it the scan counts the
 leaves it tried (last factors of uncut prefixes) and those among them
 whose product lies in I; the integer leg reads its report counts off
-these two. The pruning-free reference scan that tests compare against
-lives in the tests.
+these two and the rank of the violation in the walk (``multiset_rank``,
+which also counts the content pair searches). The pruning-free reference
+scan that tests compare against lives in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -55,6 +57,7 @@ __all__ = [
     "OmegaResult",
     "is_n_absorbing",
     "multiset_scan",
+    "multiset_rank",
     "violates",
     "omega",
     "is_strongly_n_absorbing",
@@ -177,6 +180,26 @@ def multiset_scan(
         return None
 
     return rec(0, 0), leaves, inside_leaves
+
+
+def multiset_rank(found: Optional[Sequence[int]], count: int, n: int) -> int:
+    """1-based rank of found among the (n+1)-multisets of count positions
+    in lex (``combinations_with_replacement``) order, the walk order of
+    multiset_scan; their number when found is None.
+
+    A multiset before found agrees with it on the first t positions and is
+    smaller at position t. With c_(-1) = 0 and k_t = n - t, the
+    non-decreasing tails of k_t + 1 positions that start at c or later
+    number C(count - c + k_t, k_t + 1), so position t adds
+    C(count - c_(t-1) + k_t, k_t + 1) - C(count - c_t + k_t, k_t + 1)."""
+    if found is None:
+        return math.comb(count + n, n + 1)
+    rank, prev = 1, 0
+    for t, c in enumerate(found):
+        k = n - t
+        rank += math.comb(count - prev + k, k + 1) - math.comb(count - c + k, k + 1)
+        prev = c
+    return rank
 
 
 def violates(factors: Sequence, one, table, inside) -> bool:

@@ -21,7 +21,8 @@ exhaustive, so the orbit pairs are walked once for all of them. Every
 exhaustive pair sweep multiplies each unordered pair of unit orbits
 ({u*f : u a unit}, ``_unit_orbits``) once, as fg = gf and scaling by
 units changes no content: the table folds each product into the keys of
-both orders, and the searches memoize each verdict along their walk.
+both orders, and the searches decide the representative pairs in lex
+order and read checked off the rank of the first violating one.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
 omega, over bounded polynomials of R[X], each held as the id of the unit
 class of its residue polynomial in (R/I)[X] (``polys._residue_table``,
@@ -50,7 +51,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .absorbing import DEFAULT_CAP, OmegaResult, multiset_scan, omega, violates
+from .absorbing import (
+    DEFAULT_CAP, OmegaResult, multiset_rank, multiset_scan, omega, violates,
+)
 from .errors import CapExceededError, UnsupportedRingError
 from .ideals import Ideal, IdealSpace, ideal_space, is_radical_ideal
 from .polys import (
@@ -183,12 +186,11 @@ def uniform_draws(getrandbits, n: int, length: int) -> tuple[int, ...]:
 
 def _unit_orbits(
     ring: FiniteRing, tuples: Sequence[tuple]
-) -> tuple[list[tuple], list[int], list[int]]:
-    """(reps, weights, orbit): the orbits O(f) = {u*f : u a unit} that
-    partition the coefficient tuples, each by its first tuple f in reps
-    and |O(f)| in weights, in order of first tuple, and orbit[k] the index
-    of the orbit of tuples[k]. The tuples must be closed under units; in
-    lex order, each f is the lex-least tuple of its orbit.
+) -> tuple[list[tuple], list[int]]:
+    """(reps, weights): the orbits O(f) = {u*f : u a unit} that partition
+    the coefficient tuples, each by its first tuple f in reps and |O(f)| in
+    weights, in order of first tuple. The tuples must be closed under
+    units; in lex order, each f is the lex-least tuple of its orbit.
 
     Scaling by units changes nothing a pair sweep reads: for units u and v,
     c(uf) = c(f), c(uf*vg) = c(uv*fg) = c(fg), uv*fg lies in I[X] (is zero)
@@ -202,16 +204,16 @@ def _unit_orbits(
     and the sweeps report the witnesses of the full walk."""
     rows = ring.mul_rows()
     unit_rows = [rows[u] for u in sorted(ring.units())]
-    index: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     reps: list[tuple] = []
     weights: list[int] = []
     for f in tuples:
-        if f not in index:
+        if f not in seen:
             orbit = {tuple(row[c] for c in f) for row in unit_rows}
-            index.update(dict.fromkeys(orbit, len(reps)))
+            seen |= orbit
             reps.append(f)
             weights.append(len(orbit))
-    return reps, weights, [index[f] for f in tuples]
+    return reps, weights
 
 
 def plan_sweep(
@@ -293,20 +295,19 @@ def _pair_search(
     sample: int,
     seed: int,
 ) -> SearchOutcome:
-    """Exhaustive over unordered admissible pairs when they fit the budget,
-    in the lex order of combinations_with_replacement, so checked counts
-    the pairs up to the first violation and that pair is the witness.
+    """First violating pair f <= g of admissible polynomials: exhaustive
+    when the unordered admissible pairs fit the budget, else over seeded
+    draws decided one by one. checked counts the pairs in lex order, or
+    the admissible draws, up to and including the witness (all if none).
 
-    The exhaustive walk decides each unordered pair of unit orbits once
-    and reads the memoized verdict for every later pair of those orbits.
-    Both predicates read a pair only through c(f), c(g) and fg: by
-    ``_unit_orbits`` a verdict is constant on O(f) x O(g), as c(uf) = c(f),
-    c(uf*vg) = c(fg) and uv*fg = 0 exactly when fg = 0; and fg = gf with
-    c(f)c(g) = c(g)c(f), so it is the verdict on O(g) x O(f) too. Units
-    preserve contents, so the admissible tuples are closed under units and
-    their orbits partition them. The walk itself is unchanged, so checked
-    and the witness are those of the unmemoized walk. Sampled draws are
-    decided one by one."""
+    The exhaustive search decides the pairs i <= j of the unit-orbit
+    representatives (``_unit_orbits``) in lex order. Both predicates read
+    a pair only through c(f), c(g) and fg = gf, so a verdict is symmetric
+    and, by ``_unit_orbits``, constant on O(f) x O(g). If f <= g violates,
+    so does the sorted pair of their orbit minima, which is no larger: the
+    first violating pair of the full walk is a representative pair, which
+    the loop meets first, and checked is its rank among the 2-multisets of
+    the admissible positions (``absorbing.multiset_rank``)."""
     slots, convolve = _convolver(ring, num_vars, max_deg)
     space = ideal_space(ring)
     zero = frozenset({ring.zero})
@@ -314,31 +315,24 @@ def _pair_search(
         ring, slots, zero, lambda a: a * (a + 1) // 2, budget, sample, seed
     )
 
+    def first_violation(pairs) -> tuple[int, Optional[tuple]]:
+        # (pairs decided, the first violating pair or None)
+        decided = 0
+        for decided, ((fa, ca), (fb, cb)) in enumerate(pairs, 1):
+            if is_violation(space, convolve(fa, fb), ca, cb):
+                return decided, tuple(sorted((fa, fb)))
+        return decided, None
+
     if sweep.exhaustive:
-        _, _, orbit = _unit_orbits(ring, [t for t, _ in adm])
-        pairs = itertools.combinations_with_replacement(
-            [(t, c, o) for (t, c), o in zip(adm, orbit)], 2
-        )
+        position = {t: k for k, (t, _) in enumerate(adm)}
+        reps = [adm[position[f]] for f in _unit_orbits(ring, list(position))[0]]
+        _, hit = first_violation(itertools.combinations_with_replacement(reps, 2))
+        found = None if hit is None else [position[f] for f in hit]
+        checked = multiset_rank(found, len(adm), 1)
     else:
-        pairs = (
-            tuple((t, c, None) for t, c in draw)
-            for draw in _admissible_draws(sweep, ring, slots, 2, zero)
-        )
-    verdicts: dict[tuple[int, int], bool] = {}  # by unordered orbit pair
-    checked = 0
-    for (fa, ca, oa), (fb, cb, ob) in pairs:
-        checked += 1
-        if oa is None:  # a sampled draw
-            hit = is_violation(space, convolve(fa, fb), ca, cb)
-        else:
-            key = (oa, ob) if oa <= ob else (ob, oa)
-            hit = verdicts.get(key)
-            if hit is None:
-                hit = verdicts[key] = is_violation(space, convolve(fa, fb), ca, cb)
-        if hit:
-            witness = _to_polys(ring, num_vars, slots, sorted((fa, fb)))
-            return SearchOutcome(True, witness, sweep.mode, checked, sweep.seed)
-    return SearchOutcome(False, None, sweep.mode, checked, sweep.seed)
+        checked, hit = first_violation(_admissible_draws(sweep, ring, slots, 2, zero))
+    witness = None if hit is None else _to_polys(ring, num_vars, slots, hit)
+    return SearchOutcome(hit is not None, witness, sweep.mode, checked, sweep.seed)
 
 
 def _gaussian_violation(space: IdealSpace, prod_coeffs, ca: int, cb: int) -> bool:
@@ -408,11 +402,15 @@ def _pair_groups(
     into the keys of both (f_i, f_j) and (f_j, f_i), with the weight
     |O(f_i)|*|O(f_j)| and the ranks i*K + j and j*K + i. Every ordered
     pair is folded exactly once, so each group's weight is that of the
-    full walk. A group keeps the least rank folded into it on either path
-    (a mirrored rank j*K + i can open a group before a smaller rank
-    arrives), which is the rank of its first pair in the walk; sorting the
-    groups by it gives them in the walk's order of first pairs. The table
-    holds the representatives and the groups, never one entry per pair."""
+    full walk. A group keeps the least rank folded into it, the rank of
+    its first pair, so sorting by it orders the groups as the walk does.
+    A mirrored rank j*K + i can open a group before a smaller rank arrives
+    (Z/2 x F_2[x,y]/(x^2, y^2), degree 1), but not on a Gaussian ring: as
+    c(fg) = c(f)c(g), a group is all (f_a, f_b) with c(f_a) = c1,
+    c(f_b) = c2 and deg f_b = d; for p and q the least such indices, any
+    other member has a >= p and b >= q, so its loop step
+    (min(a, b), max(a, b)) follows that of (p, q). The table holds the
+    representatives and the groups, never one entry per pair."""
     space = ideal_space(ring)
     if sweep.exhaustive and (num_vars, max_deg) in space.pair_groups:
         return space.pair_groups[num_vars, max_deg]
@@ -438,15 +436,12 @@ def _pair_groups(
         return groups
 
     def fold(key, weight: int, rank: int) -> None:  # key -> [weight, least rank]
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [weight, rank]
-        else:
-            entry[0] += weight
-            entry[1] = min(entry[1], rank)
+        entry = groups.setdefault(key, [0, rank])
+        entry[0] += weight
+        entry[1] = min(entry[1], rank)
 
     tuples = list(itertools.product(range(ring.order), repeat=len(slots)))
-    reps, weights, _ = _unit_orbits(ring, tuples)
+    reps, weights = _unit_orbits(ring, tuples)
     count = len(reps)
     ids = [id_of(f) for f in reps]
     degs = [degree(f) for f in reps]

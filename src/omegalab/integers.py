@@ -13,18 +13,18 @@ coefficients reduced mod m, which decides membership in mZ[X] exactly
 (the proof sketch is on ``conjecture_check_int``). The report's drawn
 counts the raw draws in sampled mode; in exhaustive mode it counts the
 multisets up to the first violation in ``combinations_with_replacement``
-order, read off the pruned ``absorbing.multiset_scan`` walk.
+order, the rank of that violation (``absorbing.multiset_rank``) in the
+pruned ``absorbing.multiset_scan`` walk.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .absorbing import multiset_scan, violates
+from .absorbing import multiset_rank, multiset_scan, violates
 from .content_checks import DEFAULT_BUDGET, plan_sweep, uniform_draws
 from .polys import _residue_table
 from .rings import LazyRow
@@ -185,26 +185,6 @@ def _mod_table(m: int):
     return _residue_table(LazyRow(lambda _, c: c % m, None), 0, 1, _convolve)
 
 
-def _lex_rank(found: Optional[Sequence[int]], count: int, n: int) -> int:
-    """1-based rank of found among the (n+1)-multisets of count positions
-    in lex (``combinations_with_replacement``) order; their number when
-    found is None.
-
-    A multiset before found agrees with it on the first t positions and is
-    smaller at position t. With c_(-1) = 0 and k_t = n - t, the
-    non-decreasing tails of k_t + 1 positions that start at c or later
-    number C(count - c + k_t, k_t + 1), so position t adds
-    C(count - c_(t-1) + k_t, k_t + 1) - C(count - c_t + k_t, k_t + 1)."""
-    if found is None:
-        return math.comb(count + n, n + 1)
-    rank, prev = 1, 0
-    for t, c in enumerate(found):
-        k = n - t
-        rank += math.comb(count - prev + k, k + 1) - math.comb(count - c + k, k + 1)
-        prev = c
-    return rank
-
-
 def conjecture_check_int(
     m: int,
     max_deg: int = 1,
@@ -219,13 +199,14 @@ def conjecture_check_int(
     polynomials outside mZ[X] and reports the counts of the walk that
     prunes nothing. drawn, the multisets up to and including the first
     violation in ``combinations_with_replacement`` order, is its lex rank
-    (``_lex_rank``). checked, those of them with product in mZ[X], is
-    drawn - leaves + inside_leaves. Each multiset up to the violation
-    either has a prefix of 1..n factors in mZ[X] or is a leaf the scan
-    tried. The scan cut the first kind: its product lies in mZ[X], and it
-    cannot violate, since omitting a factor outside the prefix leaves an
-    n-subproduct in mZ[X]. So drawn - leaves multisets were cut, all of
-    them qualify, and the violation, a leaf, is the one the scan finds.
+    (``absorbing.multiset_rank``). checked, those of them with product in
+    mZ[X], is drawn - leaves + inside_leaves. Each multiset up to the
+    violation either has a prefix of 1..n factors in mZ[X] or is a leaf
+    the scan tried. The scan cut the first kind: its product lies in
+    mZ[X], and it cannot violate, since omitting a factor outside the
+    prefix leaves an n-subproduct in mZ[X]. So drawn - leaves multisets
+    were cut, all of them qualify, and the violation, a leaf, is the one
+    the scan finds.
 
     Sampling alternates uniform draws over the coefficient box (rejecting
     tuples whose product misses mZ[X]) with constructed draws that scale a
@@ -276,7 +257,7 @@ def conjecture_check_int(
                 box.append(coeffs)
                 cands.append(cid)
         found, leaves, inside_leaves = multiset_scan(cands, one, table, inside, n)
-        drawn = _lex_rank(found, len(cands), n)
+        drawn = multiset_rank(found, len(cands), n)
         if found is not None:
             found = [box[c] for c in found]
         return report(found, drawn - leaves + inside_leaves, drawn)

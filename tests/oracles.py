@@ -1,12 +1,13 @@
 """Pruning-free reference routines that the tests compare the library
-against. Ideals are closed by the worklist fixpoint ``generic_closure``,
-never by the ideal registry or ``FiniteRing.principal``, and every
-product is taken element by element. The reference strong scan walks the
-lattice of ``all_ideals``, which ``oracle_lattice`` checks. The reference
+against. Ideals are closed by ``generic_closure``, the additive subgroup
+generated by the multiples of the generators, never by the ideal
+registry or ``FiniteRing.principal``, and every product is taken element
+by element. The reference strong scan walks the lattice of
+``all_ideals``, which ``oracle_lattice`` checks. The reference
 DM and certify sweeps walk every (f, g) pair one by one, drawn by
 ``randrange`` when sampled, with no unit-orbit weighting or grouping by
 contents. The reference pair search walks every admissible pair and
-decides each one on its own, with no memo over unit orbits, taking the
+decides each one on its own, with no unit-orbit reduction, taking the
 ideal product of the contents by ``reference_product``. The reference
 radical walks the powers of every element. The
 reference multiset scan tries each last factor in turn and checks a hit
@@ -57,30 +58,31 @@ from omegalab.rings import FiniteRing, monomials_up_to
 
 
 def generic_closure(ring, gens: Iterable[int]) -> frozenset[int]:
-    """Worklist fixpoint: close the generators under + and multiplication
-    by ring elements."""
-    closed = {ring.zero}
-    work = []
+    """The additive subgroup generated by the multiples r*g of the
+    generators, which is the ideal they generate.
+
+    Lemma: in a commutative ring with 1 the finite sums of multiples r*g
+    form the ideal (gens). They contain each g = 1*g, are closed under +
+    (in a finite ring, also under negation: -x is a sum of copies of x),
+    and s * sum(r_k g_k) = sum((s r_k) g_k) is again such a sum; and every
+    ideal containing the generators contains all of them. Each multiple m
+    outside the subgroup H closed so far extends it to the union of the
+    cosets H + k*m, which repeat from the first k with k*m in H."""
+    add, mul = ring.add, ring.mul
+    multiples = set()
     for g in gens:
         ring.check_index(g)
-        if g not in closed:
-            closed.add(g)
-            work.append(g)
-    add = ring.add
-    mul = ring.mul
-    order = ring.order
-    while work:
-        x = work.pop()
-        for r in range(order):
-            y = mul(r, x)
-            if y not in closed:
-                closed.add(y)
-                work.append(y)
-        for s in list(closed):
-            y = add(x, s)
-            if y not in closed:
-                closed.add(y)
-                work.append(y)
+        multiples.update(mul(r, g) for r in range(ring.order))
+    closed = {ring.zero}
+    for m in multiples:
+        if m in closed:
+            continue
+        coset = closed
+        while True:  # H + k*m for k = 1, 2, ... until it is H again
+            coset = {add(x, m) for x in coset}
+            if coset <= closed:
+                break
+            closed |= coset
     return frozenset(closed)
 
 

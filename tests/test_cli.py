@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -627,9 +629,64 @@ def test_every_export_resolves():
             assert hasattr(module, name), (module.__name__, name)
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(title: str) -> list[tuple[str, str]]:
+    """(language, body) of each fenced block in the README section."""
+    section = README.read_text(encoding="utf-8").split(f"### {title}\n", 1)[1]
+    section = section.split("\n## ", 1)[0].split("\n### ", 1)[0]
+    return re.findall(r"```(\w*)\n(.*?)```", section, re.S)
+
+
+def mask_millis(text: str) -> str:
+    return re.sub(r"\(\d+ms\)", "(Nms)", text)
+
+
+def test_readme_examples_match(capsys):
+    # every `$ omegalab ...` line of the Examples section, run through
+    # main: its output is the lines after it, or the next block when none
+    # follow (the json example), and `$ echo $?` shows the exit code
+    blocks = readme_blocks("Examples")
+    commands = 0
+    for k, (lang, body) in enumerate(blocks):
+        if lang != "sh":
+            continue
+        for chunk in re.split(r"^\$ ", body, flags=re.M)[1:]:
+            line, _, expected = chunk.partition("\n")
+            if line == "echo $?":
+                assert str(code) == expected.strip(), previous
+                continue
+            argv = shlex.split(line)
+            assert argv[0] == "omegalab", line
+            code, out, _ = run_cli(capsys, *argv[1:])
+            if expected:  # a blank line ends one command's output
+                expected = expected.rstrip("\n") + "\n"
+            else:
+                expected = blocks[k + 1][1]
+            assert mask_millis(out) == mask_millis(expected), line
+            previous = line
+            commands += 1
+    assert commands == 5
+
+
+def test_readme_campaign_csv_matches(capsys, tmp_path, monkeypatch):
+    # the Campaigns section's config, run by its command line, writes the
+    # csv report shown there
+    blocks = readme_blocks("Campaigns")
+    (command,) = [body for lang, body in blocks if lang == "sh"]
+    config = next(body for lang, body in blocks if lang == "json")
+    report = next(body for lang, body in blocks if body.startswith("ring,"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "campaign.json").write_text(config, encoding="utf-8")
+    argv = shlex.split(command)
+    assert argv[0] == "omegalab"
+    assert run_cli(capsys, *argv[1:])[0] == 0
+    assert (tmp_path / "report.csv").read_text(encoding="utf-8") == report
+
+
 def test_readme_library_use_runs():
     # the documented imports and calls, run as written
-    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})

@@ -35,6 +35,7 @@ from omegalab.ideals import (
     ideal_from_generators,
     ideal_space,
     is_radical_ideal,
+    parse_ideal_spec,
     quotient_by,
 )
 from omegalab.polys import (
@@ -227,6 +228,42 @@ def test_pair_table_multiplies_each_unordered_orbit_pair_once(monkeypatch):
     firsts = [pair for _, pair in ideal_space(ring).pair_groups[1, 1].values()]
     assert all(a < b for a, b in zip(firsts, firsts[1:]))
     assert sum(w for w, _ in ideal_space(ring).pair_groups[1, 1].values()) == 18**4
+
+
+def test_pair_groups_keep_the_first_pair_of_the_ordered_walk():
+    # on Z/2 x F_2[x,y]/(x^2, y^2) the fold over pairs i <= j opens a group
+    # by a mirrored rank j*K + i before a smaller direct rank arrives; the
+    # groups must still list the first pair of each key in the walk over
+    # all K^2 ordered representative pairs, in that order
+    quotient = quotient_by(parse_ideal_spec(M3, "gen:8,32"))
+    ring = make_product(make_zmod(2), quotient)
+    assert ring.order == 32
+    assert dm_exponent_table(ring, 1, 1).mode == "exhaustive"
+    space = ideal_space(ring)
+    slots, convolve = content_checks._convolver(ring, 1, 1)
+    firsts = {}  # orbit -> its lex-least tuple, in lex order
+    for f in itertools.product(range(ring.order), repeat=len(slots)):
+        firsts.setdefault(_unit_orbit(ring, f), f)
+    reps = list(firsts.values())
+    assert len(reps) == 208
+    ids = [space.id_of_coeffs(f) for f in reps]
+    walk = {}
+    for f, cf in zip(reps, ids):
+        for g, cg in zip(reps, ids):
+            deg_g = 0 if g[1] == ring.zero else 1
+            key = (cf, cg, space.id_of_coeffs(convolve(f, g)), deg_g)
+            walk.setdefault(key, (f, g))
+    groups = space.pair_groups[1, 1]
+    assert list(walk.items()) == [(key, pair) for key, (_, pair) in groups.items()]
+
+
+def test_clean_search_counts_every_admissible_pair():
+    # over Z/32 at degree 2 the a = 16^3 - 1 admissible polynomials are the
+    # nonzero ones with even coefficients; a clean exhaustive search counts
+    # all a(a+1)/2 unordered pairs of them without walking them
+    out = gaussian_search(make_zmod(32), 1, 2)
+    assert (out.found, out.mode, out.checked) == (False, "exhaustive", 8386560)
+    assert out.checked == 4095 * 4096 // 2
 
 
 def test_cube_search_decides_each_unordered_orbit_pair_once(monkeypatch):

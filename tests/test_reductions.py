@@ -35,7 +35,7 @@ from oracles import (
     reference_poly_omega,
 )
 
-from omegalab.absorbing import is_n_absorbing, multiset_scan, omega
+from omegalab.absorbing import is_n_absorbing, multiset_rank, multiset_scan, omega
 from omegalab.content_checks import (
     DEFAULT_BUDGET,
     _admissible_sweep,
@@ -52,7 +52,7 @@ from omegalab.ideals import (
     ideal_space,
     quotient_by,
 )
-from omegalab.integers import _lex_rank, _mod_table, conjecture_check_int, omega_int
+from omegalab.integers import _mod_table, conjecture_check_int, omega_int
 from omegalab.polys import _residue_table, display_poly, make_poly, poly_mul
 from omegalab.rings import (
     TABLE_LIMIT,
@@ -388,7 +388,7 @@ def test_int_walk_finds_constant_witness(m, witness, checked, drawn):
     """The found path of the integer leg's counts, which no input of
     conjecture_check_int reaches (Z is a PID, so the degree identity
     holds): over the constants of height 3 and n = Omega(m) - 1 factors,
-    multiset_scan with drawn = _lex_rank(found) and checked = drawn -
+    multiset_scan with drawn = multiset_rank(found) and checked = drawn -
     leaves + inside_leaves gives the violation, checked and drawn of the
     expanding loop over ``combinations_with_replacement``."""
     n = omega_int(m).value - 1
@@ -398,7 +398,7 @@ def test_int_walk_finds_constant_witness(m, witness, checked, drawn):
         [reduce((c,)) for c in consts], one, table, inside, n
     )
     assert found is not None
-    drawn = _lex_rank(found, len(consts), n)
+    drawn = multiset_rank(found, len(consts), n)
     got = (tuple(consts[i] for i in found), drawn - leaves + inside_leaves, drawn)
 
     polys = _box_polys(0, 3, m)
@@ -416,15 +416,15 @@ def test_int_walk_finds_constant_witness(m, witness, checked, drawn):
 
 
 def test_lex_rank_matches_enumeration_order():
-    """_lex_rank is the 1-based position of a multiset in the order of
+    """multiset_rank is the 1-based position of a multiset in the order of
     ``combinations_with_replacement`` (every multiset of up to 8 positions
     and 4 factors), and None ranks as the last."""
     for count in range(1, 9):
         for n in range(4):
             combos = itertools.combinations_with_replacement(range(count), n + 1)
             for rank, combo in enumerate(combos, 1):
-                assert _lex_rank(combo, count, n) == rank, (combo, count)
-            assert _lex_rank(None, count, n) == rank
+                assert multiset_rank(combo, count, n) == rank, (combo, count)
+            assert multiset_rank(None, count, n) == rank
 
 
 KERNEL_RINGS = [
