@@ -641,7 +641,8 @@ def bezout_factor(g: Polynomial) -> BezoutFactorization:
     support = {exp for exp, _ in g.terms}
     fresh = _fresh_exponent(support, g.num_vars)
     unit_terms = {exp: ri for (exp, _), ri in zip(g.terms, r)}
-    leftover = ring.sub(ring.one, d)
+    # 1 - d: the one x with d + x = 1
+    leftover = next(x for x in ring.elements if add(d, x) == ring.one)
     if leftover != ring.zero:
         unit_terms[fresh] = leftover
     unit_part = make_poly(ring, g.num_vars, unit_terms)

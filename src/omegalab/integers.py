@@ -3,8 +3,10 @@
 The residue ideal mZ inside Z has absorbing degree Omega(m), the number of
 prime factors of m counted with multiplicity; the prime factorization is
 itself the canonical lower witness. This module computes that degree by
-trial division and searches bounded boxes of integer polynomials for
-violations of the absorbing property of mZ[X].
+trial division (``rings.prime_factors``, divisors below 10**7: every m
+below 10**14 factors, and a larger m whose cofactor could be composite
+raises CapExceededError) and searches bounded boxes of integer
+polynomials for violations of the absorbing property of mZ[X].
 
 The polynomial search is an independent route: products are expanded
 honestly with integer coefficient arithmetic, never shortcut through the
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 from .absorbing import multiset_rank, multiset_scan, violates
 from .content_checks import DEFAULT_BUDGET, plan_sweep, uniform_draws
 from .polys import _residue_table
-from .rings import LazyRow
+from .rings import LazyRow, prime_factors
 
 __all__ = [
     "INT_LIMIT",
@@ -88,29 +90,14 @@ class IntOmegaResult:
     factors: tuple[int, ...]
 
 
-def _factor(m: int) -> tuple[int, ...]:
-    out = []
-    while m % 2 == 0:
-        out.append(2)
-        m //= 2
-    d = 3
-    while d * d <= m:
-        while m % d == 0:
-            out.append(d)
-            m //= d
-        d += 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
 def omega_int(m: int) -> IntOmegaResult:
     """Absorbing degree of the ideal mZ inside Z.
 
     m = 1 gives 0 (the improper ideal), m = 0 gives 1 (the zero ideal is
     prime), and otherwise the value is the number of prime factors of m
-    counted with multiplicity. tests/test_integers.py checks it against the
-    exhaustive scan of the zero ideal of Z/m for every m in 2..60.
+    counted with multiplicity (CapExceededError where trial division stops
+    short, ``rings.prime_factors``). tests/test_integers.py checks it
+    against the exhaustive scan of the zero ideal of Z/m, m in 2..60.
     """
     if m < 0:
         raise ValueError("modulus must be nonnegative")
@@ -120,7 +107,7 @@ def omega_int(m: int) -> IntOmegaResult:
         return IntOmegaResult(1, 0, ())
     if m == 0:
         return IntOmegaResult(0, 1, ())
-    factors = _factor(m)
+    factors = prime_factors(m)
     return IntOmegaResult(m, len(factors), factors)
 
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import RingConstructionError, SpecParseError
+from .errors import CapExceededError, RingConstructionError, SpecParseError
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -51,12 +51,14 @@ __all__ = [
     "make_product",
     "make_truncated_local",
     "make_quotient",
+    "prime_factors",
     "verify_ring_axioms",
     "parse_ring_spec",
 ]
 
 DEFAULT_ORDER_CAP = 4096
 TABLE_LIMIT = 256
+TRIAL_DIVISION_LIMIT = 10**7
 
 _VAR_LETTERS = ("x", "y", "z", "w")
 
@@ -101,7 +103,7 @@ class LazyRow(dict):
 class FiniteRing:
     """A finite commutative unital ring on element indices 0..order-1.
 
-    Subclasses implement ``add``, ``mul``, ``neg`` and ``display``.
+    Subclasses implement ``add``, ``mul`` and ``display``.
     Instances are immutable after construction; the ``caches`` dict is
     internal memo space shared by the ideal and content machinery and
     never changes observable behaviour.
@@ -126,12 +128,6 @@ class FiniteRing:
 
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
-
-    def neg(self, i: int) -> int:
-        raise NotImplementedError
-
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
 
     # derived structure ------------------------------------------------
 
@@ -203,9 +199,6 @@ class ZmodRing(FiniteRing):
     def mul(self, i: int, j: int) -> int:
         return (i * j) % self.modulus
 
-    def neg(self, i: int) -> int:
-        return (-i) % self.modulus
-
     def principal(self, c: int) -> frozenset[int]:
         """The multiples of gcd(c, n), which generates the same ideal as c."""
         return frozenset(range(0, self.modulus, math.gcd(c, self.modulus)))
@@ -244,17 +237,6 @@ class ProductRing(FiniteRing):
         a1, b1 = divmod(i, self.right.order)
         a2, b2 = divmod(j, self.right.order)
         return self.left.mul(a1, a2) * self.right.order + self.right.mul(b1, b2)
-
-    def neg(self, i: int) -> int:
-        a, b = divmod(i, self.right.order)
-        return self.left.neg(a) * self.right.order + self.right.neg(b)
-
-    def principal(self, c: int) -> frozenset[int]:
-        """(a, b) generates (a) x (b): the product of the factors' ideals."""
-        size = self.right.order
-        a, b = divmod(c, size)
-        right = self.right.principal(b)
-        return frozenset(x * size + y for x in self.left.principal(a) for y in right)
 
     def display(self, i: int) -> str:
         a, b = divmod(i, self.right.order)
@@ -342,10 +324,6 @@ class TruncatedLocalRing(FiniteRing):
         da, db = self._digit_cache[i], self._digit_cache[j]
         return self.encode([(a + b) % p for a, b in zip(da, db)])
 
-    def neg(self, i: int) -> int:
-        p = self.p
-        return self.encode([(-d) % p for d in self._digit_cache[i]])
-
     def mul(self, i: int, j: int) -> int:
         p = self.p
         da, db = self._digit_cache[i], self._digit_cache[j]
@@ -418,25 +396,12 @@ class TableRing(FiniteRing):
                 f"operation tables must both be {order} x {order}"
             )
         self._displays = list(displays) if displays is not None else [str(i) for i in range(order)]
-        neg = [None] * order
-        for i in range(order):
-            for j in range(order):
-                if self._add_rows[i][j] == zero:
-                    neg[i] = j
-                    break
-        self._neg = neg
 
     def add(self, i: int, j: int) -> int:
         return self._add_rows[i][j]
 
     def mul(self, i: int, j: int) -> int:
         return self._mul_rows[i][j]
-
-    def neg(self, i: int) -> int:
-        n = self._neg[i]
-        if n is None:
-            raise RingConstructionError(f"element {i} has no additive inverse")
-        return n
 
     def display(self, i: int) -> str:
         return self._displays[i]
@@ -663,15 +628,27 @@ def make_product(left: FiniteRing, right: FiniteRing, order_cap: int = DEFAULT_O
     return _self_check(ProductRing(left, right))  # type: ignore[return-value]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The prime factors of m >= 1 with multiplicity, ascending, by trial
+    division with divisors below TRIAL_DIVISION_LIMIT. A cofactor left
+    with no divisor below the limit is 1 or prime when it is below
+    (TRIAL_DIVISION_LIMIT + 1)^2, so every m below 10**14 factors; a larger
+    one could be composite and raises CapExceededError."""
+    out, n = [], m
+    for d in itertools.chain((2,), range(3, TRIAL_DIVISION_LIMIT, 2)):
+        if d * d > n:
+            break
+        while n % d == 0:
+            out.append(d)
+            n //= d
+    else:
+        if n >= (TRIAL_DIVISION_LIMIT + 1) ** 2:
+            raise CapExceededError(
+                f"cannot factor {m}: trial division stops at {TRIAL_DIVISION_LIMIT}"
+            )
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def grlex_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -689,8 +666,6 @@ def make_truncated_local(
     p: int, k: int, e: int, order_cap: int = DEFAULT_ORDER_CAP
 ) -> TruncatedLocalRing:
     """F_p[x_1..x_k]/m^e: the truncated polynomial local ring."""
-    if not _is_prime(p):
-        raise RingConstructionError(f"p must be prime, got {p}")
     if k < 1:
         raise RingConstructionError(f"vars must be >= 1, got {k}")
     if e < 2:
@@ -699,6 +674,9 @@ def make_truncated_local(
     order = p**count
     if order > order_cap:
         raise RingConstructionError(f"order {order} exceeds cap {order_cap}")
+    # after the cap, so p is small enough to factor
+    if not (p >= 2 and prime_factors(p) == (p,)):
+        raise RingConstructionError(f"p must be prime, got {p}")
     return _self_check(TruncatedLocalRing(p, k, e))  # type: ignore[return-value]
 
 

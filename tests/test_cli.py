@@ -365,6 +365,49 @@ def test_campaign_config_error_exit_code(tmp_path, capsys):
     assert "config error" in err
 
 
+_VALID = {"rings": ["zmod:6"], "checks": ["omega-table"], "seed": 7}
+_RINGS = "config needs 'rings': a nonempty list of ring specs"
+_CHECKS = "config needs 'checks': a nonempty list of check names"
+
+
+def _without(key):
+    return json.dumps({k: v for k, v in _VALID.items() if k != key})
+
+
+def _with(**overrides):
+    return json.dumps(dict(_VALID, **overrides))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "config is not valid JSON"),
+    ("[]", "config must be a JSON object"),
+    (_without("rings"), _RINGS),
+    (_with(rings=[]), _RINGS),
+    (_with(rings=[6]), _RINGS),
+    (_without("checks"), _CHECKS),
+    (_with(checks=[]), _CHECKS),
+    (_with(checks=[None]), _CHECKS),
+    (_with(bounds=[1]), "'bounds' must be an object"),
+    (_with(bounds={"max_deg": 1.5}), "bounds.max_deg must be an integer"),
+    (_with(bounds={"cap": True}), "bounds.cap must be an integer"),
+    (_with(seed="7"), "'seed' must be an integer"),
+    (_with(seed=False), "'seed' must be an integer"),
+    (_with(output=5), "'output' must be a path string"),
+], ids=[
+    "bad-json", "not-object", "no-rings", "empty-rings", "int-ring",
+    "no-checks", "empty-checks", "null-check", "bounds-list", "float-bound",
+    "bool-bound", "string-seed", "bool-seed", "int-output",
+])
+def test_config_rejects_malformed_fields(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_campaign_config(str(path))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert "config error" in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # campaign runs
 
@@ -423,6 +466,22 @@ def test_campaign_isolates_inapplicable_check(tmp_path, capsys):
     rec = payload["records"][0]
     assert rec["status"] == "error"
     assert "zmod" in rec["result"]
+
+
+def test_campaign_isolates_unparsable_ring(tmp_path, capsys):
+    checks = ["omega-table", "dm-bound", "int-conjecture"]
+    path = _campaign_path(tmp_path, rings=["zmod:1", "zmod:6"], checks=checks)
+    code, payload, _ = run_json(capsys, "campaign", "--config", path)
+    assert code == 1
+    bad = [r for r in payload["records"] if r["ring"] == "zmod:1"]
+    assert [(r["ideal"], r["check"], r["status"]) for r in bad] == [
+        ("-", check, "error") for check in sorted(checks)
+    ]
+    assert all("RingConstructionError" in r["result"] for r in bad)
+    alone = _campaign_path(tmp_path, rings=["zmod:6"], checks=checks)
+    assert run_json(capsys, "campaign", "--config", alone)[1]["records"] == [
+        r for r in payload["records"] if r["ring"] == "zmod:6"
+    ]
 
 
 def test_campaign_counterexample_exit(tmp_path, capsys):

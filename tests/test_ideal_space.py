@@ -76,8 +76,9 @@ def ring_and_ideals(draw, count):
 
 @pytest.mark.parametrize(
     "specs",
-    # the family, then the zmod and product overrides of principal above
-    # TABLE_LIMIT, where no table row is kept
+    # the family, then principal above TABLE_LIMIT, where no table row is
+    # kept: the zmod override and, on the product, the method-call branch
+    # of FiniteRing.principal
     [FAMILY, ["zmod:300"], ["prod:zmod:16,zmod:17"]],
     ids=["family", "zmod:300", "prod:zmod:16,zmod:17"],
 )

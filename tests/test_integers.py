@@ -1,9 +1,12 @@
 """Integer-coefficient leg: factor-count degrees, contents, box scans."""
 
+import time
+
 import pytest
 from oracles import content_int, gauss_lemma_check, int_poly_mul
 
 from omegalab.absorbing import omega
+from omegalab.errors import CapExceededError
 from omegalab.ideals import ideal_from_generators
 from omegalab.integers import (
     IntPolynomial,
@@ -25,6 +28,19 @@ def test_omega_int_values():
     assert omega_int(1).value == 0
     assert omega_int(0).value == 1
     assert omega_int(2**10).value == 10
+
+
+def test_omega_int_fails_fast_past_the_trial_division_bound():
+    # 2**63 - 25, the largest prime below INT_LIMIT, needs divisors up to
+    # 3 * 10**9; trial division stops at 10**7 and says so
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=str(2**63 - 25)):
+        omega_int(2**63 - 25)
+    assert time.perf_counter() - start < 1
+    # a prime just above 10**14, a pure power and the README example
+    assert omega_int(10**14 + 31).value == 1
+    assert omega_int(2**62).factors == (2,) * 62
+    assert omega_int(720).factors == (2, 2, 2, 2, 3, 3, 5)
 
 
 def test_omega_int_oracle_crosscheck():

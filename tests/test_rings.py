@@ -20,8 +20,6 @@ def test_zmod_basics():
     assert ring.descriptor == "zmod:12"
     assert ring.add(7, 8) == 3
     assert ring.mul(7, 8) == 8
-    assert ring.neg(5) == 7
-    assert ring.sub(3, 5) == 10
     assert ring.zero == 0 and ring.one == 1
 
 
