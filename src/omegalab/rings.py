@@ -12,16 +12,17 @@ structured arithmetic per family:
                     little-endian (digit i multiplies p^i);
 * quotient rings    table rings on coset representatives (least index).
 
-Each ring builds its operation tables once (``add_rows``/``mul_rows``) and
-keeps them up to TABLE_LIMIT (256), so every scan reads the rows that
-``verify_ring_axioms`` checked (truncated rings build theirs by digit
-arithmetic); above the limit rows fill lazily and the axioms go
-unchecked. The check runs over an additive generating set G in
-O(|G|·n²), and a ring that fails it is rescanned for its first violation. The
-ideal generated by c is ``principal(c)``, the set Rc; c is a unit iff 1 is
-in Rc. Constructors self-test and refuse orders above the configurable cap.
-An element is named only by its index: ``display`` gives the form that
-reports print, and no element literal is parsed.
+Up to TABLE_LIMIT (256) a ring builds its operation rows once with no
+``add``/``mul`` call (``_tables``: list slices on zmod, the factors' rows
+on a product, digit arithmetic on trunc) and keeps them, so every scan
+reads the rows that ``verify_ring_axioms`` checked: closure by one set
+union, commutativity by one transpose per table, the cubic axioms over an
+additive generating set G in O(|G|·n²), and a ring that fails is rescanned
+for its first violation. Above the limit rows fill lazily and the axioms
+go unchecked. The ideal generated by c is ``principal(c)``, the set Rc; c
+is a unit iff 1 is in Rc. Constructors self-test and refuse orders above
+the configurable cap. An element is named only by its index: ``display``
+gives the form that reports print, and no element literal is parsed.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ def take_digits(text: str, pos: int) -> tuple[Optional[int], int]:
     return (int(text[pos:end]) if end > pos else None), end
 
 
-def _full_table(op: Callable[[int, int], int], n: int) -> list[list[int]]:
-    return [[op(a, b) for b in range(n)] for a in range(n)]
-
-
 class LazyRow(dict):
     """Row a of the table of a binary operation, row[b] = op(a, b), each
     entry computed on first use."""
@@ -129,6 +126,11 @@ class FiniteRing:
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
 
+    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The full addition and multiplication rows, built without
+        calling ``add`` or ``mul``; only for order <= TABLE_LIMIT."""
+        raise NotImplementedError
+
     # derived structure ------------------------------------------------
 
     @property
@@ -137,12 +139,12 @@ class FiniteRing:
 
     def add_rows(self) -> list:
         """Rows of the addition table, row[a][b] = a + b: the full table,
-        built once and kept, up to TABLE_LIMIT; above it fresh rows filled
-        on first use (never kept on the ring)."""
+        built once by ``_tables`` and kept, up to TABLE_LIMIT; above it
+        fresh rows filled on first use (never kept on the ring)."""
         if self._add_rows is None:
             if self.order > TABLE_LIMIT:
                 return [LazyRow(self.add, a) for a in range(self.order)]
-            self._add_rows = _full_table(self.add, self.order)
+            self._add_rows, self._mul_rows = self._tables()
         return self._add_rows
 
     def mul_rows(self) -> list:
@@ -150,7 +152,7 @@ class FiniteRing:
         if self._mul_rows is None:
             if self.order > TABLE_LIMIT:
                 return [LazyRow(self.mul, a) for a in range(self.order)]
-            self._mul_rows = _full_table(self.mul, self.order)
+            self._add_rows, self._mul_rows = self._tables()
         return self._mul_rows
 
     def principal(self, c: int) -> frozenset[int]:
@@ -199,6 +201,16 @@ class ZmodRing(FiniteRing):
     def mul(self, i: int, j: int) -> int:
         return (i * j) % self.modulus
 
+    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """With R = [0..n-1]: row a of + is R[a:] + R[:a], whose entry b is
+        a + b for b < n - a and a + b - n after. With L = R * n, L[k] =
+        k mod n, so row a > 0 of * is L[0:a*n:a], whose entry b is L[ab] =
+        ab mod n (ab <= (n-1)^2 < n^2); row 0 is zeros."""
+        n = self.modulus
+        R = list(range(n))
+        L = R * n
+        return [R[a:] + R[:a] for a in R], [[0] * n] + [L[0 : a * n : a] for a in R[1:]]
+
     def principal(self, c: int) -> frozenset[int]:
         """The multiples of gcd(c, n), which generates the same ideal as c."""
         return frozenset(range(0, self.modulus, math.gcd(c, self.modulus)))
@@ -238,6 +250,17 @@ class ProductRing(FiniteRing):
         a2, b2 = divmod(j, self.right.order)
         return self.left.mul(a1, a2) * self.right.order + self.right.mul(b1, b2)
 
+    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Row a*|B| + b of an operation holds (a op x)*|B| + (b op y) at
+        x*|B| + y, the componentwise op in the lexicographic encoding; the
+        comprehension walks a, b, x, y in that order over the factors' kept
+        rows (each factor has order <= TABLE_LIMIT / 2)."""
+        B, L, R = self.right.order, self.left, self.right
+        return tuple(  # type: ignore[return-value]
+            [[x * B + y for x in lr for y in rr] for lr in left for rr in right]
+            for left, right in ((L.add_rows(), R.add_rows()), (L.mul_rows(), R.mul_rows()))
+        )
+
     def display(self, i: int) -> str:
         a, b = divmod(i, self.right.order)
         return f"({self.left.display(a)},{self.right.display(b)})"
@@ -255,32 +278,17 @@ class TruncatedLocalRing(FiniteRing):
         order = p ** len(monos)
         super().__init__(order, f"trunc:p={p},vars={k},nil={e}", 0, 1)
         self.p = p
-        self.num_vars = k
-        self.nil_exponent = e
         self.monomials = monos
         mono_pos = {m: i for i, m in enumerate(monos)}
-        # product position matrix: -1 when the monomial product is truncated
-        L = len(monos)
-        posmap = [[-1] * L for _ in range(L)]
-        for i, mi in enumerate(monos):
-            for j, mj in enumerate(monos):
-                s = tuple(a + b for a, b in zip(mi, mj))
-                if sum(s) < e:
-                    posmap[i][j] = mono_pos[s]
-        self._posmap = posmap
-        self._digit_cache: list[tuple[int, ...]] = []
-        for idx in range(order):
-            digits = []
-            v = idx
-            for _ in range(L):
-                v, d = divmod(v, p)
-                digits.append(d)
-            self._digit_cache.append(tuple(digits))
+        # slot of the product of monomials i and j; -1 past the truncation
+        self._posmap = [
+            [mono_pos.get(tuple(map(sum, zip(mi, mj))), -1) for mj in monos] for mi in monos
+        ]
+        # product() runs the last slot fastest, so reversed it is little-endian
+        self._digit_cache = [d[::-1] for d in itertools.product(range(p), repeat=len(monos))]
         self._names = var_names(k)
-        if order <= TABLE_LIMIT:
-            self._add_rows, self._mul_rows = self._digit_tables()
 
-    def _digit_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """The add and mul rows, each row from an earlier one in O(order).
 
         Let k be the lowest nonzero digit of a > 0 and a' = a - p^k, so a is
@@ -290,7 +298,7 @@ class TruncatedLocalRing(FiniteRing):
         monomials k and j, or drops it past the truncation; distinct j give
         distinct products, so no two digits meet. Both follow from
         digit-wise addition mod p and bilinearity, so the rows equal those
-        of ``add`` and ``mul``, and ``verify_ring_axioms`` checks them."""
+        of ``add`` and ``mul``."""
         p, n, digits = self.p, self.order, self._digit_cache
         powers = [p**k for k in range(len(self.monomials))]
         step = [
@@ -346,13 +354,7 @@ class TruncatedLocalRing(FiniteRing):
         return c % self.p != 0
 
     def _mono_str(self, mono: tuple[int, ...]) -> str:
-        parts = []
-        for name, exp in zip(self._names, mono):
-            if exp == 1:
-                parts.append(name)
-            elif exp > 1:
-                parts.append(f"{name}^{exp}")
-        return "".join(parts)
+        return "".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self._names, mono) if e)
 
     def display(self, i: int) -> str:
         terms = []
@@ -437,14 +439,11 @@ class QuotientRing(TableRing):
         reps = [x for x, rep in enumerate(project_rep) if rep == x]
         index_of = {rep: i for i, rep in enumerate(reps)}
         project = [index_of[rep] for rep in project_rep]
-        add = parent.add
-        q = len(reps)
-        add_rows = [[project[add(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-        mul_rows = [[project[parent.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]
+        A, M = parent.add_rows(), parent.mul_rows()
         displays = [parent.display(rep) for rep in reps]
         super().__init__(
-            add_rows,
-            mul_rows,
+            [[project[A[r][s]] for s in reps] for r in reps],
+            [[project[M[r][s]] for s in reps] for r in reps],
             project[parent.zero],
             project[parent.one],
             f"quot:{parent.descriptor}/{label}",
@@ -548,7 +547,7 @@ def _axiom_scan(ring: FiniteRing, generated: bool) -> AxiomReport:
     def fail(axiom: str, *witness: int) -> AxiomReport:
         return AxiomReport(False, True, axiom, witness)
 
-    if any(min(r) < 0 or max(r) >= n for r in A + M):
+    if not set().union(*A, *M) <= set(rng):
         for i in rng:
             for j in rng:
                 if not 0 <= A[i][j] < n:
@@ -558,8 +557,7 @@ def _axiom_scan(ring: FiniteRing, generated: bool) -> AxiomReport:
     if ring.zero == ring.one:
         return fail("zero-ne-one")
     identity = list(rng)
-    for i in rng:
-        column = [row[i] for row in A]
+    for i, column in enumerate(map(list, zip(*A))):
         if A[i] != column:
             return fail("add-commutative", i, _first_diff(A[i], column))
     z = ring.zero
@@ -576,8 +574,7 @@ def _axiom_scan(ring: FiniteRing, generated: bool) -> AxiomReport:
             left, right = A[Ai[j]], [Ai[x] for x in A[j]]
             if left != right:
                 return fail("add-associative", i, j, _first_diff(left, right))
-    for i in rng:
-        column = [row[i] for row in M]
+    for i, column in enumerate(map(list, zip(*M))):
         if M[i] != column:
             return fail("mul-commutative", i, _first_diff(M[i], column))
     e = ring.one

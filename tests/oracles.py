@@ -15,7 +15,9 @@ subproduct by subproduct, with no hit masks; the reference poly-omega
 scan runs it over sparse exponent->coefficient dicts, not unit classes
 of residue polynomials through the row kernel. The reference integer leg
 expands every product in Z[X], never in (Z/m)[X]. Integer contents are
-gcds of the coefficients."""
+gcds of the coefficients. ``method_table`` fills an operation table by one
+call of the ring's ``add`` or ``mul`` per entry, against which the kept
+rows are compared."""
 
 import functools
 import itertools
@@ -55,6 +57,11 @@ from omegalab.integers import (
 )
 from omegalab.polys import _poly_dict_mul
 from omegalab.rings import FiniteRing, monomials_up_to
+
+
+def method_table(op, n: int) -> list[list[int]]:
+    """Row a, entry b: op(a, b), one call per entry."""
+    return [[op(a, b) for b in range(n)] for a in range(n)]
 
 
 def generic_closure(ring, gens: Iterable[int]) -> frozenset[int]:

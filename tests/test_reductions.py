@@ -10,8 +10,8 @@ per-candidate scan on element, lattice and residue-class tables, and the
 kernel itself against ``poly_mul``. The
 integer leg over (Z/m)[X] against the loop that expands every product in
 Z[X], its found path included. Last, the axiom check over an additive
-generating set against the full lexicographic axiom scan, and the
-truncated rings' tables built by digit arithmetic against the tables of
+generating set against the full lexicographic axiom scan, and the kept
+rows of every family, built without a method call, against the tables of
 their ``add`` and ``mul``."""
 
 import functools
@@ -26,6 +26,7 @@ from oracles import (
     _in_mzx,
     _product,
     _violates,
+    method_table,
     reference_certify_sweep,
     reference_conjecture_check_int,
     reference_dm_table,
@@ -58,10 +59,12 @@ from omegalab.rings import (
     TABLE_LIMIT,
     AxiomReport,
     LazyRow,
+    ProductRing,
     TableRing,
+    TruncatedLocalRing,
+    ZmodRing,
     _additive_generators,
     _axiom_scan,
-    _full_table,
     coset_minima,
     monomials_up_to,
     parse_ring_spec,
@@ -481,14 +484,16 @@ AXIOM_FAMILY = [
 @st.composite
 def corrupted_rings(draw):
     """A table ring of order <= 16 from the family with one or two entries
-    of its tables overwritten, each alone or with its mirror entry."""
+    of its tables overwritten, each alone or with its mirror entry, by a
+    value in -1..order: the ends lie outside the ring."""
     spec = draw(st.sampled_from(AXIOM_FAMILY))
     base = cube_quotient() if spec == "cube-quotient" else ring_of(spec)
     last = base.order - 1
     tables = [[list(r) for r in base.add_rows()], [list(r) for r in base.mul_rows()]]
     for _ in range(draw(st.integers(1, 2))):
         table = tables[draw(st.integers(0, 1))]
-        i, j, value = draw(st.tuples(*[st.integers(0, last)] * 3))
+        i, j = draw(st.tuples(*[st.integers(0, last)] * 2))
+        value = draw(st.integers(-1, base.order))
         table[i][j] = value
         if draw(st.booleans()):
             table[j][i] = value
@@ -538,12 +543,38 @@ def test_generating_set_pass_decides_real_rings():
         assert verify_ring_axioms(ring) == AxiomReport(ok=True, checked=True), spec
 
 
-def test_trunc_digit_tables_match_methods():
-    # the kept rows of every trunc ring of the axiom family and the absorb
-    # list, built by digit arithmetic, against the tables of add and mul
-    specs = {s for s in AXIOM_FAMILY + BUILT_RINGS if s.startswith("trunc:")}
+def test_kept_rows_match_methods():
+    # the kept rows of every zmod, prod and trunc ring of the axiom family
+    # and the absorb list, and of nested products, each built by its
+    # family's _tables, against the tables of add and mul
+    specs = {s for s in AXIOM_FAMILY + BUILT_RINGS if s != "cube-quotient"} | {
+        "prod:trunc:p=2,vars=2,nil=2,zmod:4",
+        "prod:prod:zmod:2,zmod:2,zmod:3",
+    }
     for spec in sorted(specs):
         ring = parse_ring_spec(spec)
         assert ring.order <= TABLE_LIMIT
-        assert ring.add_rows() == _full_table(ring.add, ring.order), spec
-        assert ring.mul_rows() == _full_table(ring.mul, ring.order), spec
+        assert ring.add_rows() == method_table(ring.add, ring.order), spec
+        assert ring.mul_rows() == method_table(ring.mul, ring.order), spec
+
+
+def test_kept_rows_make_no_method_calls(monkeypatch):
+    # building a ring fills its rows and checks them without one call of
+    # a family's add or mul
+    calls = []
+
+    def counted(method):
+        def call(self, i, j):
+            calls.append((method.__qualname__, i, j))
+            return method(self, i, j)
+        return call
+
+    for cls in (ZmodRing, ProductRing, TruncatedLocalRing):
+        monkeypatch.setattr(cls, "add", counted(cls.add))
+        monkeypatch.setattr(cls, "mul", counted(cls.mul))
+    for spec in ("zmod:256", "prod:zmod:16,zmod:16", "trunc:p=2,vars=2,nil=3"):
+        ring = parse_ring_spec(spec)
+        assert len(ring.add_rows()) == len(ring.mul_rows()) == ring.order
+    assert calls == []
+    assert ring.add(3, 5) == 6  # the patch counts
+    assert calls == [("TruncatedLocalRing.add", 3, 5)]

@@ -161,6 +161,44 @@ def test_axiom_scan_zero_identity():
     assert report.witness == (1,)
 
 
+@pytest.mark.parametrize(
+    "overwrites, axiom, witness",
+    [
+        # -1 would index the last row, the order would raise IndexError
+        ([("add", 1, 2, -1)], "closure-add", (1, 2)),
+        ([("mul", 2, 3, 4)], "closure-mul", (2, 3)),
+        # entries are checked in (i, j) order, the add entry before the mul
+        ([("add", 2, 0, 4), ("mul", 1, 3, -1)], "closure-mul", (1, 3)),
+    ],
+)
+def test_axiom_scan_closure(overwrites, axiom, witness):
+    tables = dict(zip(("add", "mul"), _z4_tables()))
+    for table, i, j, value in overwrites:
+        tables[table][i][j] = value
+    report = verify_ring_axioms(TableRing(tables["add"], tables["mul"], 0, 1, "bad"))
+    assert (report.ok, report.axiom, report.witness) == (False, axiom, witness)
+
+
+def test_axiom_scan_zero_ne_one():
+    report = verify_ring_axioms(TableRing(*_z4_tables(), 0, 0, "bad:one"))
+    assert (report.ok, report.axiom, report.witness) == (False, "zero-ne-one", ())
+
+
+def test_axiom_scan_additive_inverse():
+    # 1 + 3 = 3 + 1 = 2 leaves no 0 in rows 1 and 3, and + commutative
+    # with 0 its identity
+    add, mul = _z4_tables()
+    add[1][3] = add[3][1] = 2
+    report = verify_ring_axioms(TableRing(add, mul, 0, 1, "bad:add"))
+    assert (report.ok, report.axiom, report.witness) == (False, "additive-inverse", (1,))
+
+
+def test_axiom_scan_one_identity():
+    # the tables of Z/4 with 3 named as one: 3 * 1 = 3
+    report = verify_ring_axioms(TableRing(*_z4_tables(), 0, 3, "bad:one"))
+    assert (report.ok, report.axiom, report.witness) == (False, "one-identity", (1,))
+
+
 def _z3_tables():
     z3 = make_zmod(3)
     return [list(r) for r in z3.add_rows()], [list(r) for r in z3.mul_rows()]
