@@ -49,11 +49,10 @@ from .ideals import (
     all_ideals,
     ideal_space,
 )
-from .rings import FiniteRing, LazyRow
+from .rings import FiniteRing
 
 __all__ = [
     "DEFAULT_CAP",
-    "AbsorbingCheck",
     "OmegaResult",
     "is_n_absorbing",
     "multiset_scan",
@@ -68,14 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 6
-
-
-@dataclass(frozen=True)
-class AbsorbingCheck:
-    """Outcome of one n-absorbing scan."""
-
-    holds: bool
-    violation: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -218,10 +209,11 @@ def violates(factors: Sequence, one, table, inside) -> bool:
     )
 
 
-def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
-    """Scan for a violating (n+1)-element multiset; I must be proper. The
-    candidates are the least generators of the principal ideals that are
-    neither R nor inside I (one element per associate class)."""
+def is_n_absorbing(ideal: Ideal, n: int) -> Optional[tuple[int, ...]]:
+    """The least violating (n+1)-element multiset, None when I is
+    n-absorbing; I must be proper. The candidates are the least generators
+    of the principal ideals that are neither R nor inside I (one element
+    per associate class)."""
     _check_args(ideal, n)
     ring = ideal.ring
     members = ideal.elements
@@ -232,25 +224,21 @@ def is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
         if i != space.full_id and x not in members
     ]
     found = multiset_scan(candidates, ring.one, ring.mul_rows(), members, n)[0]
-    if found is None:
-        return AbsorbingCheck(holds=True)
-    return AbsorbingCheck(
-        holds=False, violation=tuple(candidates[i] for i in found)
-    )
+    return None if found is None else tuple(candidates[i] for i in found)
 
 
 def _degree(
-    ideal: Ideal, cap: int, check: Callable[[int], AbsorbingCheck]
+    ideal: Ideal, cap: int, violation: Callable[[int], Optional[tuple]]
 ) -> OmegaResult:
-    """Least n <= cap with check(n).holds; 0 iff I = R; None past cap."""
+    """Least n <= cap with no violation(n); 0 iff I = R; None past cap."""
     if not ideal.is_proper:
         return OmegaResult(0, cap)
     witness: Optional[tuple] = None
     for n in range(1, cap + 1):
-        result = check(n)
-        if result.holds:
+        found = violation(n)
+        if found is None:
             return OmegaResult(n, cap, witness)
-        witness = result.violation
+        witness = found
     return OmegaResult(None, cap, witness)
 
 
@@ -265,10 +253,12 @@ def omega(ideal: Ideal, cap: int = DEFAULT_CAP) -> OmegaResult:
 
 def is_strongly_n_absorbing(
     ideal: Ideal, n: int, lattice_cap: int = DEFAULT_LATTICE_CAP
-) -> AbsorbingCheck:
-    """Scan ideal multisets: I1..I(n+1) with product inside I but no
-    n-subproduct inside I. Ideals contained in I and the full ring are
-    skipped (mirrors of the element prunings, equally sound)."""
+) -> Optional[tuple[Ideal, ...]]:
+    """The least violating ideal multiset, None when I is strongly
+    n-absorbing: I1..I(n+1) with product inside I but no n-subproduct
+    inside I. Ideals contained in I and the full ring are skipped (mirrors
+    of the element prunings, equally sound); products are read from the
+    registry's table (``IdealSpace.products``)."""
     _check_args(ideal, n)
     ring = ideal.ring
     lattice = all_ideals(ring, lattice_cap)
@@ -280,16 +270,10 @@ def is_strongly_n_absorbing(
     positions = [
         p for p, i in enumerate(ids) if i not in inside and i != space.full_id
     ]
-    # rows of the registry's product over ideal ids, filled on first use
-    table = LazyRow(lambda _, a: LazyRow(space.product, a), None)
     found = multiset_scan(
-        [ids[p] for p in positions], space.full_id, table, inside, n
+        [ids[p] for p in positions], space.full_id, space.products, inside, n
     )[0]
-    if found is None:
-        return AbsorbingCheck(holds=True)
-    return AbsorbingCheck(
-        holds=False, violation=tuple(lattice[positions[i]] for i in found)
-    )
+    return None if found is None else tuple(lattice[positions[i]] for i in found)
 
 
 def strong_omega(

@@ -336,14 +336,14 @@ def _pair_search(
 
 
 def _gaussian_violation(space: IdealSpace, prod_coeffs, ca: int, cb: int) -> bool:
-    return space.id_of_coeffs(prod_coeffs) != space.product(ca, cb)
+    return space.id_of_coeffs(prod_coeffs) != space.products[ca][cb]
 
 
 def _armendariz_violation(space: IdealSpace, prod_coeffs, ca: int, cb: int) -> bool:
     zero = space.ring.zero
     if any(c != zero for c in prod_coeffs):
         return False
-    return space.product(ca, cb) != space.zero_id
+    return space.products[ca][cb] != space.zero_id
 
 
 def gaussian_search(
@@ -702,8 +702,8 @@ def _peel(
     content ids of f_1..f_m and the peeling exponents l_1..l_{m-1}."""
     chain = plain = ids[-1]
     for cid, l in zip(ids, exponents):  # stops before f_m: one l fewer
-        chain = space.product(chain, space.power(cid, l))
-        plain = space.product(plain, cid)
+        chain = space.products[chain][space.power(cid, l)]
+        plain = space.products[plain][cid]
     return space.set_of(chain) <= members, space.set_of(plain) <= members
 
 

@@ -22,16 +22,10 @@ class SpecParseError(ValueError):
         if offset is not None:
             message = f"{message} (at offset {offset} in {text!r})"
         super().__init__(message)
-        self.text = text
-        self.offset = offset
 
 
 class LatticeOverflowError(RuntimeError):
     """Ideal lattice enumeration exceeded its cap; never truncated silently."""
-
-    def __init__(self, message: str, count: int):
-        super().__init__(message)
-        self.count = count
 
 
 class CapExceededError(RuntimeError):

@@ -5,15 +5,16 @@ generators it was built from.
 
 All ideal arithmetic goes through one registry per ring, ``IdealSpace``
 (``ideal_space(ring)``): it interns element sets as ids and memoizes
-I + (c), products, powers, minimal generators, the Dedekind-Mertens
-exponent and radicals. Closure has one route: (c) is the ring's
-``principal(c)``, I + (c) is the union of the cosets y + I over y in (c),
-and the ideal generated by a set is a fold of ``IdealSpace.extend`` from
-the zero ideal, so this module never branches on the ring family; the
-worklist closure that tests compare against lives in the tests. The
-lattice BFS, the strong scan and the content formulas all use the
-registry, so ``ring.caches`` holds only the registry and the sorted
-lattice (``"all_ideals"``).
+I + (c), one product table (``IdealSpace.products``) that powers and
+Dedekind-Mertens exponents walk, minimal generators, the exponents and
+radicals. Closure has one route: (c) is the ring's ``principal(c)``,
+I + (c) is the union of the cosets y + I over y in (c), and the ideal
+generated by a set is a fold of ``IdealSpace.extend`` from the zero
+ideal, so this module never branches on the ring family; the worklist
+closure that tests compare against lives in the tests. The lattice BFS,
+the strong scan and the content formulas all use the registry, so
+``ring.caches`` holds only the registry and the sorted lattice
+(``"all_ideals"``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import LatticeOverflowError, SpecParseError
-from .rings import FiniteRing, make_quotient, take_digits
+from .rings import FiniteRing, LazyRow, make_quotient, take_digits
 
 if TYPE_CHECKING:  # closure never depends on the ring family
     from .rings import QuotientRing
@@ -106,12 +107,14 @@ def minimal_generators(ring: FiniteRing, elements: frozenset[int]) -> tuple[int,
 
 
 class IdealSpace:
-    """The ring's ideal registry: one id per ideal, one product, one power.
+    """The ring's ideal registry: one id per ideal, one product table.
 
     Element sets are interned as small integer ids (the zero ideal and R
     first), and the arithmetic is memoized on ids: I + (c), which also
-    builds content ideals, IJ, I^n, minimal generators and the
-    Dedekind-Mertens exponent. The lattice, the strong scan and the content
+    builds content ideals, minimal generators, the Dedekind-Mertens
+    exponent, and ``products[a][b]``, the id of IJ, computed once per
+    unordered pair on first read. I^n and every DM exponent are walks
+    through that table. The lattice, the strong scan and the content
     formulas share the registry of their ring (``ideal_space``), so one
     ideal has one id everywhere. Every ideal given by generators is a fold
     of ``extend`` from the zero ideal, starting from the ring's
@@ -129,8 +132,8 @@ class IdealSpace:
         self.gens: dict[int, tuple[int, ...]] = {}  # filled by minimal_generators
         self._reps: Optional[dict[int, int]] = None
         self._cycle: Optional[list[int]] = None
-        self._prod: dict[tuple[int, int], int] = {}
-        self._pow: dict[tuple[int, int], int] = {}
+        # products[I][J] -> IJ, filled on first use under both orders
+        self.products = LazyRow(lambda _, a: LazyRow(self._product, a), None)
         self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
         # (num_vars, max_deg) -> content_checks' exhaustive pair groups
         self.pair_groups: dict[tuple[int, int], dict] = {}
@@ -218,44 +221,39 @@ class IdealSpace:
                 self._cycle.append(p)
         return frozenset(x for x, c in enumerate(self._cycle) if c in members)
 
-    def product(self, a: int, b: int) -> int:
-        """IJ: generated by the products of the minimal generators."""
-        key = (a, b) if a <= b else (b, a)
-        got = self._prod.get(key)
-        if got is None:
-            ring = self.ring
-            mul = ring.mul
-            ga = minimal_generators(ring, self._sets[a])
-            gb = minimal_generators(ring, self._sets[b])
-            got = self._prod[key] = self.id_of_coeffs(
-                [mul(x, y) for x in ga for y in gb]
-            )
+    def _product(self, a: int, b: int) -> int:
+        """IJ: generated by the products of the minimal generators. Stored
+        under (b, a) as well, since IJ = JI; ``products`` stores (a, b)."""
+        ring = self.ring
+        mul = ring.mul
+        ga = minimal_generators(ring, self._sets[a])
+        gb = minimal_generators(ring, self._sets[b])
+        got = self.products[b][a] = self.id_of_coeffs(
+            [mul(x, y) for x in ga for y in gb]
+        )
         return got
 
     def power(self, a: int, n: int) -> int:
-        """I^n, with I^0 = R."""
-        if n == 0:
-            return self.full_id
-        key = (a, n)
-        got = self._pow.get(key)
-        if got is None:
-            got = a
-            for _ in range(n - 1):
-                got = self.product(got, a)
-            self._pow[key] = got
+        """I^n, with I^0 = R: n reads of the product table from R."""
+        got = self.full_id
+        for _ in range(n):
+            got = self.products[got][a]
         return got
 
     def dm_exponent(self, cf: int, cg: int, cfg: int, cap: int) -> Optional[int]:
         """Least n in 1..cap with c(f)^n c(g) = c(f)^(n-1) c(fg), from the
-        content ids of f, g and fg; None past cap."""
+        content ids of f, g and fg; None past cap. p = c(f)^(n-1) steps to
+        q = c(f)^n through the product table."""
         key = (cf, cg, cfg, cap)
         if key not in self._dm:
-            got = None
+            products = self.products
+            got, p = None, self.full_id
             for n in range(1, cap + 1):
-                left = self.product(self.power(cf, n), cg)
-                if left == self.product(self.power(cf, n - 1), cfg):
+                q = products[p][cf]
+                if products[q][cg] == products[p][cfg]:
                     got = n
                     break
+                p = q
             self._dm[key] = got
         return self._dm[key]
 
@@ -302,8 +300,7 @@ def all_ideals(ring: FiniteRing, count_cap: int = DEFAULT_LATTICE_CAP) -> list[I
     if cache is not None:
         if len(cache) > count_cap:
             raise LatticeOverflowError(
-                f"{ring.descriptor}: {len(cache)} ideals exceed cap {count_cap}",
-                len(cache),
+                f"{ring.descriptor}: {len(cache)} ideals exceed cap {count_cap}"
             )
         return list(cache)
     space = ideal_space(ring)
@@ -322,8 +319,7 @@ def all_ideals(ring: FiniteRing, count_cap: int = DEFAULT_LATTICE_CAP) -> list[I
                     known.add(combined)
                     if len(known) > count_cap:
                         raise LatticeOverflowError(
-                            f"{ring.descriptor}: ideal count exceeds cap {count_cap}",
-                            len(known),
+                            f"{ring.descriptor}: ideal count exceeds cap {count_cap}"
                         )
                     new_frontier.append(combined)
         frontier = new_frontier

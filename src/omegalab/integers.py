@@ -93,9 +93,9 @@ class IntOmegaResult:
 def omega_int(m: int) -> IntOmegaResult:
     """Absorbing degree of the ideal mZ inside Z.
 
-    m = 1 gives 0 (the improper ideal), m = 0 gives 1 (the zero ideal is
-    prime), and otherwise the value is the number of prime factors of m
-    counted with multiplicity (CapExceededError where trial division stops
+    m = 0 gives 1 (the zero ideal is prime), and otherwise the value is the
+    number of prime factors of m counted with multiplicity, so 0 for the
+    improper ideal m = 1 (CapExceededError where trial division stops
     short, ``rings.prime_factors``). tests/test_integers.py checks it
     against the exhaustive scan of the zero ideal of Z/m, m in 2..60.
     """
@@ -103,8 +103,6 @@ def omega_int(m: int) -> IntOmegaResult:
         raise ValueError("modulus must be nonnegative")
     if m > INT_LIMIT:
         raise ValueError(f"modulus exceeds the supported limit {INT_LIMIT}")
-    if m == 1:
-        return IntOmegaResult(1, 0, ())
     if m == 0:
         return IntOmegaResult(0, 1, ())
     factors = prime_factors(m)

@@ -450,7 +450,6 @@ class QuotientRing(TableRing):
             displays,
         )
         self.parent = parent
-        self.ideal_elements = frozenset(ideal_elements)
         self.reps = tuple(reps)
         self.project = tuple(project)
 

@@ -28,7 +28,6 @@ from typing import Iterable, Optional, Sequence
 
 from omegalab.absorbing import (
     DEFAULT_CAP,
-    AbsorbingCheck,
     omega,
     violates,
 )
@@ -154,10 +153,10 @@ def is_prime(ideal: Ideal) -> bool:
     return not any(mul(x, y) in members for x in outside for y in outside)
 
 
-def reference_is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
+def reference_is_n_absorbing(ideal: Ideal, n: int) -> Optional[tuple[int, ...]]:
     """All non-decreasing (n+1)-tuples of elements in lex order, with
     direct product checks: the first whose product lies in I while no
-    n-subproduct does."""
+    n-subproduct does, None when there is none."""
     ring = ideal.ring
     members = ideal.elements
     mul = ring.mul
@@ -172,8 +171,8 @@ def reference_is_n_absorbing(ideal: Ideal, n: int) -> AbsorbingCheck:
         if product(chosen) in members and not any(
             product(chosen[:t] + chosen[t + 1:]) in members for t in range(n + 1)
         ):
-            return AbsorbingCheck(holds=False, violation=chosen)
-    return AbsorbingCheck(holds=True)
+            return chosen
+    return None
 
 
 def reference_strong_violation(ideal: Ideal, n: int) -> Optional[tuple]:

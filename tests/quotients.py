@@ -121,7 +121,7 @@ def gaussian_iff_armendariz_quotients(
             gq = project_poly(q, g)
             space, cf, cg, cfg = content_ids(fq, gq)
             image_zero = cfg == space.zero_id
-            nonzero = space.product(cf, cg) != space.zero_id
+            nonzero = space.products[cf][cg] != space.zero_id
             row_found = any(
                 out.found for ideal, out in rows if ideal.elements == prod_content
             )
@@ -135,7 +135,7 @@ def gaussian_iff_armendariz_quotients(
             fr = lift_poly(q, fq)
             gr = lift_poly(q, gq)
             space, cf, cg, cfg = content_ids(fr, gr)
-            backward = cfg != space.product(cf, cg) and g_out.found
+            backward = cfg != space.products[cf][cg] and g_out.found
             break
 
     return QuotientAgreementReport(

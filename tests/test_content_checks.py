@@ -64,7 +64,7 @@ def _content_law(f, g):
     cf, cg, cfg = (
         space.id_of_coeffs(p.coefficients()) for p in (f, g, poly_mul(f, g))
     )
-    return space.set_of(cfg), space.set_of(space.product(cf, cg))
+    return space.set_of(cfg), space.set_of(space.products[cf][cg])
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_content_space_matches_ideal_arithmetic():
     a = generic_closure(Z12, (4,))
     b = generic_closure(Z12, (6,))
     ida, idb = space.intern(a), space.intern(b)
-    assert space.set_of(space.product(ida, idb)) == reference_product(Z12, a, b)
+    assert space.set_of(space.products[ida][idb]) == reference_product(Z12, a, b)
     assert space.set_of(space.power(ida, 2)) == reference_product(Z12, a, a)
     assert space.set_of(space.power(ida, 0)) == frozenset(range(12))
 

@@ -200,8 +200,36 @@ def test_registry_product_matches_element_products(drawn):
     expected = reference_product(ring, a.elements, b.elements)
     space = ideal_space(ring)
     ida, idb = space.intern(a.elements), space.intern(b.elements)
-    assert space.set_of(space.product(ida, idb)) == expected
-    assert space.product(idb, ida) == space.product(ida, idb)
+    assert space.set_of(space.products[ida][idb]) == expected
+    assert space.products[idb][ida] == space.products[ida][idb]
+
+
+def test_product_table_symmetric_and_filled_once():
+    """Every pair of lattice ideals of the family: products[a][b] and
+    products[b][a] are one id, the closure of the element products, and
+    the table computes IJ once per unordered pair."""
+    for spec in FAMILY:
+        ring = parse_ring_spec(spec)  # a cold registry
+        space = ideal_space(ring)
+        ids = [space.intern(ideal.elements) for ideal in all_ideals(ring)]
+        fills = []
+        fill = space._product
+
+        def counted(a, b):
+            fills.append(frozenset((a, b)))
+            return fill(a, b)
+
+        space._product = counted  # read when a row of the table is made
+        for k, a in enumerate(ids):
+            for b in ids[k:]:
+                ab = space.products[a][b]
+                assert space.products[b][a] == ab, spec
+                expected = reference_product(
+                    ring, space.set_of(a), space.set_of(b)
+                )
+                assert space.set_of(ab) == expected, spec
+        pairs = len(ids) * (len(ids) + 1) // 2
+        assert len(fills) == len(set(fills)) == pairs, spec
 
 
 @examples(max_examples=100)
@@ -232,7 +260,7 @@ def test_strong_scan_matches_reference_witnesses():
             if not ideal.is_proper:
                 continue
             for n in (1, 2, 3):
-                got = is_strongly_n_absorbing(ideal, n).violation
+                got = is_strongly_n_absorbing(ideal, n)
                 assert got == reference_strong_violation(ideal, n), (spec, n)
 
 
@@ -252,15 +280,12 @@ def test_memo_layout_one_registry_one_id():
     # the content lookup of each ideal's generators gives its lattice id
     for ideal, cid in zip(lattice, ids):
         assert space.id_of_coeffs(ideal.generators) == cid
-    # the strong scan multiplies lattice ids through the same registry
-    seen = []
-    product = space.product
-
-    def recorded(a, b):
-        got = product(a, b)
-        seen.append((a, b, got))
-        return got
-
-    space.product = recorded
-    assert not is_strongly_n_absorbing(lattice[0], 1).holds
-    assert seen and set(x for t in seen for x in t) <= set(ids)
+    # the strong scan multiplies lattice ids through the same registry:
+    # every product it reads from the emptied table is a lattice id
+    space.products.clear()
+    assert is_strongly_n_absorbing(lattice[0], 1) is not None
+    seen = {
+        x for a, row in space.products.items() for b, ab in row.items()
+        for x in (a, b, ab)
+    }
+    assert seen and seen <= set(ids)

@@ -72,7 +72,7 @@ def test_ideal_sum_product_intersect():
     # (4) + (6) = (2): the ideal generated by both generators
     assert sorted(space.set_of(space.id_of_coeffs((4, 6)))) == [0, 2, 4, 6, 8, 10]
     i2, i3 = space.principal_id(2), space.principal_id(3)
-    assert sorted(space.set_of(space.product(i2, i3))) == [0, 6]
+    assert sorted(space.set_of(space.products[i2][i3])) == [0, 6]
     assert sorted(space.set_of(i2) & space.set_of(i3)) == [0, 6]
 
 
@@ -80,7 +80,7 @@ def test_product_contained_in_intersection():
     space = ideal_space(Z12)
     ideals = all_ideals(Z12)
     for a, b in itertools.product(ideals, repeat=2):
-        prod = space.product(space.intern(a.elements), space.intern(b.elements))
+        prod = space.products[space.intern(a.elements)][space.intern(b.elements)]
         assert space.set_of(prod) <= a.elements & b.elements
 
 

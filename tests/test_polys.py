@@ -124,7 +124,7 @@ def test_content_subset_property_exhaustive_small():
             for g in polys:
                 cg = space.id_of_coeffs(g.coefficients())
                 cfg = space.id_of_coeffs(poly_mul(f, g).coefficients())
-                assert space.set_of(cfg) <= space.set_of(space.product(cf, cg))
+                assert space.set_of(cfg) <= space.set_of(space.products[cf][cg])
 
 
 def test_content_inclusion_strict_over_local_cube():
@@ -135,4 +135,4 @@ def test_content_inclusion_strict_over_local_cube():
     space = ideal_space(ring)
     cf = space.id_of_coeffs(f.coefficients())
     cfg = space.id_of_coeffs(poly_mul(f, f).coefficients())
-    assert space.set_of(cfg) < space.set_of(space.product(cf, cf))
+    assert space.set_of(cfg) < space.set_of(space.products[cf][cf])
