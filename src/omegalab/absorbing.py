@@ -227,19 +227,48 @@ def is_n_absorbing(ideal: Ideal, n: int) -> Optional[tuple[int, ...]]:
     return None if found is None else tuple(candidates[i] for i in found)
 
 
+def _local_bound(ideal: Ideal) -> int:
+    """N = sum of the least n_i with m_i^n_i in I over the local factors
+    (Re_i, m_i) of R with e_i outside I (``IdealSpace.factors``), walked
+    through ``IdealSpace.products``; I proper. I is strongly N-absorbing.
+
+    Local case: if m^n lies in I and n+1 factors multiply into I, n of them
+    lie in m, or two are units and dropping one is multiplying by a unit
+    (an ideal outside m is R, so ideal factors alike). Products: I = prod
+    I e_i, m_i^n lies in I iff in I e_i, and a product lies in I iff each
+    component does: n_i factors carry component i (n-absorbing extends to
+    more factors: merge all but n into one and recurse), none if e_i is in
+    I, so at most N in all (Anderson-Badawi, Comm. Algebra 39, 2011, show
+    omega(I1 x I2) = omega(I1) + omega(I2))."""
+    space = ideal_space(ideal.ring)
+    bound = 0
+    for e, m in space.factors():
+        if e in ideal.elements:
+            continue
+        power, bound = m, bound + 1
+        while not space.set_of(power) <= ideal.elements:
+            power, bound = space.products[power][m], bound + 1
+    return bound
+
+
 def _degree(
     ideal: Ideal, cap: int, violation: Callable[[int], Optional[tuple]]
 ) -> OmegaResult:
-    """Least n <= cap with no violation(n); 0 iff I = R; None past cap."""
+    """Least n <= cap with no violation(n); 0 iff I = R; None past cap.
+
+    omega = strong omega = N = ``_local_bound``: omega <= strong omega <= N
+    by the bound, and Choi-Walker's rad(J)^omega(J) in J, with rad(J) = m_i for a proper
+    ideal J of the local Re_i, gives omega(I e_i) >= n_i, so the
+    Anderson-Badawi sum omega(I) = sum omega(I e_i) is N. A walk n = 1, 2,
+    ... would end on the violation at N-1 (or at the cap for a capped
+    record), so the one scan there gives its witness; N = 1 takes none."""
     if not ideal.is_proper:
         return OmegaResult(0, cap)
-    witness: Optional[tuple] = None
-    for n in range(1, cap + 1):
-        found = violation(n)
-        if found is None:
-            return OmegaResult(n, cap, witness)
-        witness = found
-    return OmegaResult(None, cap, witness)
+    bound = _local_bound(ideal)
+    at = min(bound - 1, cap)
+    return OmegaResult(
+        bound if bound <= cap else None, cap, violation(at) if at >= 1 else None
+    )
 
 
 def omega(ideal: Ideal, cap: int = DEFAULT_CAP) -> OmegaResult:
@@ -280,6 +309,8 @@ def strong_omega(
     ideal: Ideal, cap: int = DEFAULT_CAP, lattice_cap: int = DEFAULT_LATTICE_CAP
 ) -> OmegaResult:
     """Least n such that I is strongly n-absorbing; same conventions."""
+    if ideal.is_proper:  # past lattice_cap this raises, scan or no scan
+        all_ideals(ideal.ring, lattice_cap)
     return _degree(
         ideal, cap, lambda n: is_strongly_n_absorbing(ideal, n, lattice_cap)
     )

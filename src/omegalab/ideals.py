@@ -132,6 +132,7 @@ class IdealSpace:
         self.gens: dict[int, tuple[int, ...]] = {}  # filled by minimal_generators
         self._reps: Optional[dict[int, int]] = None
         self._cycle: Optional[list[int]] = None
+        self._factors: Optional[list[tuple[int, int]]] = None
         # products[I][J] -> IJ, filled on first use under both orders
         self.products = LazyRow(lambda _, a: LazyRow(self._product, a), None)
         self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
@@ -220,6 +221,34 @@ class IdealSpace:
                     p = mul(p, x)
                 self._cycle.append(p)
         return frozenset(x for x, c in enumerate(self._cycle) if c in members)
+
+    def factors(self) -> list[tuple[int, int]]:
+        """(e, id of m = Re ∩ nil(R)) per primitive idempotent e, ascending:
+        the local factors Re of R = prod Re and their maximal ideals.
+
+        Primitive e (no idempotent f but 0, e has ef = f) are orthogonal (ef
+        lies under both) and sum to 1 (1 - sum has none under it). A power
+        of x in Re is 0 or e, so x is nilpotent or a unit: Re is local. If
+        x^t = 0, t least, Rx > Rx^2 > ... > Rx^t = 0 is strict (Rx^i =
+        Rx^(i+1) gives x^i = r^t x^(i+t)) and halves each step, so t <=
+        log2|R| + 1 <= 2^k once 2^k >= bit_length(|R|): k squarings of the
+        diagonal of one ``mul_rows()`` read, which gives the idempotents
+        too, decide nil(R)."""
+        if self._factors is None:
+            ring = self.ring
+            rows = ring.mul_rows()
+            square = [rows[x][x] for x in range(ring.order)]
+            idempotents = [e for e, s in enumerate(square) if s == e != ring.zero]
+            power, reach = square, 2  # power[x] = x^reach
+            while reach < ring.order.bit_length():
+                power, reach = [square[p] for p in power], 2 * reach
+            nil = frozenset(x for x, p in enumerate(power) if p == ring.zero)
+            self._factors = [
+                (e, self.intern(self.set_of(self.principal_id(e)) & nil))
+                for e in idempotents
+                if not any(f != e and rows[e][f] == f for f in idempotents)
+            ]
+        return self._factors
 
     def _product(self, a: int, b: int) -> int:
         """IJ: generated by the products of the minimal generators. Stored

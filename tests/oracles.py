@@ -178,14 +178,16 @@ def reference_is_n_absorbing(ideal: Ideal, n: int) -> Optional[tuple[int, ...]]:
 def reference_strong_violation(ideal: Ideal, n: int) -> Optional[tuple]:
     """Pruning-free strong scan: the first non-decreasing (n+1)-tuple of
     lattice positions whose product lies in I while no n-subproduct does,
-    with every product taken by reference_product."""
+    with every product taken by reference_product, once per pair of
+    element sets in a call."""
     ring = ideal.ring
     lattice = all_ideals(ring)
+    product = functools.cache(functools.partial(reference_product, ring))
 
     def inside(sets):
         acc = frozenset(range(ring.order))
         for els in sets:
-            acc = reference_product(ring, acc, els)
+            acc = product(acc, els)
         return acc <= ideal.elements
 
     for combo in itertools.combinations_with_replacement(lattice, n + 1):

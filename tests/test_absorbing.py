@@ -10,7 +10,13 @@ from omegalab.absorbing import (
     omega_agreement_table,
     strong_omega,
 )
-from omegalab.ideals import all_ideals, ideal_from_generators, quotient_by
+from omegalab.errors import LatticeOverflowError
+from omegalab.ideals import (
+    all_ideals,
+    ideal_from_generators,
+    parse_ideal_spec,
+    quotient_by,
+)
 from omegalab.rings import make_product, make_truncated_local, make_zmod
 
 
@@ -117,6 +123,15 @@ def test_strong_omega_frozen():
     res = strong_omega(_zero(make_zmod(4)))
     assert res.value == 2
     assert [iv.generators for iv in res.lower_witness] == [(2,), (2,)]
+
+
+def test_strong_omega_lists_the_lattice_without_a_scan():
+    # (2) is prime in Z/30, so its bound N = 1 decides the degree with no
+    # scan; the 8 ideals of Z/30 must still overflow a lattice cap of 3
+    two = parse_ideal_spec(make_zmod(30), "gen:2")
+    with pytest.raises(LatticeOverflowError):
+        strong_omega(two, 6, lattice_cap=3)
+    assert strong_omega(two).value == 1
 
 
 def test_strongly_absorbing_implies_absorbing():

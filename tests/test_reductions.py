@@ -3,7 +3,10 @@ the element scan over one element per principal ideal, and the exhaustive
 DM table and certify sweep over one pair per pair of unit orbits, weighted
 by the orbit sizes, and the pair searches deciding each unordered pair of
 unit orbits once. Witnesses and every count must be those of the full
-walk. The poly-omega scan over residue polynomials and the row kernel
+walk. omega and strong omega, one scan at the local-factor bound,
+against the degree walk over the reference scans, and the published
+bounds (Choi-Walker, Anderson-Badawi) as oracles on the same rings. The
+poly-omega scan over residue polynomials and the row kernel
 against the sparse dict-product scan, the residue table's found path
 against the element scan, the hit-mask multiset scan against the
 per-candidate scan on element, lattice and residue-class tables, and the
@@ -30,13 +33,26 @@ from oracles import (
     reference_certify_sweep,
     reference_conjecture_check_int,
     reference_dm_table,
+    reference_ideal_radical,
     reference_is_n_absorbing,
     reference_multiset_scan,
     reference_pair_search,
     reference_poly_omega,
+    reference_product,
+    reference_strong_violation,
 )
 
-from omegalab.absorbing import is_n_absorbing, multiset_rank, multiset_scan, omega
+from omegalab import absorbing
+from omegalab.absorbing import (
+    DEFAULT_CAP,
+    OmegaResult,
+    is_n_absorbing,
+    is_strongly_n_absorbing,
+    multiset_rank,
+    multiset_scan,
+    omega,
+    strong_omega,
+)
 from omegalab.content_checks import (
     DEFAULT_BUDGET,
     _admissible_sweep,
@@ -100,6 +116,157 @@ def test_element_scan_matches_reference_witnesses(spec):
             assert got == reference_is_n_absorbing(ideal, n), (
                 spec, ideal.generators, n
             )
+
+
+# ---------------------------------------------------------------------------
+# the local-factor bound that decides omega and strong omega
+
+TRUNC_PRODUCTS = [
+    "prod:trunc:p=2,vars=1,nil=2,trunc:p=3,vars=1,nil=2",
+    "prod:trunc:p=2,vars=1,nil=3,trunc:p=2,vars=1,nil=2",
+    "prod:trunc:p=2,vars=2,nil=2,trunc:p=2,vars=1,nil=2",
+]
+# the reference strong walk takes every ideal product by closure
+STRONG_LIMIT = 400
+
+
+@functools.cache
+def bound_family() -> tuple:
+    """The absorb family, the quotients of its rings by their nonzero
+    proper ideals, and products of trunc rings."""
+    rings = [ring_of(spec) for spec in ABSORB_FAMILY + TRUNC_PRODUCTS]
+    quotients = [
+        quotient_by(ideal)
+        for ring in rings[:len(ABSORB_FAMILY)]
+        for ideal in all_ideals(ring)
+        if ideal.is_proper and not ideal.is_zero
+    ]
+    return tuple(rings + quotients)
+
+
+def proper_ideals(ring):
+    return [ideal for ideal in all_ideals(ring) if ideal.is_proper]
+
+
+def degree_walk(violation, cap: int = DEFAULT_CAP) -> OmegaResult:
+    """The least n <= cap with no violation(n), walked from n = 1; the
+    witness is the violation at n - 1, or at the cap past it."""
+    witness = None
+    for n in range(1, cap + 1):
+        found = violation(n)
+        if found is None:
+            return OmegaResult(n, cap, witness)
+        witness = found
+    return OmegaResult(None, cap, witness)
+
+
+def reference_walk(ideal, violation, size: int, limit: int):
+    """The degree walk over a pruning-free reference scan, as
+    ``degree_walk`` makes it; None once a step would try more than limit
+    multisets of size candidates."""
+    witness = None
+    for n in range(1, DEFAULT_CAP + 1):
+        if math.comb(size + n, n + 1) > limit:
+            return None
+        found = violation(ideal, n)
+        if found is None:
+            return OmegaResult(n, DEFAULT_CAP, witness)
+        witness = found
+    return OmegaResult(None, DEFAULT_CAP, witness)
+
+
+def test_factors_recombine():
+    # the primitive idempotents are orthogonal, sum to 1, and each m_i is
+    # R e_i ∩ nil(R), nil(R) being the radical of (0) by walked powers
+    for ring in bound_family():
+        mul, add = ring.mul, ring.add
+        space = ideal_space(ring)
+        factors = space.factors()
+        nil = reference_ideal_radical(ideal_from_generators(ring, ()))
+        total = ring.zero
+        for e, m in factors:
+            assert mul(e, e) == e != ring.zero, ring.descriptor
+            assert all(mul(e, f) == ring.zero for f, _ in factors if f != e)
+            assert space.set_of(m) == {mul(r, e) for r in ring.elements} & nil
+            total = add(total, e)
+        assert total == ring.one, ring.descriptor
+
+
+def test_bound_scan_matches_the_degree_walk():
+    # omega and strong_omega give the walk's record on every ideal of the
+    # family, the walk running over the library scans: an N one too large
+    # or too small moves the value, and the one scan gives the witness
+    for ring in bound_family():
+        for ideal in proper_ideals(ring):
+            assert omega(ideal) == degree_walk(
+                lambda n: is_n_absorbing(ideal, n)
+            ), (ring.descriptor, ideal.generators)
+            assert strong_omega(ideal) == degree_walk(
+                lambda n: is_strongly_n_absorbing(ideal, n)
+            ), (ring.descriptor, ideal.generators)
+
+
+@examples(max_examples=20)
+@given(st.data())
+def test_bound_scan_matches_reference_walk(data):
+    """omega and strong_omega against the walk over the reference scans,
+    value and witness, as far as the walks stay within their limits."""
+    ring = data.draw(st.sampled_from(bound_family()))
+    lattice = len(all_ideals(ring))
+    for ideal in proper_ideals(ring):
+        want = reference_walk(
+            ideal, reference_is_n_absorbing, ring.order, MULTISET_LIMIT
+        )
+        if want is not None:
+            assert omega(ideal) == want, (ring.descriptor, ideal.generators)
+        want = reference_walk(
+            ideal, reference_strong_violation, lattice, STRONG_LIMIT
+        )
+        if want is not None:
+            assert strong_omega(ideal) == want, (ring.descriptor, ideal.generators)
+
+
+def test_bound_past_cap_gives_the_walks_cap_record():
+    # zmod:128 has N = 7 > cap 6: the scan at the cap finds the witness
+    zero = ideal_from_generators(ring_of("zmod:128"), ())
+    assert absorbing._local_bound(zero) == 7
+    got = omega(zero)
+    assert got == degree_walk(lambda n: is_n_absorbing(zero, n))
+    assert got == OmegaResult(None, DEFAULT_CAP, (2,) * 7)
+    assert strong_omega(zero) == degree_walk(
+        lambda n: is_strongly_n_absorbing(zero, n)
+    )
+
+
+def test_radical_oracles():
+    # Choi-Walker: rad(I)^omega(I) lies in I, with the radical, the
+    # products and the powers all taken by the references; and
+    # Anderson-Badawi: omega(rad I) <= omega(I)
+    for ring in bound_family():
+        for ideal in proper_ideals(ring):
+            rad = reference_ideal_radical(ideal)
+            power = frozenset(ring.elements)
+            degree = omega(ideal).value
+            for _ in range(degree):
+                power = reference_product(ring, power, rad)
+            assert power <= ideal.elements, (ring.descriptor, ideal.generators)
+            assert omega(ideal_from_generators(ring, rad)).value <= degree
+
+
+def test_anderson_badawi_product_degree():
+    # Anderson-Badawi: omega(I1 x I2) = omega(I1) + omega(I2), so
+    # omega(I1 x R2) = omega(I1), over every pair of factor ideals
+    for spec in [s for s in ABSORB_FAMILY if s.startswith("prod:")] + TRUNC_PRODUCTS:
+        ring = ring_of(spec)
+        for i1 in all_ideals(ring.left):
+            for i2 in all_ideals(ring.right):
+                ideal = ideal_from_generators(
+                    ring, [ring.encode(a, b) for a in i1.elements for b in i2.elements]
+                )
+                if ideal.is_proper:
+                    assert omega(ideal).value == (
+                        omega(i1).value + omega(i2).value
+                    ), (spec, i1.generators, i2.generators)
 
 
 @functools.cache
