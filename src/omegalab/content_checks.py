@@ -17,8 +17,10 @@ planned by ``plan_sweep``: exhaustive when the caller's enumeration fits
 the budget, else seeded draws (``uniform_draws``), with mode and seed
 recorded. The DM table and the certify sweep fold over one table of
 pairs grouped by content ids (``_pair_groups``), one per ring when
-exhaustive, so the orbit pairs are walked once for all of them. Every
-exhaustive pair sweep multiplies each unordered pair of unit orbits
+exhaustive, so the pairs are walked once for all of them. On a ring
+certified Gaussian (``IdealSpace.gaussian``) c(fg) is read off the
+product table (``_class_groups``) and the searches only count. Elsewhere
+every exhaustive pair sweep multiplies each unordered pair of unit orbits
 ({u*f : u a unit}, ``_unit_orbits``) once, as fg = gf and scaling by
 units changes no content: the table folds each product into the keys of
 both orders, and the searches decide the representative pairs in lex
@@ -307,27 +309,34 @@ def _pair_search(
     so does the sorted pair of their orbit minima, which is no larger: the
     first violating pair of the full walk is a representative pair, which
     the loop meets first, and checked is its rank among the 2-multisets of
-    the admissible positions (``absorbing.multiset_rank``)."""
-    slots, convolve = _convolver(ring, num_vars, max_deg)
+    the admissible positions (``absorbing.multiset_rank``).
+
+    On a ring certified Gaussian (``IdealSpace.gaussian``) nothing
+    violates, as c(fg) = c(f)c(g) and so fg = 0 gives c(f)c(g) = 0: the
+    search multiplies nothing and counts every pair or admissible draw."""
+    slots = monomials_up_to(num_vars, max_deg)
     space = ideal_space(ring)
     zero = frozenset({ring.zero})
     adm, sweep = _admissible_sweep(
         ring, slots, zero, lambda a: a * (a + 1) // 2, budget, sample, seed
     )
+    convolve = None if space.gaussian() else _convolver(ring, num_vars, max_deg)[1]
 
     def first_violation(pairs) -> tuple[int, Optional[tuple]]:
         # (pairs decided, the first violating pair or None)
         decided = 0
         for decided, ((fa, ca), (fb, cb)) in enumerate(pairs, 1):
-            if is_violation(space, convolve(fa, fb), ca, cb):
+            if convolve and is_violation(space, convolve(fa, fb), ca, cb):
                 return decided, tuple(sorted((fa, fb)))
         return decided, None
 
+    hit = found = None
     if sweep.exhaustive:
-        position = {t: k for k, (t, _) in enumerate(adm)}
-        reps = [adm[position[f]] for f in _unit_orbits(ring, list(position))[0]]
-        _, hit = first_violation(itertools.combinations_with_replacement(reps, 2))
-        found = None if hit is None else [position[f] for f in hit]
+        if convolve:
+            position = {t: k for k, (t, _) in enumerate(adm)}
+            reps = [adm[position[f]] for f in _unit_orbits(ring, list(position))[0]]
+            _, hit = first_violation(itertools.combinations_with_replacement(reps, 2))
+            found = None if hit is None else [position[f] for f in hit]
         checked = multiset_rank(found, len(adm), 1)
     else:
         checked, hit = first_violation(_admissible_draws(sweep, ring, slots, 2, zero))
@@ -378,17 +387,42 @@ def armendariz_search(
 # grouped pair table and the Dedekind-Mertens exponent table
 
 
+def _class_groups(space: IdealSpace, tuples, degree: Callable) -> dict:
+    """The exhaustive pair groups of a ring certified Gaussian
+    (``IdealSpace.gaussian``), by one lex pass over the tuples and no
+    product. As c(fg) = c(f)c(g), the key of (f, g) is (c(f), c(g),
+    products[c(f)][c(g)], deg g), so each group is a class pair A x B: A
+    the tuples of one content, B those of one content and degree. Its
+    weight is |A|*|B|, and its first pair in the lex walk of the ordered
+    pairs is (min A, min B), so listing the groups by min A, then by
+    min B, is the walk's order of first pairs."""
+    firsts: dict[int, list] = {}  # c(f) -> [count, first f]
+    seconds: dict[tuple[int, int], list] = {}  # (c(g), deg g) -> [count, first g]
+    for f in tuples:
+        cid = space.id_of_coeffs(f)
+        firsts.setdefault(cid, [0, f])[0] += 1
+        seconds.setdefault((cid, degree(f)), [0, f])[0] += 1
+    products = space.products
+    return {
+        (c1, c2, products[c1][c2], d): [n1 * n2, (f1, f2)]
+        for c1, (n1, f1) in firsts.items()
+        for (c2, d), (n2, f2) in seconds.items()
+    }
+
+
 def _pair_groups(
     ring: FiniteRing, num_vars: int, max_deg: int, sweep: Sweep,
     inside: Optional[frozenset[int]] = None,
 ) -> dict[tuple[int, int, int, int], list]:
     """The sweep's (f, g) pairs grouped by (c(f), c(g), c(fg), deg g), as
     content ids, each group [weight, first pair], in walk order of first
-    pairs. Exhaustive: one pair per pair of unit orbits, by lex-least
+    pairs. Exhaustive, kept on the ring's registry for the DM table and
+    every certify ideal: on a ring certified Gaussian the class pairs of
+    ``_class_groups``; else one pair per pair of unit orbits, by lex-least
     tuples, weighted |O(f)|*|O(g)| (``_unit_orbits`` shows this covers
-    every pair), kept on the ring's registry for the DM table and every
-    certify ideal. Sampled: the draws, weight 1, grouped per call, less
-    those whose product leaves inside, if given, before contents are read.
+    every pair). Sampled: the draws, weight 1, grouped per call, less
+    those whose c(fg) leaves inside, if given; on a certified ring c(fg)
+    is products[c(f)][c(g)] and nothing is multiplied.
 
     What the DM table and certify read of a pair is a function of its key:
     the DM exponent, the peel, the degree bound, and whether fg lies in
@@ -396,25 +430,22 @@ def _pair_groups(
     is a sum of weights, and the first pair with such a property is the
     first pair of the first group with it: earlier groups start earlier.
 
-    The exhaustive walk over the K representatives f_0 < .. < f_(K-1) is
-    that of the ordered pairs (f_i, f_j), rank i*K + j. As fg = gf, it
+    The exhaustive orbit walk over the K representatives f_0 < .. < f_(K-1)
+    is that of the ordered pairs (f_i, f_j), rank i*K + j. As fg = gf, it
     multiplies only the pairs i <= j, once each, and folds the product
     into the keys of both (f_i, f_j) and (f_j, f_i), with the weight
     |O(f_i)|*|O(f_j)| and the ranks i*K + j and j*K + i. Every ordered
     pair is folded exactly once, so each group's weight is that of the
     full walk. A group keeps the least rank folded into it, the rank of
-    its first pair, so sorting by it orders the groups as the walk does.
-    A mirrored rank j*K + i can open a group before a smaller rank arrives
-    (Z/2 x F_2[x,y]/(x^2, y^2), degree 1), but not on a Gaussian ring: as
-    c(fg) = c(f)c(g), a group is all (f_a, f_b) with c(f_a) = c1,
-    c(f_b) = c2 and deg f_b = d; for p and q the least such indices, any
-    other member has a >= p and b >= q, so its loop step
-    (min(a, b), max(a, b)) follows that of (p, q). The table holds the
+    its first pair, so sorting by it orders the groups as the walk does:
+    a mirrored rank j*K + i can open a group before a smaller rank arrives
+    (Z/2 x F_2[x,y]/(x^2, y^2), degree 1). The table holds the
     representatives and the groups, never one entry per pair."""
     space = ideal_space(ring)
     if sweep.exhaustive and (num_vars, max_deg) in space.pair_groups:
         return space.pair_groups[num_vars, max_deg]
-    slots, convolve = _convolver(ring, num_vars, max_deg)
+    slots = monomials_up_to(num_vars, max_deg)
+    convolve = None if space.gaussian() else _convolver(ring, num_vars, max_deg)[1]
     slot_degs = [sum(e) for e in slots]
     zero = ring.zero
     id_of = space.id_of_coeffs
@@ -428,34 +459,36 @@ def _pair_groups(
     groups: dict[tuple[int, int, int, int], list] = {}
     if not sweep.exhaustive:
         for fa, fb in sweep.tuples(ring.order, len(slots), 2):
-            prod = convolve(fa, fb)
-            if inside is not None and not inside.issuperset(prod):
-                continue
-            key = (id_of(fa), id_of(fb), id_of(prod), degree(fb))
-            groups.setdefault(key, [0, (fa, fb)])[0] += 1
+            ca, cb = id_of(fa), id_of(fb)
+            cfg = space.products[ca][cb] if convolve is None else id_of(convolve(fa, fb))
+            if inside is None or space.set_of(cfg) <= inside:
+                groups.setdefault((ca, cb, cfg, degree(fb)), [0, (fa, fb)])[0] += 1
         return groups
 
-    def fold(key, weight: int, rank: int) -> None:  # key -> [weight, least rank]
-        entry = groups.setdefault(key, [0, rank])
-        entry[0] += weight
-        entry[1] = min(entry[1], rank)
+    tuples = itertools.product(range(ring.order), repeat=len(slots))
+    if convolve is None:
+        groups = _class_groups(space, tuples, degree)
+    else:
+        def fold(key, weight: int, rank: int) -> None:  # -> [weight, least rank]
+            entry = groups.setdefault(key, [0, rank])
+            entry[0] += weight
+            entry[1] = min(entry[1], rank)
 
-    tuples = list(itertools.product(range(ring.order), repeat=len(slots)))
-    reps, weights = _unit_orbits(ring, tuples)
-    count = len(reps)
-    ids = [id_of(f) for f in reps]
-    degs = [degree(f) for f in reps]
-    for i, fa in enumerate(reps):
-        for j in range(i, count):
-            cfg = id_of(convolve(fa, reps[j]))
-            weight = weights[i] * weights[j]
-            fold((ids[i], ids[j], cfg, degs[j]), weight, i * count + j)
-            if j > i:
-                fold((ids[j], ids[i], cfg, degs[i]), weight, j * count + i)
-    groups = {
-        key: [weight, (reps[rank // count], reps[rank % count])]
-        for key, (weight, rank) in sorted(groups.items(), key=lambda g: g[1][1])
-    }
+        reps, weights = _unit_orbits(ring, list(tuples))
+        count = len(reps)
+        ids = [id_of(f) for f in reps]
+        degs = [degree(f) for f in reps]
+        for i, fa in enumerate(reps):
+            for j in range(i, count):
+                cfg = id_of(convolve(fa, reps[j]))
+                weight = weights[i] * weights[j]
+                fold((ids[i], ids[j], cfg, degs[j]), weight, i * count + j)
+                if j > i:
+                    fold((ids[j], ids[i], cfg, degs[i]), weight, j * count + i)
+        groups = {
+            key: [weight, (reps[rank // count], reps[rank % count])]
+            for key, (weight, rank) in sorted(groups.items(), key=lambda g: g[1][1])
+        }
     space.pair_groups[num_vars, max_deg] = groups
     return groups
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import LatticeOverflowError, SpecParseError
-from .rings import FiniteRing, LazyRow, make_quotient, take_digits
+from .rings import TABLE_LIMIT, FiniteRing, LazyRow, make_quotient, take_digits
 
 if TYPE_CHECKING:  # closure never depends on the ring family
     from .rings import QuotientRing
@@ -133,6 +133,7 @@ class IdealSpace:
         self._reps: Optional[dict[int, int]] = None
         self._cycle: Optional[list[int]] = None
         self._factors: Optional[list[tuple[int, int]]] = None
+        self._gaussian: Optional[bool] = None
         # products[I][J] -> IJ, filled on first use under both orders
         self.products = LazyRow(lambda _, a: LazyRow(self._product, a), None)
         self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
@@ -177,14 +178,17 @@ class IdealSpace:
         row = self._sums[ideal_id]
         got = row[pid] if pid < len(row) else None
         if got is None:
-            add = self.ring.add
+            ring = self.ring
+            rows = ring.add_rows() if ring.order <= TABLE_LIMIT else None
             base = self._sets[ideal_id]
             # I + (c) is the union of the cosets y + I over y in (c); a y
-            # already covered brings no new coset
+            # already covered brings no new coset. Kept rows are read; above
+            # TABLE_LIMIT fresh lazy rows would cost more than the calls
             acc = set(base)
             for y in self._sets[pid]:
                 if y not in acc:
-                    acc.update(add(x, y) for x in base)
+                    acc.update(map(rows[y].__getitem__, base) if rows else
+                               (ring.add(x, y) for x in base))
             got = self.intern(frozenset(acc))
             row.extend([None] * (pid + 1 - len(row)))
             row[pid] = got
@@ -250,15 +254,39 @@ class IdealSpace:
             ]
         return self._factors
 
+    def gaussian(self) -> bool:
+        """Whether R is certified Gaussian, c(fg) = c(f)c(g) for all f, g
+        in R[x_1..x_k]: each local factor's m of ``factors()`` has m^2 = 0
+        or is principal, the latter tested as (x) = m for x = min(m - m^2).
+        False means not certified, never not Gaussian.
+
+        A proper content of R e lies in m, and c(f) = R e gives
+        c(fg) = c(g) by Dedekind-Mertens (in any number of variables, by
+        Kronecker substitution). If m = (t), any x in m - m^2 is ut with u
+        not in m, a unit (Nakayama), so (x) = m. Every element is then a
+        unit times a power of t, so f = af1 with (a) = c(f), c(f1) = R e,
+        and DM gives c(f1g1) = c(g1) = R e: c(fg) = (ab) = c(f)c(g). If
+        m^2 = 0 and neither content is R e, c(fg) <= c(f)c(g) <= m^2 = 0.
+        R[X] is the product of the (R e)[X], and contents split
+        componentwise."""
+        if self._gaussian is None:
+            sets, products = self._sets, self.products
+            self._gaussian = all(
+                products[m][m] == self.zero_id
+                or self.principal_id(min(sets[m] - sets[products[m][m]])) == m
+                for _, m in self.factors()
+            )
+        return self._gaussian
+
     def _product(self, a: int, b: int) -> int:
         """IJ: generated by the products of the minimal generators. Stored
         under (b, a) as well, since IJ = JI; ``products`` stores (a, b)."""
         ring = self.ring
-        mul = ring.mul
         ga = minimal_generators(ring, self._sets[a])
         gb = minimal_generators(ring, self._sets[b])
+        rows = ring.mul_rows() if ring.order <= TABLE_LIMIT else None
         got = self.products[b][a] = self.id_of_coeffs(
-            [mul(x, y) for x in ga for y in gb]
+            [rows[x][y] if rows else ring.mul(x, y) for x in ga for y in gb]
         )
         return got
 

@@ -1,6 +1,7 @@
 """Content machinery: peeling exponents, multiplicativity searches,
 principal-content factorization, radical certificates, degree transfer."""
 
+import functools
 import itertools
 import random
 
@@ -31,6 +32,7 @@ from omegalab.content_checks import (
 )
 from omegalab.errors import UnsupportedRingError
 from omegalab.ideals import (
+    IdealSpace,
     all_ideals,
     ideal_from_generators,
     ideal_space,
@@ -45,10 +47,12 @@ from omegalab.polys import (
     poly_mul,
 )
 from omegalab.rings import (
+    LazyRow,
     make_product,
     make_truncated_local,
     make_zmod,
     monomials_up_to,
+    parse_ring_spec,
 )
 
 Z4 = make_zmod(4)
@@ -160,38 +164,87 @@ def test_uniform_draws_match_randrange(order):
     assert mine.getstate() == theirs.getstate()
 
 
-@pytest.mark.parametrize("first", ["dm", "certify"])
-def test_pair_table_walked_once_per_ring(monkeypatch, first):
-    # the DM table and certify on every radical ideal of one ring read one
-    # exhaustive grouped table: the unit orbits are listed, and the orbit
-    # pairs walked, once
-    calls = 0
-    orbits = content_checks._unit_orbits
+def _cube_quotient():
+    """F_2[x,y]/(x^2, y^2), order 16: not certified Gaussian, so its
+    exhaustive sweeps take the unit-orbit walk."""
+    return quotient_by(parse_ideal_spec(M3, "gen:8,32"))
+
+
+@functools.cache
+def _pair_table_case(spec: str):
+    """(ring, ideals, DM reference, certify references) at degree 1: the
+    cube quotient on (0), (xy) and (x, y), or a ring on its proper radical
+    ideals. Kept for the module; a test clears ring.caches for a cold
+    registry, which the references do not read again."""
+    if spec == "cube-quotient":
+        ring = _cube_quotient()
+        ideals = [parse_ideal_spec(ring, t) for t in ("gen:none", "gen:8", "gen:2,4")]
+    else:
+        ring = parse_ring_spec(spec)
+        ideals = [i for i in all_ideals(ring) if i.is_proper and is_radical_ideal(i)]
+    return (
+        ring, ideals, reference_dm_table(ring, 1, 1),
+        [reference_certify_sweep(ideal, 1, 1) for ideal in ideals],
+    )
+
+
+def _counted(monkeypatch, name: str) -> list[int]:
+    """Counts the calls of content_checks.<name> in a one-item list."""
+    calls = [0]
+    real = getattr(content_checks, name)
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return orbits(*args)
+        calls[0] += 1
+        return real(*args)
 
-    monkeypatch.setattr(content_checks, "_unit_orbits", counted)
-    ring = make_zmod(18)
-    radical = [i for i in all_ideals(ring) if i.is_proper and is_radical_ideal(i)]
-    assert len(radical) == 3
+    monkeypatch.setattr(content_checks, name, counted)
+    return calls
+
+
+def _shared_table_case(spec: str, first: str):
+    """The DM table and the certify sweep on each ideal of the case, in
+    either order, on a cold registry, checked against the references;
+    returns the ring."""
+    ring, ideals, want_table, want_sweeps = _pair_table_case(spec)
+    ring.caches.clear()
 
     def certify():
-        return [certify_pair_sweep(ideal, 1, 1) for ideal in radical]
+        return [certify_pair_sweep(ideal, 1, 1) for ideal in ideals]
 
     if first == "dm":
         table, sweeps = dm_exponent_table(ring, 1, 1), certify()
     else:
         sweeps = certify()
         table = dm_exponent_table(ring, 1, 1)
-    assert calls == 1
     assert table.mode == "exhaustive"
-    assert table == reference_dm_table(ring, 1, 1)
-    for ideal, sweep in zip(radical, sweeps):
-        assert sweep.mode == "exhaustive"
-        assert sweep == reference_certify_sweep(ideal, 1, 1)
+    assert table == want_table
+    assert [s.mode for s in sweeps] == ["exhaustive"] * len(ideals)
+    assert sweeps == want_sweeps
+    return ring
+
+
+@pytest.mark.parametrize("first", ["dm", "certify"])
+def test_pair_table_walked_once_per_ring(monkeypatch, first):
+    # on a ring not certified Gaussian, the DM table and certify on (0),
+    # (xy) and (x, y) read one exhaustive grouped table: the unit orbits
+    # are listed, and the orbit pairs walked, once
+    orbits = _counted(monkeypatch, "_unit_orbits")
+    ring = _shared_table_case("cube-quotient", first)
+    assert not ideal_space(ring).gaussian()
+    assert orbits[0] == 1
+
+
+@pytest.mark.parametrize("first", ["dm", "certify"])
+def test_class_scan_once_per_certified_ring(monkeypatch, first):
+    # zmod:18 is certified Gaussian: the DM table and certify on its three
+    # radical ideals read one class scan, which multiplies nothing
+    scans = _counted(monkeypatch, "_class_groups")
+    orbits = _counted(monkeypatch, "_unit_orbits")
+    kernels = _counted(monkeypatch, "_convolver")
+    ring = _shared_table_case("zmod:18", first)
+    assert ideal_space(ring).gaussian()
+    assert len(_pair_table_case("zmod:18")[1]) == 3
+    assert (scans[0], orbits[0], kernels[0]) == (1, 0, 0)
 
 
 def _unit_orbit(ring, f) -> frozenset:
@@ -218,16 +271,39 @@ def test_pair_table_multiplies_each_unordered_orbit_pair_once(monkeypatch):
         return slots, counted
 
     monkeypatch.setattr(content_checks, "_convolver", counted_convolver)
-    ring = make_zmod(18)
+    ring = _cube_quotient()
     table = dm_exponent_table(ring, 1, 1)
     assert table.mode == "exhaustive"
-    assert table.checked == 18**4
-    orbits = {_unit_orbit(ring, f) for f in itertools.product(range(18), repeat=2)}
+    assert table.checked == 16**4
+    orbits = {_unit_orbit(ring, f) for f in itertools.product(range(16), repeat=2)}
     count = len(orbits)
     assert products == count * (count + 1) // 2
     firsts = [pair for _, pair in ideal_space(ring).pair_groups[1, 1].values()]
     assert all(a < b for a, b in zip(firsts, firsts[1:]))
-    assert sum(w for w, _ in ideal_space(ring).pair_groups[1, 1].values()) == 18**4
+    assert sum(w for w, _ in ideal_space(ring).pair_groups[1, 1].values()) == 16**4
+
+
+@pytest.mark.parametrize(
+    "spec", ["zmod:12", "prod:zmod:2,zmod:4", "trunc:p=2,vars=2,nil=2"]
+)
+def test_class_groups_are_the_groups_of_the_ordered_walk(spec):
+    # on certified rings (Z/12 and Z/2 x Z/4 principal, F_2[x,y]/(x,y)^2
+    # with m^2 = 0) the class pairs are the groups of the walk over every
+    # ordered pair: the same keys, weights and first pairs, in its order
+    ring = parse_ring_spec(spec)
+    space = ideal_space(ring)
+    assert space.gaussian()
+    assert dm_exponent_table(ring, 1, 1).mode == "exhaustive"
+    slots, convolve = content_checks._convolver(ring, 1, 1)
+    tuples = list(itertools.product(range(ring.order), repeat=len(slots)))
+    walk = {}
+    for f in tuples:
+        for g in tuples:
+            deg_g = 0 if g[1] == ring.zero else 1
+            cfg = space.id_of_coeffs(convolve(f, g))
+            key = (space.id_of_coeffs(f), space.id_of_coeffs(g), cfg, deg_g)
+            walk.setdefault(key, [0, (f, g)])[0] += 1
+    assert list(space.pair_groups[1, 1].items()) == list(walk.items())
 
 
 def test_pair_groups_keep_the_first_pair_of_the_ordered_walk():
@@ -335,6 +411,38 @@ def test_gaussian_search_budget_counts_pairs():
     out = gaussian_search(make_zmod(360), sample=500, seed=1)
     assert out.mode == "sampled:500"
     assert out.seed == 1
+
+
+def test_sampled_certify_on_a_certified_ring_fills_no_lazy_rows(monkeypatch):
+    # zmod:360 is above TABLE_LIMIT, where every mul_rows()/add_rows() read
+    # makes fresh LazyRows; once the registry holds the draws' contents
+    # and products, the certified sweeps fill no row at all, while the
+    # product kernel of the bypass refills its rows on every call
+    ring = make_zmod(360)
+    assert ideal_space(ring).gaussian()
+    radical = [i for i in all_ideals(ring) if i.is_proper and is_radical_ideal(i)]
+    assert len(radical) == 7
+
+    def sweeps():
+        return [certify_pair_sweep(i, 1, 1, sample=1000, seed=5) for i in radical]
+
+    first = sweeps()
+    assert {s.mode for s in first} == {"sampled:1000"}
+    misses = 0
+    missing = LazyRow.__missing__
+
+    def counted(row, b):
+        nonlocal misses
+        misses += 1
+        return missing(row, b)
+
+    monkeypatch.setattr(LazyRow, "__missing__", counted)
+    assert sweeps() == first
+    assert misses == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(IdealSpace, "gaussian", lambda self: False)
+        assert sweeps() == first
+    assert misses > 0
 
 
 def test_pair_search_stops_listing_once_sampling_is_certain(monkeypatch):

@@ -3,8 +3,10 @@ the element scan over one element per principal ideal, and the exhaustive
 DM table and certify sweep over one pair per pair of unit orbits, weighted
 by the orbit sizes, and the pair searches deciding each unordered pair of
 unit orbits once. Witnesses and every count must be those of the full
-walk. omega and strong omega, one scan at the local-factor bound,
-against the degree walk over the reference scans, and the published
+walk. The Gaussian certificate against a brute-force degree-1 content
+law, and the sweeps that read it against the orbit walk they skip.
+omega and strong omega, one scan at the local-factor bound, against the
+degree walk over the reference scans, and the published
 bounds (Choi-Walker, Anderson-Badawi) as oracles on the same rings. The
 poly-omega scan over residue polynomials and the row kernel
 against the sparse dict-product scan, the residue table's found path
@@ -64,6 +66,7 @@ from omegalab.content_checks import (
     verify_poly_omega,
 )
 from omegalab.ideals import (
+    IdealSpace,
     all_ideals,
     ideal_from_generators,
     ideal_space,
@@ -81,6 +84,7 @@ from omegalab.rings import (
     _additive_generators,
     _axiom_scan,
     coset_minima,
+    make_product,
     monomials_up_to,
     parse_ring_spec,
     verify_ring_axioms,
@@ -382,6 +386,90 @@ def test_cube_search_matches_reference():
     assert got == reference_pair_search(ring, 1, 1, "gaussian")
     assert (got.found, got.checked, got.mode) == (True, 33232, "exhaustive")
     assert [display_poly(f) for f in got.witness] == ["2+4x", "2+4x"]
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian certificate and the sweeps that read it
+
+
+@pytest.mark.parametrize(
+    "spec, certified",
+    [
+        ("zmod:4", True),
+        ("zmod:360", True),
+        ("prod:zmod:4,zmod:9", True),
+        ("trunc:p=2,vars=1,nil=4", True),  # a chain ring, m = (x)
+        ("trunc:p=3,vars=2,nil=2", True),  # m^2 = 0, m not principal
+        ("trunc:p=2,vars=2,nil=3", False),  # the cube
+        ("prod:zmod:2,cube-quotient", False),
+    ],
+)
+def test_gaussian_certificate_verdicts(spec, certified):
+    if spec == "prod:zmod:2,cube-quotient":
+        ring = make_product(ring_of("zmod:2"), cube_quotient())
+    else:
+        ring = ring_of(spec)
+    assert ideal_space(ring).gaussian() is certified
+
+
+def test_gaussian_certificate_implies_the_degree_one_content_law():
+    # c(fg) = c(f)c(g) for f = a + bx, g = c + dx on every certified ring
+    # of the bound family and among the cube's quotients. c(fg) =
+    # (ac, ad + bc, bd) lies in c(f)c(g) = (ac, ad, bc, bd), so the law is
+    # ad in c(fg). A unit u scales c(uf) = c(f) and c(uf*g) = c(fg), so
+    # one f per class {uf} and unordered pairs of them cover every pair
+    cube = ring_of("trunc:p=2,vars=2,nil=3")
+    quotients = [quotient_by(i) for i in proper_ideals(cube) if not i.is_zero]
+    certified = 0
+    for ring in bound_family() + tuple(quotients):
+        space = ideal_space(ring)
+        if not space.gaussian():
+            continue
+        certified += 1
+        mul, add = ring.mul_rows(), ring.add_rows()
+        units = [mul[u] for u in ring.elements if ring.one in mul[u]]
+        reps = {}
+        for f in itertools.product(ring.elements, repeat=2):
+            reps.setdefault(frozenset((u[f[0]], u[f[1]]) for u in units), f)
+        for (a, b), (c, d) in itertools.combinations_with_replacement(reps.values(), 2):
+            cfg = space.id_of_coeffs((mul[a][c], add[mul[a][d]][mul[b][c]], mul[b][d]))
+            assert mul[a][d] in space.set_of(cfg), (ring.descriptor, a, b, c, d)
+    assert certified == 116
+
+
+def _sweep_records(ring, num_vars: int, max_deg: int, budget: int) -> tuple:
+    args = (budget, 500, 3)
+    return (
+        dm_exponent_table(ring, num_vars, max_deg, DEFAULT_CAP, *args),
+        [
+            certify_pair_sweep(ideal, num_vars, max_deg, 8, *args)
+            for ideal in proper_ideals(ring)
+        ],
+        gaussian_search(ring, num_vars, max_deg, *args),
+        armendariz_search(ring, num_vars, max_deg, *args),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in CONTENT_FAMILY if s not in ("trunc:p=2,vars=2,nil=3", "cube-quotient")]
+)
+def test_certified_sweeps_equal_the_orbit_walk(monkeypatch, spec):
+    # the class scan, the sampled reads of the product table and the
+    # counting searches give the records of the orbit walk and the
+    # product kernel, which the bypass of the certificate runs
+    ring = ring_of(spec)
+    space = ideal_space(ring)
+    assert space.gaussian()
+    shapes = [(1, 1, DEFAULT_BUDGET), (1, 1, 0)]
+    if ring.order <= 8:
+        shapes += [(1, 2, DEFAULT_BUDGET), (2, 1, DEFAULT_BUDGET)]
+    for shape in shapes:
+        space.pair_groups.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(IdealSpace, "gaussian", lambda self: False)
+            want = _sweep_records(ring, *shape)
+        space.pair_groups.clear()
+        assert _sweep_records(ring, *shape) == want, shape
 
 
 # a budget that fits the small scans (larger ones sample) and one that
