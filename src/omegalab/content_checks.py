@@ -644,16 +644,6 @@ def _principal_combination(
     )
 
 
-def _fresh_exponent(support: set[tuple[int, ...]], num_vars: int) -> tuple[int, ...]:
-    """Least graded-lex exponent vector not in the support."""
-    degree = 0
-    while True:
-        for exp in monomials_up_to(num_vars, degree):
-            if sum(exp) == degree and exp not in support:
-                return exp
-        degree += 1
-
-
 def bezout_factor(g: Polynomial) -> BezoutFactorization:
     """Factor g = g' * b with c(g') = R, per the extended-gcd construction.
 
@@ -672,7 +662,9 @@ def bezout_factor(g: Polynomial) -> BezoutFactorization:
     for si, ri in zip(s, r):
         d = add(d, mul(si, ri))
     support = {exp for exp, _ in g.terms}
-    fresh = _fresh_exponent(support, g.num_vars)
+    # the least graded-lex exponent vector outside the support
+    fresh = next(e for d in itertools.count() for e in monomials_up_to(g.num_vars, d)
+                 if e not in support)
     unit_terms = {exp: ri for (exp, _), ri in zip(g.terms, r)}
     # 1 - d: the one x with d + x = 1
     leftover = next(x for x in ring.elements if add(d, x) == ring.one)

@@ -15,14 +15,15 @@ structured arithmetic per family:
 Up to TABLE_LIMIT (256) a ring builds its operation rows once with no
 ``add``/``mul`` call (``_tables``: list slices on zmod, the factors' rows
 on a product, digit arithmetic on trunc) and keeps them, so every scan
-reads the rows that ``verify_ring_axioms`` checked: closure by one set
-union, commutativity by one transpose per table, the cubic axioms over an
-additive generating set G in O(|G|·n²), and a ring that fails is rescanned
-for its first violation. Above the limit rows fill lazily and the axioms
-go unchecked. The ideal generated by c is ``principal(c)``, the set Rc; c
-is a unit iff 1 is in Rc. Constructors self-test and refuse orders above
-the configurable cap. An element is named only by its index: ``display``
-gives the form that reports print, and no element literal is parsed.
+reads the rows that ``verify_ring_axioms`` checked, as bytes: closure by
+one delete-translate, commutativity by column slices, row compositions by
+``bytes.translate``, the cubic axioms over an additive generating set G,
+and a failing ring rescanned for its first violation. Above the limit rows
+fill lazily and the axioms go unchecked. The ideal generated by c is
+``principal(c)``, the set Rc; c is a unit iff 1 is in Rc. Constructors
+self-test and refuse orders above the configurable cap. An element is
+named only by its index: ``display`` gives the form that reports print,
+and no element literal is parsed.
 """
 
 from __future__ import annotations
@@ -203,13 +204,16 @@ class ZmodRing(FiniteRing):
 
     def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """With R = [0..n-1]: row a of + is R[a:] + R[:a], whose entry b is
-        a + b for b < n - a and a + b - n after. With L = R * n, L[k] =
-        k mod n, so row a > 0 of * is L[0:a*n:a], whose entry b is L[ab] =
-        ab mod n (ab <= (n-1)^2 < n^2); row 0 is zeros."""
+        a + b for b < n - a and a + b - n after. With L = R * (n//2 + 1),
+        L[k] = k mod n, so row 0 < a <= n/2 of * is L[0:a*n:a], whose entry
+        b is L[ab] = ab mod n (ab <= n(n-1)/2); row 0 is zeros. Row n - a is
+        row a reflected, row[:1] + row[:0:-1]: (n-a)b = a(n-b) mod n."""
         n = self.modulus
         R = list(range(n))
-        L = R * n
-        return [R[a:] + R[:a] for a in R], [[0] * n] + [L[0 : a * n : a] for a in R[1:]]
+        L = R * (n // 2 + 1)
+        mul = [[0] * n] + [L[0 : a * n : a] for a in R[1 : n // 2 + 1]]
+        mul += [row[:1] + row[:0:-1] for row in mul[n - len(mul) : 0 : -1]]
+        return [R[a:] + R[:a] for a in R], mul
 
     def principal(self, c: int) -> frozenset[int]:
         """The multiples of gcd(c, n), which generates the same ideal as c."""
@@ -499,6 +503,16 @@ def verify_ring_axioms(ring: FiniteRing) -> AxiomReport:
 
     Each identity of the pass is an instance of an axiom, so a failure
     there is a real violation and the full scan finds one.
+
+    Rows are compared as ``bytes``, one byte per element (n <= TABLE_LIMIT
+    <= 256). ``bytes`` raises ValueError on an entry outside 0..255, and
+    deleting the bytes 0..n-1 from the joined rows leaves nothing iff every
+    entry is below n; if either fails, an entry loop names the closure
+    violation. Past closure every byte x is below n, and ``translate`` maps
+    x to T[x], with T[i] row i padded to 256 bytes, so B[j].translate(T[i])
+    is [A[i][x] for x in A[j]] entry by entry; column i is the slice
+    [i::n] of the joined rows. So each byte comparison is the list
+    comparison it replaces, with the same first difference.
     """
     if ring.order > TABLE_LIMIT:
         return AxiomReport(ok=True, checked=False)
@@ -535,65 +549,59 @@ def _first_diff(left: Sequence[int], right: Sequence[int]) -> int:
 
 
 def _axiom_scan(ring: FiniteRing, generated: bool) -> AxiomReport:
-    """The lexicographic axiom scan of verify_ring_axioms, rows compared
-    whole. The cubic checks loop (i, j, k) in lexicographic order; with
-    generated=True, j runs over ``_additive_generators`` only."""
+    """The lexicographic axiom scan of verify_ring_axioms on the byte rows
+    B (+) and C (*), k running inside one row comparison; with
+    generated=True the middle index j runs over ``_additive_generators``."""
     n = ring.order
     rng = range(n)
-    A = ring.add_rows()
-    M = ring.mul_rows()
+    A, M = ring.add_rows(), ring.mul_rows()
 
     def fail(axiom: str, *witness: int) -> AxiomReport:
         return AxiomReport(False, True, axiom, witness)
 
-    if not set().union(*A, *M) <= set(rng):
-        for i in rng:
-            for j in rng:
-                if not 0 <= A[i][j] < n:
-                    return fail("closure-add", i, j)
-                if not 0 <= M[i][j] < n:
-                    return fail("closure-mul", i, j)
+    try:
+        B, C = [bytes(r) for r in A], [bytes(r) for r in M]
+        flat_a, flat_m = b"".join(B), b"".join(C)
+        closed = not (flat_a + flat_m).translate(None, bytes(rng))
+    except ValueError:  # an entry outside 0..255
+        closed = False
+    if not closed:  # the first entry outside 0..n-1, + before * at each (i, j)
+        return next(fail(f"closure-{op}", i, j) for i, j in itertools.product(rng, rng)
+                    for op, rows in (("add", A), ("mul", M)) if not 0 <= rows[i][j] < n)
     if ring.zero == ring.one:
         return fail("zero-ne-one")
-    identity = list(rng)
-    for i, column in enumerate(map(list, zip(*A))):
-        if A[i] != column:
-            return fail("add-commutative", i, _first_diff(A[i], column))
-    z = ring.zero
-    if A[z] != identity:
-        return fail("zero-identity", _first_diff(A[z], identity))
+    z, e, identity = ring.zero, ring.one, bytes(rng)
+    for i, row in enumerate(B):
+        if row != flat_a[i::n]:  # column i
+            return fail("add-commutative", i, _first_diff(row, flat_a[i::n]))
+    if B[z] != identity:
+        return fail("zero-identity", _first_diff(B[z], identity))
     for i in rng:
         if z not in A[i]:
             return fail("additive-inverse", i)
     middles = _additive_generators(A, z) if generated else rng
+    pad = bytes(256 - n)  # empty at n = 256, where row + pad is the row
+    TA, TM = [row + pad for row in B], [row + pad for row in C]
     # (i + j) + k == i + (j + k)
-    for i in rng:
-        Ai = A[i]
-        for j in middles:
-            left, right = A[Ai[j]], [Ai[x] for x in A[j]]
-            if left != right:
-                return fail("add-associative", i, j, _first_diff(left, right))
-    for i, column in enumerate(map(list, zip(*M))):
-        if M[i] != column:
-            return fail("mul-commutative", i, _first_diff(M[i], column))
-    e = ring.one
-    if M[e] != identity:
-        return fail("one-identity", _first_diff(M[e], identity))
+    for i, j in itertools.product(rng, middles):
+        left, right = B[A[i][j]], B[j].translate(TA[i])
+        if left != right:
+            return fail("add-associative", i, j, _first_diff(left, right))
+    for i, row in enumerate(C):
+        if row != flat_m[i::n]:
+            return fail("mul-commutative", i, _first_diff(row, flat_m[i::n]))
+    if C[e] != identity:
+        return fail("one-identity", _first_diff(C[e], identity))
     # (i * j) * k == i * (j * k)
-    for i in rng:
-        Mi = M[i]
-        for j in middles:
-            left, right = M[Mi[j]], [Mi[x] for x in M[j]]
-            if left != right:
-                return fail("mul-associative", i, j, _first_diff(left, right))
+    for i, j in itertools.product(rng, middles):
+        left, right = C[M[i][j]], C[j].translate(TM[i])
+        if left != right:
+            return fail("mul-associative", i, j, _first_diff(left, right))
     # i * (j + k) == i*j + i*k
-    for i in rng:
-        Mi = M[i]
-        for j in middles:
-            Amij = A[Mi[j]]
-            left, right = [Mi[x] for x in A[j]], [Amij[x] for x in Mi]
-            if left != right:
-                return fail("distributive", i, j, _first_diff(left, right))
+    for i, j in itertools.product(rng, middles):
+        left, right = B[j].translate(TM[i]), C[i].translate(TA[M[i][j]])
+        if left != right:
+            return fail("distributive", i, j, _first_diff(left, right))
     return AxiomReport(ok=True, checked=True)
 
 

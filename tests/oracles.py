@@ -17,7 +17,9 @@ of residue polynomials through the row kernel. The reference integer leg
 expands every product in Z[X], never in (Z/m)[X]. Integer contents are
 gcds of the coefficients. ``method_table`` fills an operation table by one
 call of the ring's ``add`` or ``mul`` per entry, against which the kept
-rows are compared."""
+rows are compared. The reference axiom report decides every axiom entry
+by entry over (i, j) or (i, j, k), with no row comparison, byte row or
+additive generating set."""
 
 import functools
 import itertools
@@ -55,12 +57,77 @@ from omegalab.integers import (
     omega_int,
 )
 from omegalab.polys import _poly_dict_mul
-from omegalab.rings import FiniteRing, monomials_up_to
+from omegalab.rings import TABLE_LIMIT, AxiomReport, FiniteRing, monomials_up_to
 
 
 def method_table(op, n: int) -> list[list[int]]:
     """Row a, entry b: op(a, b), one call per entry."""
     return [[op(a, b) for b in range(n)] for a in range(n)]
+
+
+def reference_axiom_report(ring) -> AxiomReport:
+    """The report of ``verify_ring_axioms`` from plain entry loops on the
+    ring's rows A (+) and M (*): the axioms in their documented order,
+    each over (i, j) or (i, j, k) in lexicographic order, the first failing
+    entry its witness (no witness for zero != one, j for an identity, i
+    for an additive inverse)."""
+    n = ring.order
+    if n > TABLE_LIMIT:
+        return AxiomReport(ok=True, checked=False)
+    rng = range(n)
+    A, M = ring.add_rows(), ring.mul_rows()
+    z, e = ring.zero, ring.one
+
+    def fail(axiom: str, *witness: int) -> AxiomReport:
+        return AxiomReport(False, True, axiom, witness)
+
+    for i in rng:
+        for j in rng:
+            if not 0 <= A[i][j] < n:
+                return fail("closure-add", i, j)
+            if not 0 <= M[i][j] < n:
+                return fail("closure-mul", i, j)
+    if z == e:
+        return fail("zero-ne-one")
+    for i in rng:
+        for j in rng:
+            if A[i][j] != A[j][i]:
+                return fail("add-commutative", i, j)
+    for j in rng:
+        if A[z][j] != j:
+            return fail("zero-identity", j)
+    for i in rng:
+        if all(A[i][j] != z for j in rng):
+            return fail("additive-inverse", i)
+    for i in rng:
+        Ai = A[i]
+        for j in rng:
+            Aij, Aj = A[Ai[j]], A[j]
+            for k in rng:
+                if Aij[k] != Ai[Aj[k]]:  # (i + j) + k, i + (j + k)
+                    return fail("add-associative", i, j, k)
+    for i in rng:
+        for j in rng:
+            if M[i][j] != M[j][i]:
+                return fail("mul-commutative", i, j)
+    for j in rng:
+        if M[e][j] != j:
+            return fail("one-identity", j)
+    for i in rng:
+        Mi = M[i]
+        for j in rng:
+            Mij, Mj = M[Mi[j]], M[j]
+            for k in rng:
+                if Mij[k] != Mi[Mj[k]]:  # (i * j) * k, i * (j * k)
+                    return fail("mul-associative", i, j, k)
+    for i in rng:
+        Mi = M[i]
+        for j in rng:
+            Aj, AMij = A[j], A[Mi[j]]
+            for k in rng:
+                if Mi[Aj[k]] != AMij[Mi[k]]:  # i * (j + k), i*j + i*k
+                    return fail("distributive", i, j, k)
+    return AxiomReport(ok=True, checked=True)
 
 
 def generic_closure(ring, gens: Iterable[int]) -> frozenset[int]:

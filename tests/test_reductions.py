@@ -15,7 +15,8 @@ per-candidate scan on element, lattice and residue-class tables, and the
 kernel itself against ``poly_mul``. The
 integer leg over (Z/m)[X] against the loop that expands every product in
 Z[X], its found path included. Last, the axiom check over an additive
-generating set against the full lexicographic axiom scan, and the kept
+generating set against the full lexicographic axiom scan and the
+entry-by-entry reference ``reference_axiom_report``, and the kept
 rows of every family, built without a method call, against the tables of
 their ``add`` and ``mul``."""
 
@@ -32,6 +33,7 @@ from oracles import (
     _product,
     _violates,
     method_table,
+    reference_axiom_report,
     reference_certify_sweep,
     reference_conjecture_check_int,
     reference_dm_table,
@@ -756,7 +758,9 @@ def corrupted_rings(draw):
 @examples(max_examples=400)
 @given(corrupted_rings())
 def test_axiom_check_matches_full_scan(ring):
-    assert verify_ring_axioms(ring) == _axiom_scan(ring, generated=False)
+    # the byte-row check, its full scan and the entry-by-entry reference
+    report = verify_ring_axioms(ring)
+    assert report == _axiom_scan(ring, generated=False) == reference_axiom_report(ring)
 
 
 def test_additive_generators_per_family():
@@ -794,6 +798,16 @@ def test_generating_set_pass_decides_real_rings():
         ring = parse_ring_spec(spec)
         assert _axiom_scan(ring, generated=True) == AxiomReport(ok=True, checked=True), spec
         assert verify_ring_axioms(ring) == AxiomReport(ok=True, checked=True), spec
+
+
+def test_axiom_check_matches_reference_on_real_rings():
+    # every ring of order <= 64 that the absorb benchmark builds passes
+    # the entry-by-entry reference and the byte-row check alike
+    small = [ring_of(s) for s in BUILT_RINGS if ring_of(s).order <= 64]
+    assert len(small) == 78
+    for ring in small:
+        report = reference_axiom_report(ring)
+        assert report == verify_ring_axioms(ring) == AxiomReport(ok=True, checked=True), ring
 
 
 def test_kept_rows_match_methods():

@@ -1,10 +1,14 @@
 """Ring kernel: structured arithmetic, axiom scan, quotients, spec grammar."""
 
 import pytest
+from oracles import reference_axiom_report
 
 from omegalab.errors import RingConstructionError, SpecParseError
 from omegalab.rings import (
+    TABLE_LIMIT,
+    AxiomReport,
     TableRing,
+    _axiom_scan,
     make_product,
     make_quotient,
     make_truncated_local,
@@ -179,6 +183,51 @@ def test_axiom_scan_closure(overwrites, axiom, witness):
     assert (report.ok, report.axiom, report.witness) == (False, axiom, witness)
 
 
+def _zmod_tables(n):
+    ring = make_zmod(n)
+    return [list(r) for r in ring.add_rows()], [list(r) for r in ring.mul_rows()]
+
+
+def test_table_limit_fits_one_byte_per_element():
+    # the axiom scan holds rows as bytes; a larger limit needs a new row type
+    assert TABLE_LIMIT <= 256
+
+
+@pytest.mark.parametrize(
+    "n, table, value, axiom",
+    [
+        # bytes() raises on 256 and on -1
+        (256, "mul", 256, "closure-mul"),
+        (256, "mul", -1, "closure-mul"),
+        # 250 fits a byte; only the range check rejects it
+        (200, "add", 250, "closure-add"),
+    ],
+)
+def test_axiom_scan_closure_at_the_byte_bounds(n, table, value, axiom):
+    tables = dict(zip(("add", "mul"), _zmod_tables(n)))
+    tables[table][3][7] = value
+    ring = TableRing(tables["add"], tables["mul"], 0, 1, "bad")
+    report = verify_ring_axioms(ring)
+    assert report == reference_axiom_report(ring)
+    assert (report.ok, report.axiom, report.witness) == (False, axiom, (3, 7))
+
+
+def test_axiom_scan_symmetric_swap_at_256():
+    # swapping 5 + 10 and 5 + 20 on both sides of the diagonal keeps + closed,
+    # commutative, with identity 0 and inverses; the generator pass over
+    # {1} finds the broken associativity, the full scan its least witness
+    add, mul = _zmod_tables(256)
+    add[5][10] = add[10][5] = 25
+    add[5][20] = add[20][5] = 15
+    ring = TableRing(add, mul, 0, 1, "bad:swap")
+    assert _axiom_scan(ring, generated=True) == AxiomReport(
+        False, True, "add-associative", (4, 1, 10)
+    )
+    report = verify_ring_axioms(ring)
+    assert report == AxiomReport(False, True, "add-associative", (1, 4, 10))
+    assert report == reference_axiom_report(ring)
+
+
 def test_axiom_scan_zero_ne_one():
     report = verify_ring_axioms(TableRing(*_z4_tables(), 0, 0, "bad:one"))
     assert (report.ok, report.axiom, report.witness) == (False, "zero-ne-one", ())
@@ -199,15 +248,10 @@ def test_axiom_scan_one_identity():
     assert (report.ok, report.axiom, report.witness) == (False, "one-identity", (1,))
 
 
-def _z3_tables():
-    z3 = make_zmod(3)
-    return [list(r) for r in z3.add_rows()], [list(r) for r in z3.mul_rows()]
-
-
 def test_axiom_scan_add_associative_alone():
     # 1+1 = 2+2 = 0 keeps every other axiom: multiplication by 2 swaps
     # 1 and 2, which respects the new sums
-    add, mul = _z3_tables()
+    add, mul = _zmod_tables(3)
     add[1][1] = add[2][2] = 0
     report = verify_ring_axioms(TableRing(add, mul, 0, 1, "bad:add"))
     assert (report.ok, report.axiom, report.witness) == (
