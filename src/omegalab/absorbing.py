@@ -40,6 +40,7 @@ scan that tests compare against lives in the tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -100,7 +101,7 @@ def _check_args(ideal: Ideal, n: int) -> None:
 
 
 def multiset_scan(
-    candidates: Sequence, one, table, inside, n: int
+    candidates: Sequence, one, table, inside, n: int, hint=None
 ) -> tuple[Optional[tuple[int, ...]], int, int]:
     """First violating (n+1)-multiset over candidates, the leaves tried,
     and the leaves tried whose product lies in I.
@@ -122,7 +123,8 @@ def multiset_scan(
     prefix*c lies in I and no q_t*c does (prefix, which omits c, is outside
     by the cut): the bits of H(prefix) & ~H(q_0) & ... & ~H(q_(n-1)).
     leaves counts the factors up to the lowest, as trying each did, and
-    inside_leaves the bits of H(prefix) among them.
+    inside_leaves the bits of H(prefix) among them. A hint(p), if given,
+    lists in order the positions that may be bits of H(p); no other is tried.
     """
     count = len(candidates)
     chosen = [0] * (n + 1)
@@ -135,7 +137,11 @@ def multiset_scan(
         low, bits = hits.get(p, (count, 0))
         if start < low:
             row = table[p]
-            for ci in range(start, low):
+            span = range(start, low)
+            if hint is not None:
+                span = hint(p)
+                span = span[bisect_left(span, start):bisect_left(span, low)]
+            for ci in span:
                 if row[candidates[ci]] in inside:
                     bits |= 1 << ci
             hits[p] = (start, bits)

@@ -32,7 +32,7 @@ which the integer leg shares with coefficients mod m and plain
 residues): a product lies in I[X] exactly when its class is zero.
 Products go through the sweeps' row kernel, ``_convolver``, over the
 slots up to (omega+1)*max_deg, and each product of two ids is computed
-once per call.
+once per call, unless the lowest terms already put it outside I[X].
 
 Search enumeration order is fixed: coefficient tuples over the graded-lex
 slot list, ascending lexicographically; pairs run f <= g (both predicates
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .absorbing import (
-    DEFAULT_CAP, OmegaResult, multiset_rank, multiset_scan, omega, violates,
+    DEFAULT_CAP, OmegaResult, multiset_rank, omega, violates,
 )
 from .errors import CapExceededError, UnsupportedRingError
 from .ideals import Ideal, IdealSpace, ideal_space, is_radical_ideal
@@ -927,8 +927,8 @@ def verify_poly_omega(
     # a product of the scan has at most n+1 factors of degree <= max_deg
     slots, convolve = _convolver(ring, num_vars, max_deg, n + 1)
     rows = ring.mul_rows()
-    reduce, one, table, inside = _residue_table(
-        coset_minima(ring, members), ring.zero, ring.one, convolve,
+    reduce, one, table, inside, _, scan = _residue_table(
+        coset_minima(ring, members), ring.zero, ring.one, ring.mul, convolve,
         [rows[u] for u in ring.units()],
     )
 
@@ -951,7 +951,7 @@ def verify_poly_omega(
     witness = None
     if sweep.exhaustive:
         cands = [reduce(coeffs) for coeffs, _ in adm]
-        found, checked, _ = multiset_scan(cands, one, table, inside, n)
+        found, checked, _ = scan(cands, n)
         if found is not None:
             witness = _to_polys(ring, num_vars, slots, [adm[i][0] for i in found])
     else:

@@ -12,7 +12,10 @@ The polynomial search is an independent route: products are expanded
 honestly with integer coefficient arithmetic, never shortcut through the
 content identity they are meant to test. They are expanded in (Z/m)[X],
 coefficients reduced mod m, which decides membership in mZ[X] exactly
-(the proof sketch is on ``conjecture_check_int``). The report's drawn
+(the proof sketch is on ``conjecture_check_int``). A product whose
+lowest coefficient, read off the factors' lowest terms, is nonzero mod m
+is left unexpanded; that is not Gauss's lemma c(fg) = c(f)c(g), which
+the search never uses (``polys._residue_table``). The report's drawn
 counts the raw draws in sampled mode; in exhaustive mode it counts the
 multisets up to the first violation in ``combinations_with_replacement``
 order, the rank of that violation (``absorbing.multiset_rank``) in the
@@ -22,11 +25,13 @@ pruned ``absorbing.multiset_scan`` walk.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .absorbing import multiset_rank, multiset_scan, violates
+from .absorbing import multiset_rank, violates
 from .content_checks import DEFAULT_BUDGET, plan_sweep, uniform_draws
 from .polys import _residue_table
 from .rings import LazyRow, prime_factors
@@ -164,10 +169,11 @@ def _split_draws(
 
 
 def _mod_table(m: int):
-    """(reduce, one, table, inside) for (Z/m)[X]: the residue table of
-    ``polys._residue_table`` with c -> c mod m, ``_convolve`` and
+    """(reduce, one, table, inside, low, scan) for (Z/m)[X]: the residue
+    table of ``polys._residue_table`` with c -> c mod m, ``_convolve`` and
     the trivial group, so ids are plain residues."""
-    return _residue_table(LazyRow(lambda _, c: c % m, None), 0, 1, _convolve)
+    rep = LazyRow(lambda _, c: c % m, None)
+    return _residue_table(rep, 0, 1, operator.mul, _convolve)
 
 
 def conjecture_check_int(
@@ -205,7 +211,9 @@ def conjecture_check_int(
     the answer the integer product would give, so drawn, checked, the mode,
     the seed and the witness tuple are those of expanding every product in
     Z[X]. Residue polynomials are interned as ids and their products
-    memoized for the call.
+    memoized for the call. The residue table's lowest-term zero test (not
+    the content identity) skips the products whose lowest coefficient is
+    nonzero mod m, in the scan and in the sampled draws.
     """
     if m < 2:
         raise ValueError("conjecture check needs a modulus m >= 2")
@@ -214,7 +222,7 @@ def conjecture_check_int(
     base = omega_int(m)
     n = base.value
     k = n + 1
-    reduce, one, table, inside = _mod_table(m)
+    reduce, one, table, inside, low, scan = _mod_table(m)
 
     witness = [reduce((p,)) for p in base.factors]
     witness_valid = violates(witness, one, table, inside)
@@ -241,7 +249,7 @@ def conjecture_check_int(
             if cid not in inside:
                 box.append(coeffs)
                 cands.append(cid)
-        found, leaves, inside_leaves = multiset_scan(cands, one, table, inside, n)
+        found, leaves, inside_leaves = scan(cands, n)
         drawn = multiset_rank(found, len(cands), n)
         if found is not None:
             found = [box[c] for c in found]
@@ -275,7 +283,8 @@ def conjecture_check_int(
         if tup is None:
             continue
         ids = [reduce(coeffs) for coeffs in tup]
-        if any(cid in inside for cid in ids):
+        # cannot qualify: a factor in mZ[X], or lowest terms multiplying to nonzero
+        if any(cid in inside for cid in ids) or math.prod(low[c] for c in ids) % m:
             continue
         full = one
         for cid in ids:

@@ -17,9 +17,11 @@ Examples over zmod:12 in one variable: "2+4x" is 2 + 4X; over two variables
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .absorbing import multiset_scan
 from .errors import SpecParseError
 from .rings import FiniteRing, LazyRow, grlex_key, take_digits, var_names
 
@@ -205,29 +207,44 @@ def _parse_term(
 # residue polynomials
 
 
-def _residue_table(rep, zero, one, convolve, unit_rows=()):
-    """(reduce, one, table, inside): polynomials as ids of the unit classes
-    {u*f : u in U} of their images f in (R/I)[X], for
+def _residue_table(rep, zero, one, mul, convolve, unit_rows=()):
+    """(reduce, one, table, inside, low, scan): polynomials as ids of the
+    unit classes {u*f : u in U} of their images f in (R/I)[X], for
     ``absorbing.multiset_scan`` and ``absorbing.violates``.
 
     rep[c] is the residue of the coefficient c: over a finite ring the
     least index of its coset c + I (``rings.coset_minima``, as in
-    ``QuotientRing``), over the integers c mod m. zero and one are the
-    coefficients 0 and 1; unit_rows are the rows row[c] = u*c of the u in
-    U, () for the trivial group. reduce keys a class by its lex-least
-    image, trailing zero residues dropped. table[a][b] is the id of the
-    class of a*b, one ``convolve`` call and one reduction on first use,
-    then memoized; inside holds the id of the zero class.
+    ``QuotientRing``), over the integers c mod m. zero, one and mul(a, b)
+    are 0, 1 and ab on coefficients; unit_rows are the rows row[c] = u*c
+    of the u in U, () for the trivial group. reduce keys a class by its
+    lex-least image, trailing zero residues dropped. table[a][b] is the id
+    of the class of a*b, one ``convolve`` call and one reduction on first
+    use, then memoized; inside holds the id of the zero class.
 
     u(c + I) = uc + I, so scaling commutes with taking residues and takes
     only 0 to 0: f lies in I[X] exactly when its class is the zero class,
     and class(u*a * v*b) = class(ab) makes table well defined. The images
     in a class have their zero residues where f has, so lex order is first
     decided at f's leading nonzero residue c: the minimum is taken over
-    the units taking c to the least residue of its orbit, memoized per c."""
+    the units taking c to the least residue of its orbit, memoized per c.
+
+    low[i] is the lowest nonzero residue of class i (the zero residue for
+    the zero class), and scan(cands, n) runs multiset_scan over class ids
+    with the lowest-term zero test. Graded-lex slot order is a monomial
+    order, so if f and g have lowest terms a*s and b*t, fg has ab at st
+    and every other pair of terms lands higher: ab != 0 in R/I puts fg
+    outside I[X] with no convolution. This reads one coefficient; it is
+    not Gauss's lemma, c(fg) = c(f)c(g). It is unit-invariant (uv*ab = 0
+    iff ab = 0), so it holds for class ids. scan convolves p only with the
+    candidates whose low annihilates low[p]. By induction a product of
+    candidates has the product of their lows as lowest coefficient while
+    that is nonzero; if 0 is outside the multiplicative closure of their
+    lows, no product lies in I[X], so the walk cuts nothing and finds no
+    hit: found None, every (n+1)-multiset a leaf, none inside."""
     zero_residue = rep[zero]
     ids: dict[tuple, int] = {}
     polys: list[tuple] = []
+    low: list = []
     lead_rows: dict[int, list] = {}
 
     def reduce(coeffs) -> int:
@@ -247,10 +264,33 @@ def _residue_table(rep, zero, one, convolve, unit_rows=()):
         if got is None:
             got = ids[key] = len(polys)
             polys.append(key)
+            low.append(next((c for c in key if c != zero_residue), zero_residue))
         return got
 
-    def mul(a: int, b: int) -> int:
+    def product(a: int, b: int) -> int:
         return reduce(convolve(polys[a], polys[b]))
 
-    table = LazyRow(lambda _, a: LazyRow(mul, a), None)
-    return reduce, reduce((one,)), table, frozenset({reduce(())})
+    # times[a][b]: the residue of ab, for residues a and b
+    times = LazyRow(lambda _, a: LazyRow(lambda a, b: rep[mul(a, b)], a), None)
+
+    def scan(cands: Sequence[int], n: int):
+        lows = [low[c] for c in cands]
+        gens = set(lows)
+        closure, todo = set(gens), list(gens)
+        while todo and zero_residue not in closure:
+            row = times[todo.pop()]
+            grown = {row[b] for b in gens} - closure
+            closure |= grown
+            todo += grown
+        if zero_residue not in closure:
+            return None, math.comb(len(cands) + n, n + 1), 0
+        hints = LazyRow(lambda _, a: [
+            ci for ci, b in enumerate(lows) if times[a][b] == zero_residue
+        ], None)
+        return multiset_scan(
+            cands, one_id, table, inside, n, lambda p: hints[low[p]]
+        )
+
+    table = LazyRow(lambda _, a: LazyRow(product, a), None)
+    one_id, inside = reduce((one,)), frozenset({reduce(())})
+    return reduce, one_id, table, inside, low, scan

@@ -401,6 +401,10 @@ class TableRing(FiniteRing):
             raise RingConstructionError(
                 f"operation tables must both be {order} x {order}"
             )
+        if not (0 <= zero < order and 0 <= one < order):
+            raise RingConstructionError(
+                f"zero {zero} and one {one} must be indices 0..{order - 1}"
+            )
         self._displays = list(displays) if displays is not None else [str(i) for i in range(order)]
 
     def add(self, i: int, j: int) -> int:

@@ -90,6 +90,38 @@ MUTANTS = (
         "found &= ~mask(table[prefix[t]][suffix], start)", "found &= -1",
         ("tests/test_absorbing.py",),
     ),
+    # a prefix whose product lies in I is cut
+    Mutant(
+        "multiset-scan-no-prefix-cut", "absorbing.py",
+        "if p not in inside:", "if True:",
+        ("tests/test_absorbing.py::test_multiset_scan_cuts_prefixes_inside",),
+    ),
+    # the lowest-term zero test: a hint leaves out only the candidates
+    # whose lowest residue times low[p] is nonzero, and the whole-scan cut
+    # needs 0 outside the closure of the lowest residues
+    Mutant(
+        "residue-hint-skips-annihilators", "polys.py",
+        "if times[a][b] == zero_residue", "if times[a][b] != zero_residue",
+        ("tests/test_reductions.py::test_int_leg_exhaustive_counts",),
+    ),
+    Mutant(
+        "residue-cut-ignores-zero-in-closure", "polys.py",
+        "if zero_residue not in closure:", "if True:",
+        ("tests/test_reductions.py::test_int_leg_exhaustive_counts",),
+    ),
+    Mutant(
+        "residue-cut-leaves-off-by-one", "polys.py",
+        "math.comb(len(cands) + n, n + 1)", "math.comb(len(cands) + n, n + 1) + 1",
+        ("tests/test_integers.py",),
+    ),
+    # a sampled integer draw is skipped only when its lowest coefficients
+    # multiply to a nonzero residue
+    Mutant(
+        "int-sampled-skip-inverted", "integers.py",
+        "or math.prod(low[c] for c in ids) % m:",
+        "or math.prod(low[c] for c in ids) % m == 0:",
+        ("tests/test_reductions.py::test_int_leg_matches_expanding_reference",),
+    ),
     Mutant(
         "multiset-rank-off-by-one", "absorbing.py",
         "rank, prev = 1, 0", "rank, prev = 0, 0",

@@ -6,6 +6,7 @@ from oracles import reference_is_n_absorbing
 from omegalab.absorbing import (
     is_n_absorbing,
     is_strongly_n_absorbing,
+    multiset_scan,
     omega,
     omega_agreement_table,
     strong_omega,
@@ -106,6 +107,33 @@ def test_pruned_scan_matches_reference():
                 fast = is_n_absorbing(ideal, n)
                 slow = reference_is_n_absorbing(ideal, n)
                 assert fast == slow, (ring.descriptor, ideal.generators, n)
+
+
+class _CountedRow(list):
+    """A row of a multiplication table that counts the entries read."""
+
+    reads = 0
+
+    def __getitem__(self, b):
+        _CountedRow.reads += 1
+        return list.__getitem__(self, b)
+
+
+@pytest.mark.parametrize(
+    "m, leaves, inside_leaves, reads", [(16, 0, 0, 17), (24, 71, 42, 225)]
+)
+def test_multiset_scan_cuts_prefixes_inside(m, leaves, inside_leaves, reads):
+    # the prefix cut, pinned by the products the scan reads: the zero
+    # ideal of Z/m at n = 4 over the element scan's candidates, the proper
+    # divisors of m. Without the cut Z/16 reads 70 products at 21 leaves
+    # and Z/24 529 at 252; the verdict and drawn - leaves + inside_leaves
+    # (223 on Z/24) do not tell the two apart.
+    ring = make_zmod(m)
+    cands = [x for x in range(2, m) if m % x == 0]
+    rows = [_CountedRow(r) for r in ring.mul_rows()]
+    _CountedRow.reads = 0
+    got = multiset_scan(cands, ring.one, rows, frozenset({0}), 4)
+    assert (got, _CountedRow.reads) == ((None, leaves, inside_leaves), reads)
 
 
 def test_scan_above_table_limit_matches_reference():

@@ -684,11 +684,13 @@ def test_poly_omega_frozen_z18_gen9():
 
 
 @pytest.mark.parametrize(
-    "m, gens, products", [(18, (9,), 1148), (12, (), 1777)]
+    "m, gens, products", [(18, (9,), 390), (12, (), 1423)]
 )
 def test_poly_omega_residue_products(monkeypatch, m, gens, products):
-    # the residue products one scan computes, counted at the row kernel;
-    # the frozen tests above pin checked for the same two inputs
+    # the residue products one scan computes, counted at the row kernel
+    # (1148 and 1777 before the lowest-term hints skipped the products
+    # whose lowest coefficient is a nonzero residue); the frozen tests
+    # above pin checked for the same two inputs
     calls = 0
     make_kernel = content_checks._convolver
 

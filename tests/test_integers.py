@@ -5,7 +5,8 @@ import time
 import pytest
 from oracles import content_int, gauss_lemma_check, int_poly_mul
 
-from omegalab.absorbing import omega
+from omegalab import integers
+from omegalab.absorbing import omega, violates
 from omegalab.errors import CapExceededError
 from omegalab.ideals import ideal_from_generators
 from omegalab.integers import (
@@ -98,6 +99,30 @@ def test_conjecture_check_exhaustive_m4():
     assert report.violation is None
     assert report.witness_valid is True
     assert report.omega.value == 2
+
+
+@pytest.mark.parametrize("m, drawn", [(12, 17550), (210, 98280)])
+def test_exhaustive_scan_decided_by_the_lowest_terms(monkeypatch, m, drawn):
+    # the height-2 box has lowest coefficients +-1 and +-2, whose products
+    # never vanish mod 12 or mod 210: no product of box polynomials lies
+    # in mZ[X], the walk is decided without a product, and the only
+    # convolutions are those of the prime-factor witness check
+    calls = 0
+    convolve = integers._convolve
+
+    def counted(fa, fb):
+        nonlocal calls
+        calls += 1
+        return convolve(fa, fb)
+
+    monkeypatch.setattr(integers, "_convolve", counted)
+    reduce, one, table, inside, _, _ = integers._mod_table(m)
+    assert violates([reduce((p,)) for p in omega_int(m).factors], one, table, inside)
+    witness_calls, calls = calls, 0
+    report = conjecture_check_int(m, max_deg=1, height=2)
+    assert (report.mode, report.checked, report.drawn) == ("exhaustive", 0, drawn)
+    assert report.violation is None and report.witness_valid
+    assert calls == witness_calls
 
 
 def test_conjecture_witness_is_the_prime_tuple():

@@ -46,7 +46,7 @@ from oracles import (
     reference_strong_violation,
 )
 
-from omegalab import absorbing
+from omegalab import absorbing, polys
 from omegalab.absorbing import (
     DEFAULT_CAP,
     OmegaResult,
@@ -501,6 +501,36 @@ def test_poly_omega_matches_dict_reference(spec, num_vars, max_deg, budget):
             assert got.mode.startswith(("sampled", "skipped"))
 
 
+def test_poly_omega_lowest_term_cuts_match_dict_reference(monkeypatch):
+    """Every proper ideal of the content family, in one variable at
+    degrees 1 and 2 and in two at degree 1, against the dict reference at
+    the budget of 20,000 tuples. Of the exhaustive runs, 74 are decided by
+    the lowest-term cut (prime ideals, whose R/I is a domain, among them)
+    and 26 walk the hinted scan."""
+    walks = 0
+    scan = polys.multiset_scan
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return scan(*args)
+
+    monkeypatch.setattr(polys, "multiset_scan", counted)
+    decided = 0
+    for spec in CONTENT_FAMILY:
+        ring = cube_quotient() if spec == "cube-quotient" else ring_of(spec)
+        for ideal in all_ideals(ring):
+            if not ideal.is_proper:
+                continue
+            for num_vars, max_deg in [(1, 1), (1, 2), (2, 1)]:
+                before = walks
+                args = (ideal, max_deg, num_vars, 6, 20_000, 100, 5)
+                got = verify_poly_omega(*args)
+                assert got == reference_poly_omega(*args), (spec, ideal.generators)
+                decided += got.mode == "exhaustive" and walks == before
+    assert (decided, walks) == (74, 26)
+
+
 @pytest.mark.parametrize(
     "spec, gens, witness",
     [
@@ -523,10 +553,11 @@ def test_residue_scan_finds_element_witness(spec, gens, witness):
         if i != space.full_id and x not in ideal.elements
     ]
     _, convolve = _convolver(ring, 1, 0, n + 1)
-    reduce, one, table, inside = _residue_table(
-        coset_minima(ring, ideal.elements), ring.zero, ring.one, convolve
+    reduce, _, _, _, _, scan = _residue_table(
+        coset_minima(ring, ideal.elements), ring.zero, ring.one, ring.mul,
+        convolve,
     )
-    found = multiset_scan([reduce((x,)) for x in cands], one, table, inside, n)[0]
+    found = scan([reduce((x,)) for x in cands], n)[0]
     assert found is not None
     got = tuple(cands[i] for i in found)
     assert got == is_n_absorbing(ideal, n) == witness
@@ -540,9 +571,11 @@ SCAN_FAMILY = [f"zmod:{m}" for m in range(2, 19)] + [
 
 
 def scan_inputs(ideal, kind: str, n: int):
-    """(candidates, one, table, inside) as the element scan, the strong
-    scan or poly-omega at degree 1 (unit classes of residue polynomials
-    over the admissible polynomials) give them to multiset_scan."""
+    """(candidates, one, table, inside, scan) as the element scan, the
+    strong scan or poly-omega at degree 1 (unit classes of residue
+    polynomials over the admissible polynomials) give them to
+    multiset_scan; scan is the residue table's cut and hinted scan over
+    them, None for the first two."""
     ring = ideal.ring
     members = ideal.elements
     space = ideal_space(ring)
@@ -551,22 +584,22 @@ def scan_inputs(ideal, kind: str, n: int):
             x for i, x in space.principal_reps().items()
             if i != space.full_id and x not in members
         ]
-        return cands, ring.one, ring.mul_rows(), members
+        return cands, ring.one, ring.mul_rows(), members, None
     if kind == "lattice":
         ids = [space.intern(iv.elements) for iv in all_ideals(ring)]
         inside = frozenset(i for i in ids if space.set_of(i) <= members)
         cands = [i for i in ids if i not in inside and i != space.full_id]
-        return cands, space.full_id, space.products, inside
+        return cands, space.full_id, space.products, inside, None
     slots, convolve = _convolver(ring, 1, 1, n + 1)
     adm, _ = _admissible_sweep(
         ring, slots, members, lambda a: 0, DEFAULT_BUDGET, 0, 0
     )
     rows = ring.mul_rows()
-    reduce, one, table, inside = _residue_table(
-        coset_minima(ring, members), ring.zero, ring.one, convolve,
+    reduce, one, table, inside, _, scan = _residue_table(
+        coset_minima(ring, members), ring.zero, ring.one, ring.mul, convolve,
         [rows[u] for u in ring.units()],
     )
-    return [reduce(coeffs) for coeffs, _ in adm], one, table, inside
+    return [reduce(coeffs) for coeffs, _ in adm], one, table, inside, scan
 
 
 @examples(max_examples=40)
@@ -576,7 +609,9 @@ def test_multiset_scan_matches_reference(spec):
     violation, the leaves tried and those of them whose product lies in I,
     for n = 1 up to omega(I), where the
     reference element scan first finds nothing; below omega(I) the class
-    scan finds a violation too, so the found path is compared."""
+    scan finds a violation too, so the found path is compared. Over the
+    classes the residue table's scan, with its lowest-term cut and hints,
+    gives the same three values."""
     ring = ring_of(spec)
     for ideal in all_ideals(ring):
         if not ideal.is_proper:
@@ -584,11 +619,15 @@ def test_multiset_scan_matches_reference(spec):
         for n in itertools.count(1):
             want = {}
             for kind in ("element", "lattice", "class"):
-                args = (*scan_inputs(ideal, kind, n), n)
-                want[kind] = reference_multiset_scan(*args)
-                assert multiset_scan(*args) == want[kind], (
+                *args, scan = scan_inputs(ideal, kind, n)
+                want[kind] = reference_multiset_scan(*args, n)
+                assert multiset_scan(*args, n) == want[kind], (
                     spec, kind, ideal.generators, n
                 )
+                if scan is not None:
+                    assert scan(args[0], n) == want[kind], (
+                        spec, ideal.generators, n
+                    )
             assert (want["class"][0] is None) == (want["element"][0] is None)
             if want["element"][0] is None:
                 break
@@ -628,6 +667,107 @@ def test_int_leg_matches_expanding_reference(case):
     assert conjecture_check_int(*case) == reference_conjecture_check_int(*case)
 
 
+# the exhaustive grid of the lowest-term cross-check: every run of
+# m in 2..60 and 210, heights 1-3 and max_deg 0-2 that fits the budget
+INT_GRID = [
+    (m, max_deg, height)
+    for m in [*range(2, 61), 210]
+    for height in (1, 2, 3)
+    for max_deg in (0, 1, 2)
+    if (2 * height + 1) ** ((max_deg + 1) * (omega_int(m).value + 1))
+    <= DEFAULT_BUDGET
+]
+# the largest walks compared: the expanding reference walks about 130,000
+# multisets in 0.7 s over the grid runs up to 3,000 each, the unhinted
+# multiset_scan 0.9 s over those up to 10,000; over the whole grid they
+# would take about 150 s and 27 s, and the lowest-term cut 0.5 s
+INT_GRID_REFERENCE_LIMIT = 3000
+INT_GRID_SCAN_LIMIT = 10000
+
+
+def test_int_leg_lowest_term_cuts_match_the_walks():
+    """The lowest-term cut and hints of the exhaustive integer leg on the
+    grid: the report equals the expanding reference's where its walk is
+    within INT_GRID_REFERENCE_LIMIT multisets, and else the one read off
+    the unhinted multiset_scan of the same candidates where that walk is
+    within INT_GRID_SCAN_LIMIT. The larger runs are named out of reach by
+    their number; test_int_leg_exhaustive_counts and the integer tests
+    pin zmod:16, zmod:12 and zmod:210 at height 2 and degree 1."""
+    compared = {"reference": 0, "scan": 0, "out of reach": 0}
+    for m, max_deg, height in INT_GRID:
+        n = omega_int(m).value
+        reduce, one, table, inside, _, _ = _mod_table(m)
+        span = range(-height, height + 1)
+        cands = [reduce(c) for c in itertools.product(span, repeat=max_deg + 1)]
+        cands = [c for c in cands if c not in inside]
+        walk = math.comb(len(cands) + n, n + 1)
+        got = conjecture_check_int(m, max_deg, height)
+        assert got.mode == "exhaustive" and got.violation is None
+        if walk <= INT_GRID_REFERENCE_LIMIT:
+            compared["reference"] += 1
+            assert got == reference_conjecture_check_int(m, max_deg, height)
+        elif walk <= INT_GRID_SCAN_LIMIT:
+            compared["scan"] += 1
+            found, leaves, inside_leaves = multiset_scan(
+                cands, one, table, inside, n
+            )
+            assert found is None
+            assert (got.checked, got.drawn) == (walk - leaves + inside_leaves, walk)
+        else:
+            compared["out of reach"] += 1
+    assert compared == {"reference": 312, "scan": 38, "out of reach": 103}
+
+
+@pytest.mark.parametrize("m", [300, 360])
+def test_int_leg_sampled_matches_reference(m):
+    """Seeded sampled runs, whose uniform draws skip the table products
+    when their lowest coefficients multiply to a unit mod m."""
+    for seed, (max_deg, height) in itertools.product(range(3), [(1, 2), (2, 3)]):
+        got = conjecture_check_int(m, max_deg, height, 500, seed)
+        assert got.mode == "sampled:500"
+        assert got == reference_conjecture_check_int(m, max_deg, height, 500, seed)
+
+
+@st.composite
+def lowest_term_pairs(draw):
+    """(ring, ideal, f, g) with f and g nonzero in (R/I)[X], in one or two
+    variables over the content family."""
+    spec = draw(st.sampled_from(CONTENT_FAMILY))
+    ring = cube_quotient() if spec == "cube-quotient" else ring_of(spec)
+    ideal = draw(st.sampled_from([i for i in all_ideals(ring) if i.is_proper]))
+    num_vars = draw(st.integers(1, 2))
+    slots = monomials_up_to(num_vars, 2)
+    coeff = st.integers(0, ring.order - 1)
+    f, g = (
+        draw(st.lists(coeff, min_size=len(slots), max_size=len(slots)).filter(
+            lambda t: not ideal.elements.issuperset(t)))
+        for _ in range(2)
+    )
+    return ring, ideal, make_poly(ring, num_vars, dict(zip(slots, f))), \
+        make_poly(ring, num_vars, dict(zip(slots, g)))
+
+
+@examples(max_examples=200)
+@given(lowest_term_pairs())
+def test_lowest_terms_multiply(pair):
+    """In (R/I)[X] the coefficient of fg at lowest(f)*lowest(g) is a*b,
+    for f and g with lowest nonzero residues a and b at lowest(f) and
+    lowest(g) in graded-lex order: the lowest-term zero test that
+    ``polys._residue_table`` cuts by."""
+    ring, ideal, f, g = pair
+    rep = coset_minima(ring, ideal.elements)
+
+    def lowest(h):
+        return next((e, c) for e, c in h.terms if rep[c] != rep[ring.zero])
+
+    (ef, a), (eg, b) = lowest(f), lowest(g)
+    at = tuple(x + y for x, y in zip(ef, eg))
+    fg = poly_mul(f, g).as_dict()
+    assert rep[fg.get(at, ring.zero)] == rep[ring.mul(a, b)]
+    if rep[ring.mul(a, b)] != rep[ring.zero]:
+        assert not ideal.elements.issuperset(fg.values())
+
+
 @pytest.mark.parametrize(
     "m, checked, drawn", [(4, 696, 2600), (8, 2250, 17550), (16, 6072, 98280)]
 )
@@ -646,15 +786,13 @@ def test_int_walk_finds_constant_witness(m, witness, checked, drawn):
     """The found path of the integer leg's counts, which no input of
     conjecture_check_int reaches (Z is a PID, so the degree identity
     holds): over the constants of height 3 and n = Omega(m) - 1 factors,
-    multiset_scan with drawn = multiset_rank(found) and checked = drawn -
+    the residue table's scan (hinted multiset_scan) with drawn = multiset_rank(found) and checked = drawn -
     leaves + inside_leaves gives the violation, checked and drawn of the
     expanding loop over ``combinations_with_replacement``."""
     n = omega_int(m).value - 1
     consts = [c for c in range(-3, 4) if c % m]
-    reduce, one, table, inside = _mod_table(m)
-    found, leaves, inside_leaves = multiset_scan(
-        [reduce((c,)) for c in consts], one, table, inside, n
-    )
+    reduce, _, _, _, _, scan = _mod_table(m)
+    found, leaves, inside_leaves = scan([reduce((c,)) for c in consts], n)
     assert found is not None
     drawn = multiset_rank(found, len(consts), n)
     got = (tuple(consts[i] for i in found), drawn - leaves + inside_leaves, drawn)

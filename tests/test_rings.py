@@ -313,6 +313,14 @@ def test_table_ring_rejects_tables_of_the_wrong_size():
         TableRing(add, [row[:3] for row in mul], 0, 1, "bad:narrow-mul")
 
 
+@pytest.mark.parametrize("zero, one", [(4, 1), (0, 4), (-1, 1)])
+def test_table_ring_rejects_zero_or_one_outside_the_ring(zero, one):
+    # zero=4 and one=4 made verification raise IndexError, and zero=-1
+    # was read as row 3 and reported as zero-identity
+    with pytest.raises(RingConstructionError):
+        TableRing(*_z4_tables(), zero, one, "bad:range")
+
+
 def test_order_cap_enforced():
     with pytest.raises(RingConstructionError):
         make_zmod(5000)
