@@ -42,7 +42,9 @@ Searches skip polynomials whose content is zero (or contained in the target
 ideal) and polynomials with unit content; both skips are sound because such
 polynomials can never appear in a violation (the first kind forces every
 product through the ideal, the second kind satisfies multiplicativity by
-the Dedekind-Mertens law). Pruned and unpruned scans are compared in tests.
+the Dedekind-Mertens law); the exhaustive searches also skip every
+principal content (``_pair_search``). Pruned and unpruned scans are
+compared in tests.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**7
 DEFAULT_SAMPLE = 10000
+_CHUNK = 1024  # sampled items per uniform_draws call
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +166,23 @@ class Sweep:
         if self.exhaustive:
             tuples = itertools.product(range(order), repeat=length)
             return itertools.product(tuples, repeat=arity)
+        return self._draws(order, length, arity)
+
+    def _draws(self, order: int, length: int, arity: int):
+        """The sampled items, drawn _CHUNK at a time by one ``uniform_draws``
+        call of chunk*arity*length values, packed by length into coefficient
+        tuples and those by arity into items. ``uniform_draws`` makes one
+        getrandbits(k) call per attempt, in order, and keeps no state between
+        values, so one long call returns exactly the values, in the same
+        order, that one call per coefficient tuple returns. The generator is
+        private to the sweep: a consumer that stops early leaves unread draws
+        that nothing else would have read."""
         getrandbits = random.Random(self.seed).getrandbits
-        return (
-            tuple(uniform_draws(getrandbits, order, length) for _ in range(arity))
-            for _ in range(self.sample)
-        )
+        for start in range(0, self.sample, _CHUNK):
+            chunk = min(self.sample - start, _CHUNK)
+            values = iter(uniform_draws(getrandbits, order, chunk * arity * length))
+            coeffs = zip(*[values] * length)
+            yield from zip(*[coeffs] * arity)
 
 
 def uniform_draws(getrandbits, n: int, length: int) -> tuple[int, ...]:
@@ -311,6 +326,17 @@ def _pair_search(
     the loop meets first, and checked is its rank among the 2-multisets of
     the admissible positions (``absorbing.multiset_rank``).
 
+    Orbits with a principal content are skipped: no pair holding one
+    violates. In a local ring, Nakayama gives a principal c(f) != 0 a
+    generating coefficient a, so f = a*f1 with c(f1) = R, and
+    Dedekind-Mertens gives c(fg) = a*c(f1 g) = a*c(g) = c(f)c(g), so
+    neither c(fg) != c(f)c(g) nor fg = 0 with c(f)c(g) != 0 holds. A finite
+    ring is the product of local rings, contents split componentwise, the
+    components of a principal ideal are principal, and a zero component
+    of c(f) is one of fg and of c(f)c(g). The skipped orbits leave the
+    order of the rest, so the first violating pair and checked are those
+    of the full walk.
+
     On a ring certified Gaussian (``IdealSpace.gaussian``) nothing
     violates, as c(fg) = c(f)c(g) and so fg = 0 gives c(f)c(g) = 0: the
     search multiplies nothing and counts every pair or admissible draw."""
@@ -334,7 +360,9 @@ def _pair_search(
     if sweep.exhaustive:
         if convolve:
             position = {t: k for k, (t, _) in enumerate(adm)}
-            reps = [adm[position[f]] for f in _unit_orbits(ring, list(position))[0]]
+            principal = space.principal_reps()
+            tuples = [t for t, cid in adm if cid not in principal]
+            reps = [adm[position[f]] for f in _unit_orbits(ring, tuples)[0]]
             _, hit = first_violation(itertools.combinations_with_replacement(reps, 2))
             found = None if hit is None else [position[f] for f in hit]
         checked = multiset_rank(found, len(adm), 1)

@@ -173,23 +173,29 @@ class IdealSpace:
         I + (c) depends on c only through the principal ideal (c), so every
         generator of (c) shares one entry: the memo holds at most one entry
         per pair of an ideal and a principal ideal, in the row of I at the
-        id of (c)."""
+        id of (c). Nested ideals need no cosets: (c) <= I gives I + (c) = I,
+        and I <= (c) gives (c), both ids already interned."""
         pid = self.principal_id(elem)
         row = self._sums[ideal_id]
         got = row[pid] if pid < len(row) else None
         if got is None:
-            ring = self.ring
-            rows = ring.add_rows() if ring.order <= TABLE_LIMIT else None
-            base = self._sets[ideal_id]
-            # I + (c) is the union of the cosets y + I over y in (c); a y
-            # already covered brings no new coset. Kept rows are read; above
-            # TABLE_LIMIT fresh lazy rows would cost more than the calls
-            acc = set(base)
-            for y in self._sets[pid]:
-                if y not in acc:
-                    acc.update(map(rows[y].__getitem__, base) if rows else
-                               (ring.add(x, y) for x in base))
-            got = self.intern(frozenset(acc))
+            base, gen = self._sets[ideal_id], self._sets[pid]
+            if gen <= base:
+                got = ideal_id
+            elif base <= gen:
+                got = pid
+            else:
+                ring = self.ring
+                rows = ring.add_rows() if ring.order <= TABLE_LIMIT else None
+                # I + (c) is the union of the cosets y + I over y in (c); a
+                # y already covered adds no coset. Kept rows are read; above
+                # TABLE_LIMIT fresh lazy rows would cost more than the calls
+                acc = set(base)
+                for y in gen:
+                    if y not in acc:
+                        acc.update(map(rows[y].__getitem__, base) if rows else
+                                   (ring.add(x, y) for x in base))
+                got = self.intern(frozenset(acc))
             row.extend([None] * (pid + 1 - len(row)))
             row[pid] = got
         return got

@@ -122,6 +122,28 @@ MUTANTS = (
         "or math.prod(low[c] for c in ids) % m == 0:",
         ("tests/test_reductions.py::test_int_leg_matches_expanding_reference",),
     ),
+    # I + (c) of nested ideals is the larger one, read without cosets
+    Mutant(
+        "ideal-sum-nested-returns-generator", "ideals.py",
+        "got = ideal_id", "got = pid",
+        ("tests/test_ideal_space.py::"
+         "test_extend_above_table_limit_matches_worklist_closure",),
+    ),
+    # one uniform_draws call per chunk, packed by length, then by arity
+    Mutant(
+        "sampled-tuples-pack-by-arity-first", "content_checks.py",
+        "coeffs = zip(*[values] * length)\n            yield from zip(*[coeffs] * arity)",
+        "coeffs = zip(*[values] * arity)\n            yield from zip(*[coeffs] * length)",
+        ("tests/test_content_checks.py::test_sampled_tuples_match_randrange_draws",),
+    ),
+    # the exhaustive pair searches skip orbits with a principal content
+    Mutant(
+        "pair-search-no-principal-filter", "content_checks.py",
+        "tuples = [t for t, cid in adm if cid not in principal]",
+        "tuples = [t for t, _ in adm]",
+        ("tests/test_content_checks.py::"
+         "test_cube_search_decides_each_unordered_orbit_pair_once",),
+    ),
     Mutant(
         "multiset-rank-off-by-one", "absorbing.py",
         "rank, prev = 1, 0", "rank, prev = 0, 0",

@@ -11,6 +11,7 @@ from oracles import (
     reference_certify_sweep,
     reference_dm_table,
     reference_product,
+    reference_tuples,
 )
 from quotients import (
     content_ids,
@@ -27,6 +28,7 @@ from omegalab.content_checks import (
     certify_pair_sweep,
     dm_exponent_table,
     gaussian_search,
+    plan_sweep,
     uniform_draws,
     verify_poly_omega,
 )
@@ -162,6 +164,22 @@ def test_uniform_draws_match_randrange(order):
         got = uniform_draws(mine.getrandbits, order, length)
         assert got == tuple(theirs.randrange(order) for _ in range(length))
     assert mine.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("order", [2, 255, 256, 300, 4096])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_sampled_tuples_match_randrange_draws(order, arity):
+    # one uniform_draws call per chunk against one randrange per value,
+    # draw for draw, over more than two chunks and for a consumer that
+    # stops early, mid-chunk
+    sample = 2 * content_checks._CHUNK + 3
+    sweep = plan_sweep(None, 0, sample, order + arity)
+    for length in range(1, 7):
+        got = list(sweep.tuples(order, length, arity))
+        assert len(got) == sample
+        assert got == list(reference_tuples(sweep, order, length, arity))
+        early = itertools.islice(sweep.tuples(order, length, arity), 1500)
+        assert list(early) == got[:1500]
 
 
 def _cube_quotient():
@@ -345,6 +363,8 @@ def test_clean_search_counts_every_admissible_pair():
 def test_cube_search_decides_each_unordered_orbit_pair_once(monkeypatch):
     # the walk still counts its 33,232 pairs up to the witness, but the
     # predicate runs once per unordered pair of unit orbits among them
+    # whose contents are both non-principal: the 4,441 orbit pairs of the
+    # unpruned walk shrink to the witness's one
     calls = 0
     predicate = content_checks._gaussian_violation
 
@@ -365,8 +385,13 @@ def test_cube_search_decides_each_unordered_orbit_pair_once(monkeypatch):
     orbit = {f: _unit_orbit(ring, f) for f in adm}
     walked = itertools.islice(itertools.combinations_with_replacement(adm, 2), 33232)
     orbit_pairs = {frozenset((orbit[f], orbit[g])) for f, g in walked}
-    assert calls == len(orbit_pairs)
-    assert calls < 33232 // 5
+    assert len(orbit_pairs) == 4441
+    principal = space.principal_reps()
+    decided = {
+        pair for pair in orbit_pairs
+        if all(space.id_of_coeffs(min(o)) not in principal for o in pair)
+    }
+    assert calls == len(decided) == 1
 
 
 # ---------------------------------------------------------------------------

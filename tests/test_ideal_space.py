@@ -193,6 +193,25 @@ def test_extend_memo_keyed_by_principal_ideal():
     assert len(keys) <= len(all_ideals(ring)) * len(principals)
 
 
+@pytest.mark.parametrize("spec", ["zmod:300", "zmod:360", "prod:zmod:16,zmod:17"])
+def test_extend_above_table_limit_matches_worklist_closure(spec):
+    # every pair of an ideal and a principal ideal on a fresh registry,
+    # where extend adds by method calls: nested pairs take the shortcut,
+    # the rest the coset union. Every ideal of these rings is principal
+    ring = parse_ring_spec(spec)
+    principal = {}  # element set of (c) -> least c
+    for c in range(ring.order):
+        principal.setdefault(generic_closure(ring, (c,)), c)
+    space = ideal_space(ring)
+    nested = 0
+    for base, a in principal.items():
+        for gen, c in principal.items():
+            got = space.extend(space.intern(base), c)
+            assert space.set_of(got) == generic_closure(ring, (a, c)), (a, c)
+            nested += gen <= base or base <= gen
+    assert 0 < nested < len(principal) ** 2
+
+
 @examples(max_examples=150)
 @given(ring_and_ideals(2))
 def test_registry_product_matches_element_products(drawn):

@@ -380,6 +380,20 @@ def test_found_searches_match_reference(kind, num_vars, max_deg):
     assert got == reference_pair_search(ring, num_vars, max_deg, kind)
 
 
+@pytest.mark.parametrize("num_vars, max_deg", [(1, 1), (1, 2), (2, 1)])
+def test_principal_prune_matches_reference_on_uncertified_rings(num_vars, max_deg):
+    # the exhaustive searches skip the unit orbits with a principal
+    # content on every ring of the family not certified Gaussian; found,
+    # witness and checked against the walk that decides every pair
+    rings = [cube_quotient() if s == "cube-quotient" else ring_of(s) for s in CONTENT_FAMILY]
+    uncertified = [ring for ring in rings if not ideal_space(ring).gaussian()]
+    assert len(uncertified) == 2
+    for ring in uncertified:
+        for kind, search in SEARCHES.items():
+            got = search(ring, num_vars, max_deg)
+            assert got == reference_pair_search(ring, num_vars, max_deg, kind)
+
+
 def test_cube_search_matches_reference():
     # the paper's non-Gaussian ring, pinned outright: the first failing
     # pair is (2+4x, 2+4x), the 33,232nd admissible pair of the walk
