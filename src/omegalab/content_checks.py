@@ -17,14 +17,16 @@ planned by ``plan_sweep``: exhaustive when the caller's enumeration fits
 the budget, else seeded draws (``uniform_draws``), with mode and seed
 recorded. The DM table and the certify sweep fold over one table of
 pairs grouped by content ids (``_pair_groups``), one per ring when
-exhaustive, so the pairs are walked once for all of them. On a ring
-certified Gaussian (``IdealSpace.gaussian``) c(fg) is read off the
-product table (``_class_groups``) and the searches only count. Elsewhere
-every exhaustive pair sweep multiplies each unordered pair of unit orbits
+exhaustive, so the pairs are walked once for all of them. Per-class
+counts and first tuples come from a table built slot by slot
+(``_class_table``), which sizes the pair searches before any tuple is
+read. On a ring certified Gaussian (``IdealSpace.gaussian``) c(fg) is
+read off the product table and the searches only count. Elsewhere every
+exhaustive pair sweep multiplies each unordered pair of unit orbits
 ({u*f : u a unit}, ``_unit_orbits``) once, as fg = gf and scaling by
 units changes no content: the table folds each product into the keys of
-both orders, and the searches decide the representative pairs in lex
-order and read checked off the rank of the first violating one.
+both orders, and the searches decide the representative pairs lazily in
+lex order up to the first violating one, whose rank is checked.
 The poly-omega check runs absorbing.multiset_scan, the scanner behind
 omega, over bounded polynomials of R[X], each held as the id of the unit
 class of its residue polynomial in (R/I)[X] (``polys._residue_table``,
@@ -53,7 +55,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .absorbing import (
     DEFAULT_CAP, OmegaResult, multiset_rank, omega, violates,
@@ -201,13 +203,11 @@ def uniform_draws(getrandbits, n: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unit_orbits(
-    ring: FiniteRing, tuples: Sequence[tuple]
-) -> tuple[list[tuple], list[int]]:
-    """(reps, weights): the orbits O(f) = {u*f : u a unit} that partition
-    the coefficient tuples, each by its first tuple f in reps and |O(f)| in
-    weights, in order of first tuple. The tuples must be closed under
-    units; in lex order, each f is the lex-least tuple of its orbit.
+def _unit_orbits(ring: FiniteRing, tuples: Iterable[tuple]) -> Iterator[tuple]:
+    """Yields (f, |O(f)|) for each orbit O(f) = {u*f : u a unit} met in the
+    coefficient tuples, f its first tuple, lazily and in order of first
+    tuple. The tuples must be closed under units; in lex order, each f is
+    the lex-least tuple of its orbit.
 
     Scaling by units changes nothing a pair sweep reads: for units u and v,
     c(uf) = c(f), c(uf*vg) = c(uv*fg) = c(fg), uv*fg lies in I[X] (is zero)
@@ -222,15 +222,20 @@ def _unit_orbits(
     rows = ring.mul_rows()
     unit_rows = [rows[u] for u in sorted(ring.units())]
     seen: set[tuple] = set()
-    reps: list[tuple] = []
-    weights: list[int] = []
     for f in tuples:
         if f not in seen:
             orbit = {tuple(row[c] for c in f) for row in unit_rows}
             seen |= orbit
-            reps.append(f)
-            weights.append(len(orbit))
-    return reps, weights
+            yield f, len(orbit)
+
+
+def _orbit_pairs(reps: Iterable) -> Iterator[tuple]:
+    """The pairs i <= j of a stream in lex order, read only as needed."""
+    seen = []
+    for rep in reps:
+        seen.append(rep)
+        yield seen[0], rep
+    yield from itertools.combinations_with_replacement(seen[1:], 2)
 
 
 def plan_sweep(
@@ -258,10 +263,11 @@ def _admissible_sweep(
     sample: int,
     seed: int,
 ):
-    """(admissible, sweep): exhaustive when the order**len(slots) tuples and
-    the size(a) items over the a admissible ones fit the budget, admissible
-    then being (coeffs, content id) of each in lex order; else (None,
-    sampled). size grows with a, so the listing stops once it is over."""
+    """(admissible, sweep) for poly-omega: exhaustive when the
+    order**len(slots) tuples and the size(a) items over the a admissible
+    ones fit the budget, admissible then being (coeffs, content id) of each
+    in lex order; else (None, sampled). size grows with a, so the listing
+    stops once it is over."""
     if ring.order ** len(slots) <= budget:
         space = ideal_space(ring)
         adm = []
@@ -313,9 +319,11 @@ def _pair_search(
     seed: int,
 ) -> SearchOutcome:
     """First violating pair f <= g of admissible polynomials: exhaustive
-    when the unordered admissible pairs fit the budget, else over seeded
-    draws decided one by one. checked counts the pairs in lex order, or
-    the admissible draws, up to and including the witness (all if none).
+    when the order**L tuples and the unordered admissible pairs fit the
+    budget, else over seeded draws decided one by one. checked counts the
+    pairs in lex order, or the admissible draws, up to and including the
+    witness (all if none). The admissible polynomials are counted per
+    content class (``_class_table``), so no tuple is read to plan.
 
     The exhaustive search decides the pairs i <= j of the unit-orbit
     representatives (``_unit_orbits``) in lex order. Both predicates read
@@ -324,7 +332,8 @@ def _pair_search(
     so does the sorted pair of their orbit minima, which is no larger: the
     first violating pair of the full walk is a representative pair, which
     the loop meets first, and checked is its rank among the 2-multisets of
-    the admissible positions (``absorbing.multiset_rank``).
+    the admissible positions (``absorbing.multiset_rank``). The walk reads
+    tuples lazily and stops there (``_orbit_pairs``).
 
     Orbits with a principal content are skipped: no pair holding one
     violates. In a local ring, Nakayama gives a principal c(f) != 0 a
@@ -339,13 +348,16 @@ def _pair_search(
 
     On a ring certified Gaussian (``IdealSpace.gaussian``) nothing
     violates, as c(fg) = c(f)c(g) and so fg = 0 gives c(f)c(g) = 0: the
-    search multiplies nothing and counts every pair or admissible draw."""
+    search reads no tuple and counts every pair or admissible draw."""
     slots = monomials_up_to(num_vars, max_deg)
     space = ideal_space(ring)
     zero = frozenset({ring.zero})
-    adm, sweep = _admissible_sweep(
-        ring, slots, zero, lambda a: a * (a + 1) // 2, budget, sample, seed
-    )
+    count = None
+    if ring.order ** len(slots) <= budget:  # the walk reads every tuple
+        firsts = _class_table(ring, num_vars, max_deg)[0]
+        count = sum(n for cid, (n, _) in firsts.items() if _admissible(space, cid, zero))
+    sweep = plan_sweep(None if count is None else count * (count + 1) // 2,
+                       budget, sample, seed)
     convolve = None if space.gaussian() else _convolver(ring, num_vars, max_deg)[1]
 
     def first_violation(pairs) -> tuple[int, Optional[tuple]]:
@@ -359,13 +371,22 @@ def _pair_search(
     hit = found = None
     if sweep.exhaustive:
         if convolve:
-            position = {t: k for k, (t, _) in enumerate(adm)}
             principal = space.principal_reps()
-            tuples = [t for t, cid in adm if cid not in principal]
-            reps = [adm[position[f]] for f in _unit_orbits(ring, tuples)[0]]
-            _, hit = first_violation(itertools.combinations_with_replacement(reps, 2))
-            found = None if hit is None else [position[f] for f in hit]
-        checked = multiset_rank(found, len(adm), 1)
+            walked = {}  # non-principal admissible tuple -> (position, content id)
+
+            def walk():
+                tuples = itertools.product(range(ring.order), repeat=len(slots))
+                ids = ((f, space.id_of_coeffs(f)) for f in tuples)
+                adm = ((f, c) for f, c in ids if _admissible(space, c, zero))
+                for position, (f, cid) in enumerate(adm):
+                    if cid not in principal:
+                        walked[f] = position, cid
+                        yield f
+
+            reps = ((f, walked[f][1]) for f, _ in _unit_orbits(ring, walk()))
+            _, hit = first_violation(_orbit_pairs(reps))
+            found = None if hit is None else [walked[f][0] for f in hit]
+        checked = multiset_rank(found, count, 1)
     else:
         checked, hit = first_violation(_admissible_draws(sweep, ring, slots, 2, zero))
     witness = None if hit is None else _to_polys(ring, num_vars, slots, hit)
@@ -377,8 +398,7 @@ def _gaussian_violation(space: IdealSpace, prod_coeffs, ca: int, cb: int) -> boo
 
 
 def _armendariz_violation(space: IdealSpace, prod_coeffs, ca: int, cb: int) -> bool:
-    zero = space.ring.zero
-    if any(c != zero for c in prod_coeffs):
+    if prod_coeffs.count(space.ring.zero) < len(prod_coeffs):
         return False
     return space.products[ca][cb] != space.zero_id
 
@@ -415,27 +435,41 @@ def armendariz_search(
 # grouped pair table and the Dedekind-Mertens exponent table
 
 
-def _class_groups(space: IdealSpace, tuples, degree: Callable) -> dict:
-    """The exhaustive pair groups of a ring certified Gaussian
-    (``IdealSpace.gaussian``), by one lex pass over the tuples and no
-    product. As c(fg) = c(f)c(g), the key of (f, g) is (c(f), c(g),
-    products[c(f)][c(g)], deg g), so each group is a class pair A x B: A
-    the tuples of one content, B those of one content and degree. Its
-    weight is |A|*|B|, and its first pair in the lex walk of the ordered
-    pairs is (min A, min B), so listing the groups by min A, then by
-    min B, is the walk's order of first pairs."""
-    firsts: dict[int, list] = {}  # c(f) -> [count, first f]
-    seconds: dict[tuple[int, int], list] = {}  # (c(g), deg g) -> [count, first g]
-    for f in tuples:
-        cid = space.id_of_coeffs(f)
-        firsts.setdefault(cid, [0, f])[0] += 1
-        seconds.setdefault((cid, degree(f)), [0, f])[0] += 1
-    products = space.products
-    return {
-        (c1, c2, products[c1][c2], d): [n1 * n2, (f1, f2)]
-        for c1, (n1, f1) in firsts.items()
-        for (c2, d), (n2, f2) in seconds.items()
-    }
+def _class_table(ring: FiniteRing, num_vars: int, max_deg: int) -> tuple[dict, dict]:
+    """(firsts, seconds): [count, lex-least tuple] of the coefficient tuples
+    per content id c(f) and per (c(f), deg f), in order of first tuple;
+    kept on the ring's registry. One pass per slot over the prefix states
+    (content id, degree), never one per tuple.
+
+    A coefficient v acts on a state only through (v): K becomes K + (v)
+    (``IdealSpace.extend``), and the degree the slot's when v != 0, as
+    graded-lex puts deg f at the last nonzero slot. So count times
+    |{v : (v) = P}| moves along each principal ideal P. A tuple t reaching
+    S' passes through some S with t[:-1] >= first(S), t[-1] >= min P, and
+    first(S) + (min P,) reaches S' too, so first(S') is the least such
+    candidate. Walking the states in order of first prefix and each P by
+    min P makes the candidates in lex order: a state's first candidate is
+    its least, and the states arrive in order of first tuple."""
+    space = ideal_space(ring)
+    got = space.class_tables.get((num_vars, max_deg))
+    if got is None:
+        zero = ring.zero
+        gens: dict[int, list[int]] = {}  # id of (v) -> [least v, |{v}|]
+        for v in range(ring.order):
+            gens.setdefault(space.principal_id(v), [v, 0])[1] += 1
+        states = {(space.zero_id, 0): [1, ()]}
+        for slot_deg in map(sum, monomials_up_to(num_vars, max_deg)):
+            nxt: dict[tuple[int, int], list] = {}
+            for (cid, d), (count, first) in states.items():
+                for v, size in gens.values():
+                    key = (space.extend(cid, v), d if v == zero else slot_deg)
+                    nxt.setdefault(key, [0, first + (v,)])[0] += count * size
+            states = nxt
+        firsts: dict[int, list] = {}
+        for (cid, _), (count, first) in states.items():
+            firsts.setdefault(cid, [0, first])[0] += count
+        got = space.class_tables[num_vars, max_deg] = firsts, states
+    return got
 
 
 def _pair_groups(
@@ -446,11 +480,17 @@ def _pair_groups(
     content ids, each group [weight, first pair], in walk order of first
     pairs. Exhaustive, kept on the ring's registry for the DM table and
     every certify ideal: on a ring certified Gaussian the class pairs of
-    ``_class_groups``; else one pair per pair of unit orbits, by lex-least
-    tuples, weighted |O(f)|*|O(g)| (``_unit_orbits`` shows this covers
-    every pair). Sampled: the draws, weight 1, grouped per call, less
-    those whose c(fg) leaves inside, if given; on a certified ring c(fg)
-    is products[c(f)][c(g)] and nothing is multiplied.
+    ``_class_table``; else one pair per pair of unit orbits, by lex-least
+    tuples, weighted |O(f)|*|O(g)| (``_unit_orbits``, consumed whole,
+    shows this covers every pair). Sampled: the draws, weight 1, grouped
+    per call, less those whose c(fg) leaves inside, if given; on a
+    certified ring c(fg) is products[c(f)][c(g)] and nothing is multiplied.
+
+    On a certified ring the key of (f, g) is (c(f), c(g),
+    products[c(f)][c(g)], deg g), so each group is a class pair A x B: A
+    the tuples of one content, B those of one content and degree, weight
+    |A|*|B|, first pair (min A, min B) in the lex walk of the ordered
+    pairs. Listing the groups by min A, then min B, is the walk's order.
 
     What the DM table and certify read of a pair is a function of its key:
     the DM exponent, the peel, the degree bound, and whether fg lies in
@@ -493,16 +533,21 @@ def _pair_groups(
                 groups.setdefault((ca, cb, cfg, degree(fb)), [0, (fa, fb)])[0] += 1
         return groups
 
-    tuples = itertools.product(range(ring.order), repeat=len(slots))
     if convolve is None:
-        groups = _class_groups(space, tuples, degree)
+        firsts, seconds = _class_table(ring, num_vars, max_deg)
+        groups = {
+            (c1, c2, space.products[c1][c2], d): [n1 * n2, (f1, f2)]
+            for c1, (n1, f1) in firsts.items()
+            for (c2, d), (n2, f2) in seconds.items()
+        }
     else:
         def fold(key, weight: int, rank: int) -> None:  # -> [weight, least rank]
             entry = groups.setdefault(key, [0, rank])
             entry[0] += weight
             entry[1] = min(entry[1], rank)
 
-        reps, weights = _unit_orbits(ring, list(tuples))
+        tuples = itertools.product(range(ring.order), repeat=len(slots))
+        reps, weights = zip(*_unit_orbits(ring, tuples))
         count = len(reps)
         ids = [id_of(f) for f in reps]
         degs = [degree(f) for f in reps]

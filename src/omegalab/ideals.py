@@ -137,7 +137,8 @@ class IdealSpace:
         # products[I][J] -> IJ, filled on first use under both orders
         self.products = LazyRow(lambda _, a: LazyRow(self._product, a), None)
         self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
-        # (num_vars, max_deg) -> content_checks' exhaustive pair groups
+        # (num_vars, max_deg) -> content_checks' class tables, pair groups
+        self.class_tables: dict[tuple[int, int], tuple[dict, dict]] = {}
         self.pair_groups: dict[tuple[int, int], dict] = {}
 
     def intern(self, els: frozenset[int]) -> int:

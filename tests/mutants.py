@@ -139,10 +139,22 @@ MUTANTS = (
     # the exhaustive pair searches skip orbits with a principal content
     Mutant(
         "pair-search-no-principal-filter", "content_checks.py",
-        "tuples = [t for t, cid in adm if cid not in principal]",
-        "tuples = [t for t, _ in adm]",
+        "if cid not in principal:", "if True:",
         ("tests/test_content_checks.py::"
          "test_cube_search_decides_each_unordered_orbit_pair_once",),
+    ),
+    # the class table appends the least generator of (v) and takes the
+    # degree from the last nonzero slot
+    Mutant(
+        "class-table-largest-generator", "content_checks.py",
+        "for v in range(ring.order):", "for v in reversed(range(ring.order)):",
+        ("tests/test_content_checks.py::test_class_table_equals_the_tuple_pass",),
+    ),
+    Mutant(
+        "class-table-degree-from-first-nonzero-slot", "content_checks.py",
+        "d if v == zero else slot_deg",
+        "d if v == zero or cid != space.zero_id else slot_deg",
+        ("tests/test_content_checks.py::test_class_table_equals_the_tuple_pass",),
     ),
     Mutant(
         "multiset-rank-off-by-one", "absorbing.py",

@@ -6,9 +6,11 @@ by element. The reference strong scan walks the lattice of
 ``all_ideals``, which ``oracle_lattice`` checks. The reference
 DM and certify sweeps walk every (f, g) pair one by one, drawn by
 ``randrange`` when sampled, with no unit-orbit weighting or grouping by
-contents. The reference pair search walks every admissible pair and
-decides each one on its own, with no unit-orbit reduction, taking the
-ideal product of the contents by ``reference_product``. The reference
+contents. The reference class groups count the tuples of each content
+class by one lookup per tuple. The reference pair search walks every
+admissible pair and decides each one on its own, with no unit-orbit
+reduction, taking the ideal product of the contents by
+``reference_product``. The reference
 radical walks the powers of every element. The
 reference multiset scan tries each last factor in turn and checks a hit
 subproduct by subproduct, with no hit masks; the reference poly-omega
@@ -371,6 +373,23 @@ def reference_certify_sweep(
         qualifying, max_exp, exp_ok, chain_ok, final_ok, witness, sweep.mode,
         sweep.seed,
     )
+
+
+def reference_class_groups(ring, num_vars: int = 1, max_deg: int = 1) -> tuple:
+    """``content_checks._class_table`` by one lex pass over every
+    coefficient tuple, one content lookup each: [count, first tuple] of
+    the tuples of each content c(f), and of each (c(f), deg f), keyed in
+    order of first tuple."""
+    space = ideal_space(ring)
+    slot_degs = [sum(e) for e in monomials_up_to(num_vars, max_deg)]
+    firsts: dict = {}
+    seconds: dict = {}
+    for f in itertools.product(range(ring.order), repeat=len(slot_degs)):
+        cid = space.id_of_coeffs(f)
+        deg = max((d for c, d in zip(f, slot_degs) if c != ring.zero), default=0)
+        firsts.setdefault(cid, [0, f])[0] += 1
+        seconds.setdefault((cid, deg), [0, f])[0] += 1
+    return firsts, seconds
 
 
 def reference_pair_search(

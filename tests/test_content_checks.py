@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     generic_closure,
     reference_certify_sweep,
+    reference_class_groups,
     reference_dm_table,
     reference_product,
     reference_tuples,
@@ -255,8 +256,8 @@ def test_pair_table_walked_once_per_ring(monkeypatch, first):
 @pytest.mark.parametrize("first", ["dm", "certify"])
 def test_class_scan_once_per_certified_ring(monkeypatch, first):
     # zmod:18 is certified Gaussian: the DM table and certify on its three
-    # radical ideals read one class scan, which multiplies nothing
-    scans = _counted(monkeypatch, "_class_groups")
+    # radical ideals read one class table, which multiplies nothing
+    scans = _counted(monkeypatch, "_class_table")
     orbits = _counted(monkeypatch, "_unit_orbits")
     kernels = _counted(monkeypatch, "_convolver")
     ring = _shared_table_case("zmod:18", first)
@@ -324,6 +325,30 @@ def test_class_groups_are_the_groups_of_the_ordered_walk(spec):
     assert list(space.pair_groups[1, 1].items()) == list(walk.items())
 
 
+# the benchmark's content rings, the cube and an uncertified product
+CLASS_TABLE_RINGS = [f"zmod:{m}" for m in range(2, 17)] + [
+    "prod:zmod:2,zmod:2", "prod:zmod:2,zmod:3", "prod:zmod:2,zmod:4",
+    "prod:zmod:3,zmod:3", "trunc:p=2,vars=1,nil=2", "trunc:p=2,vars=1,nil=3",
+    "trunc:p=2,vars=2,nil=2", "trunc:p=3,vars=1,nil=2",
+    "trunc:p=2,vars=2,nil=3", "prod:zmod:2,trunc:p=2,vars=2,nil=2",
+]
+
+
+@pytest.mark.parametrize("spec", CLASS_TABLE_RINGS)
+def test_class_table_equals_the_tuple_pass(spec):
+    # the slot-by-slot table gives the classes of one lookup per tuple:
+    # the same keys, counts and first tuples, in the same order.
+    # The reference reads every tuple, so shapes above 3e5 tuples are left
+    # out: of these rings, only the cube at (1, 3), 64^4 tuples
+    for num_vars, max_deg in [(1, 1), (1, 2), (2, 1), (1, 3)]:
+        ring = parse_ring_spec(spec)
+        if ring.order ** len(monomials_up_to(num_vars, max_deg)) > 300_000:
+            continue
+        got = content_checks._class_table(ring, num_vars, max_deg)
+        want = reference_class_groups(ring, num_vars, max_deg)
+        assert [list(t.items()) for t in got] == [list(t.items()) for t in want]
+
+
 def test_pair_groups_keep_the_first_pair_of_the_ordered_walk():
     # on Z/2 x F_2[x,y]/(x^2, y^2) the fold over pairs i <= j opens a group
     # by a mirrored rank j*K + i before a smaller direct rank arrives; the
@@ -375,9 +400,14 @@ def test_cube_search_decides_each_unordered_orbit_pair_once(monkeypatch):
 
     monkeypatch.setattr(content_checks, "_gaussian_violation", counted)
     ring = make_truncated_local(2, 2, 3)
+    space = ideal_space(ring)
+    lookups = _lookups(monkeypatch, space)
     out = gaussian_search(ring, 1, 1)
     assert (out.found, out.checked) == (True, 33232)
-    space = ideal_space(ring)
+    assert [display_poly(p) for p in out.witness] == ["2+4x", "2+4x"]
+    # the walk reads tuples lazily and stops at the witness, (2, 4): 133
+    # of the 4,096 tuples, where a full listing looked up all of them
+    assert lookups[0] < 200
     adm = [
         f for f in itertools.product(range(ring.order), repeat=2)
         if space.id_of_coeffs(f) not in (space.zero_id, space.full_id)
@@ -470,25 +500,40 @@ def test_sampled_certify_on_a_certified_ring_fills_no_lazy_rows(monkeypatch):
     assert misses > 0
 
 
-def test_pair_search_stops_listing_once_sampling_is_certain(monkeypatch):
-    # the listing gives up once a*(a+1)/2 exceeds the budget (at a = 4472
-    # of the 46,655 admissible polynomials, after 12,281 of the 129,600
-    # lookups a full listing makes); the 500 draws then add 1,076 more
-    ring = make_zmod(360)
-    space = ideal_space(ring)
-    lookups = 0
-    lookup = space.id_of_coeffs
+def _lookups(monkeypatch, space) -> list[int]:
+    """[content-id lookups so far, lookups made before the first seeded
+    draw or None]: counts the calls of space.id_of_coeffs and notes the
+    count at the first ``uniform_draws`` call."""
+    counts = [0, None]
+    lookup, draws = space.id_of_coeffs, content_checks.uniform_draws
 
     def counted(coeffs):
-        nonlocal lookups
-        lookups += 1
+        counts[0] += 1
         return lookup(coeffs)
 
+    def first_draw(*args):
+        if counts[1] is None:
+            counts[1] = counts[0]
+        return draws(*args)
+
     monkeypatch.setattr(space, "id_of_coeffs", counted)
+    monkeypatch.setattr(content_checks, "uniform_draws", first_draw)
+    return counts
+
+
+def test_pair_search_sizes_its_sweep_before_any_lookup(monkeypatch):
+    # the class table counts the 46,655 admissible polynomials of zmod:360
+    # without a lookup, so the search knows it samples before it reads a
+    # tuple; listing them until a(a+1)/2 passed the budget took 12,284
+    # lookups before the first draw and 12,990 in all. The 500 draws make
+    # the 706 left; the certificate's own products are looked up first
+    ring = make_zmod(360)
+    space = ideal_space(ring)
+    assert space.gaussian()
+    lookups = _lookups(monkeypatch, space)
     out = gaussian_search(ring, 1, 1, sample=500, seed=1)
-    assert out.mode == "sampled:500"
-    assert (out.found, out.checked) == (False, 76)
-    assert lookups < 20000
+    assert (out.found, out.checked, out.mode) == (False, 76, "sampled:500")
+    assert lookups == [706, 0]
 
 
 def test_armendariz_search_clean_rings():

@@ -275,6 +275,23 @@ def test_anderson_badawi_product_degree():
                     ), (spec, i1.generators, i2.generators)
 
 
+def test_zmod_is_gaussian_and_armendariz(monkeypatch):
+    # Z/n is a principal ideal ring, so Gaussian, c(fg) = c(f)c(g), and
+    # every DM exponent is 1; it is Armendariz (Rege and Chhawchharia,
+    # 1997). The DM table is also taken with the certificate bypassed,
+    # multiplying every pair of unit orbits
+    for m in range(2, 31):
+        ring = parse_ring_spec(f"zmod:{m}")
+        assert not gaussian_search(ring, 1, 1).found, m
+        assert not armendariz_search(ring, 1, 1).found, m
+        table = dm_exponent_table(ring, 1, 1)
+        assert table.histogram == ((1, m**4),), m
+        ring.caches.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(IdealSpace, "gaussian", lambda self: False)
+            assert dm_exponent_table(ring, 1, 1) == table, m
+
+
 @functools.cache
 def cube_quotient():
     """F_2[x,y]/(x^2, y^2), order 16: f = x + yX has c(f)^2 = (xy) but
