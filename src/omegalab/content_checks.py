@@ -19,8 +19,8 @@ recorded. The DM table and the certify sweep fold over one table of
 pairs grouped by content ids (``_pair_groups``), one per ring when
 exhaustive, so the pairs are walked once for all of them. Per-class
 counts and first tuples come from a table built slot by slot
-(``_class_table``), which sizes the pair searches before any tuple is
-read. On a ring certified Gaussian (``IdealSpace.gaussian``) c(fg) is
+(``_class_table``), which sizes poly-omega and the pair searches with no
+tuple read. On a ring certified Gaussian (``IdealSpace.gaussian``) c(fg) is
 read off the product table and the searches only count. Elsewhere every
 exhaustive pair sweep multiplies each unordered pair of unit orbits
 ({u*f : u a unit}, ``_unit_orbits``) once, as fg = gf and scaling by
@@ -254,32 +254,27 @@ def _admissible(space: IdealSpace, cid: int, skip_inside: frozenset[int]) -> boo
     return cid != space.full_id and not space.set_of(cid) <= skip_inside
 
 
-def _admissible_sweep(
-    ring: FiniteRing,
-    slots,
-    skip_inside: frozenset[int],
-    size: Callable[[int], int],
-    budget: int,
-    sample: int,
-    seed: int,
-):
-    """(admissible, sweep) for poly-omega: exhaustive when the
-    order**len(slots) tuples and the size(a) items over the a admissible
-    ones fit the budget, admissible then being (coeffs, content id) of each
-    in lex order; else (None, sampled). size grows with a, so the listing
-    stops once it is over."""
-    if ring.order ** len(slots) <= budget:
-        space = ideal_space(ring)
-        adm = []
-        for coeffs in itertools.product(range(ring.order), repeat=len(slots)):
-            cid = space.id_of_coeffs(coeffs)
-            if _admissible(space, cid, skip_inside):
-                adm.append((coeffs, cid))
-                if size(len(adm)) > budget:
-                    break
-        else:
-            return adm, plan_sweep(size(len(adm)), budget, sample, seed)
-    return None, plan_sweep(None, budget, sample, seed)
+def _admissible_count(
+    ring: FiniteRing, num_vars: int, max_deg: int, skip_inside: frozenset[int], budget: int
+) -> Optional[int]:
+    """The number of admissible coefficient tuples, summed over the content
+    classes of ``_class_table`` with no tuple read; None when the
+    order**L tuples are over the budget, too many for a walk to read."""
+    if ring.order ** len(monomials_up_to(num_vars, max_deg)) > budget:
+        return None
+    space = ideal_space(ring)
+    firsts = _class_table(ring, num_vars, max_deg)[0]
+    return sum(n for cid, (n, _) in firsts.items() if _admissible(space, cid, skip_inside))
+
+
+def _admissible_tuples(ring: FiniteRing, slots, skip_inside: frozenset[int]) -> Iterator[tuple]:
+    """(coeffs, content id) of each admissible coefficient tuple, lazily
+    and in lex order."""
+    space = ideal_space(ring)
+    for coeffs in itertools.product(range(ring.order), repeat=len(slots)):
+        cid = space.id_of_coeffs(coeffs)
+        if _admissible(space, cid, skip_inside):
+            yield coeffs, cid
 
 
 def _admissible_draws(
@@ -352,10 +347,7 @@ def _pair_search(
     slots = monomials_up_to(num_vars, max_deg)
     space = ideal_space(ring)
     zero = frozenset({ring.zero})
-    count = None
-    if ring.order ** len(slots) <= budget:  # the walk reads every tuple
-        firsts = _class_table(ring, num_vars, max_deg)[0]
-        count = sum(n for cid, (n, _) in firsts.items() if _admissible(space, cid, zero))
+    count = _admissible_count(ring, num_vars, max_deg, zero, budget)
     sweep = plan_sweep(None if count is None else count * (count + 1) // 2,
                        budget, sample, seed)
     convolve = None if space.gaussian() else _convolver(ring, num_vars, max_deg)[1]
@@ -375,10 +367,7 @@ def _pair_search(
             walked = {}  # non-principal admissible tuple -> (position, content id)
 
             def walk():
-                tuples = itertools.product(range(ring.order), repeat=len(slots))
-                ids = ((f, space.id_of_coeffs(f)) for f in tuples)
-                adm = ((f, c) for f, c in ids if _admissible(space, c, zero))
-                for position, (f, cid) in enumerate(adm):
+                for position, (f, cid) in enumerate(_admissible_tuples(ring, slots, zero)):
                     if cid not in principal:
                         walked[f] = position, cid
                         yield f
@@ -1017,12 +1006,12 @@ def verify_poly_omega(
         )
     # exhaustive only when the whole tuple space fits the budget: the scan
     # walks (n+1)-tuples of admissible polynomials, not single polynomials
-    adm, sweep = _admissible_sweep(
-        ring, slots, members, lambda a: a ** (n + 1), budget, sample, seed
-    )
+    count = _admissible_count(ring, num_vars, max_deg, members, budget)
+    sweep = plan_sweep(None if count is None else count ** (n + 1), budget, sample, seed)
 
     witness = None
     if sweep.exhaustive:
+        adm = list(_admissible_tuples(ring, slots, members))
         cands = [reduce(coeffs) for coeffs, _ in adm]
         found, checked, _ = scan(cands, n)
         if found is not None:

@@ -12,14 +12,13 @@ structured arithmetic per family:
                     little-endian (digit i multiplies p^i);
 * quotient rings    table rings on coset representatives (least index).
 
-Up to TABLE_LIMIT (256) a ring builds its operation rows once with no
-``add``/``mul`` call (``_tables``: list slices on zmod, the factors' rows
-on a product, digit arithmetic on trunc) and keeps them, so every scan
-reads the rows that ``verify_ring_axioms`` checked, as bytes: closure by
-one delete-translate, commutativity by column slices, row compositions by
-``bytes.translate``, the cubic axioms over an additive generating set G,
-and a failing ring rescanned for its first violation. Above the limit rows
-fill lazily and the axioms go unchecked. The ideal generated by c is
+Up to TABLE_LIMIT (256) a ring builds its operation rows once as bytes,
+one byte per element, with no ``add``/``mul`` call (``_tables``: slices
+on zmod, translates of the factors' rows on a product and of earlier
+rows on trunc; a table ring keeps the lists it is given). Every scan
+reads the rows that ``verify_ring_axioms`` checked, and the check reads
+byte rows as they are. Above the limit rows fill lazily and the axioms
+go unchecked. The ideal generated by c is
 ``principal(c)``, the set Rc; c is a unit iff 1 is in Rc. Constructors
 self-test and refuse orders above the configurable cap. An element is
 named only by its index: ``display`` gives the form that reports print,
@@ -114,8 +113,8 @@ class FiniteRing:
         self.descriptor = descriptor
         self.zero = zero
         self.one = one
-        self._add_rows: Optional[list[list[int]]] = None
-        self._mul_rows: Optional[list[list[int]]] = None
+        self._add_rows: Optional[list] = None
+        self._mul_rows: Optional[list] = None
         self._units: Optional[frozenset[int]] = None
         self.caches: dict = {}
 
@@ -127,8 +126,8 @@ class FiniteRing:
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
 
-    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The full addition and multiplication rows, built without
+    def _tables(self) -> tuple[list[bytes], list[bytes]]:
+        """The full addition and multiplication rows as bytes, built without
         calling ``add`` or ``mul``; only for order <= TABLE_LIMIT."""
         raise NotImplementedError
 
@@ -139,9 +138,9 @@ class FiniteRing:
         return range(self.order)
 
     def add_rows(self) -> list:
-        """Rows of the addition table, row[a][b] = a + b: the full table,
-        built once by ``_tables`` and kept, up to TABLE_LIMIT; above it
-        fresh rows filled on first use (never kept on the ring)."""
+        """Rows of the addition table, row[a][b] = a + b: up to TABLE_LIMIT
+        the full table, built once by ``_tables`` and kept (bytes, or a table
+        ring's given lists); above it fresh rows filled on first use, never kept."""
         if self._add_rows is None:
             if self.order > TABLE_LIMIT:
                 return [LazyRow(self.add, a) for a in range(self.order)]
@@ -202,16 +201,16 @@ class ZmodRing(FiniteRing):
     def mul(self, i: int, j: int) -> int:
         return (i * j) % self.modulus
 
-    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """With R = [0..n-1]: row a of + is R[a:] + R[:a], whose entry b is
-        a + b for b < n - a and a + b - n after. With L = R * (n//2 + 1),
+    def _tables(self) -> tuple[list[bytes], list[bytes]]:
+        """With R = bytes(range(n)): row a of + is R[a:] + R[:a], whose entry
+        b is a + b for b < n - a and a + b - n after. With L = R * (n//2 + 1),
         L[k] = k mod n, so row 0 < a <= n/2 of * is L[0:a*n:a], whose entry
         b is L[ab] = ab mod n (ab <= n(n-1)/2); row 0 is zeros. Row n - a is
         row a reflected, row[:1] + row[:0:-1]: (n-a)b = a(n-b) mod n."""
         n = self.modulus
-        R = list(range(n))
+        R = bytes(range(n))
         L = R * (n // 2 + 1)
-        mul = [[0] * n] + [L[0 : a * n : a] for a in R[1 : n // 2 + 1]]
+        mul = [bytes(n)] + [L[0 : a * n : a] for a in R[1 : n // 2 + 1]]
         mul += [row[:1] + row[:0:-1] for row in mul[n - len(mul) : 0 : -1]]
         return [R[a:] + R[:a] for a in R], mul
 
@@ -254,16 +253,27 @@ class ProductRing(FiniteRing):
         a2, b2 = divmod(j, self.right.order)
         return self.left.mul(a1, a2) * self.right.order + self.right.mul(b1, b2)
 
-    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
+    def _tables(self) -> tuple[list, list]:
         """Row a*|B| + b of an operation holds (a op x)*|B| + (b op y) at
-        x*|B| + y, the componentwise op in the lexicographic encoding; the
-        comprehension walks a, b, x, y in that order over the factors' kept
-        rows (each factor has order <= TABLE_LIMIT / 2)."""
-        B, L, R = self.right.order, self.left, self.right
-        return tuple(  # type: ignore[return-value]
-            [[x * B + y for x in lr for y in rr] for lr in left for rr in right]
-            for left, right in ((L.add_rows(), R.add_rows()), (L.mul_rows(), R.mul_rows()))
-        )
+        x*|B| + y, the componentwise op in the lexicographic encoding. With
+        shift[v] the bytes v*|B| + y at y < |B|, padded to 256, block x of
+        that row is rr.translate(shift[lr[x]]) for rows lr = a, rr = b of the
+        factors: a row joins |A| blocks, one translate per (rr, v). A factor
+        entry out of range (only an unchecked table ring holds one) makes the
+        entries integers, for the axiom scan to name."""
+        A, B, L, R = self.left.order, self.right.order, self.left, self.right
+        shift = [bytes(range(v * B, v * B + B)) + bytes(256 - B) for v in range(A)]
+        tables = []
+        for left, right in ((L.add_rows(), R.add_rows()), (L.mul_rows(), R.mul_rows())):
+            try:  # bytes() raises ValueError outside 0..255
+                lb, rb = [bytes(r) for r in left], [bytes(r) for r in right]
+                if max(map(max, lb)) >= A or max(map(max, rb)) >= B:
+                    raise ValueError
+                blocks = [[rr.translate(s) for s in shift] for rr in rb]
+                tables.append([b"".join(map(bl.__getitem__, lr)) for lr in lb for bl in blocks])
+            except ValueError:
+                tables.append([[x * B + y for x in lr for y in rr] for lr in left for rr in right])
+        return tuple(tables)  # type: ignore[return-value]
 
     def display(self, i: int) -> str:
         a, b = divmod(i, self.right.order)
@@ -292,38 +302,38 @@ class TruncatedLocalRing(FiniteRing):
         self._digit_cache = [d[::-1] for d in itertools.product(range(p), repeat=len(monos))]
         self._names = var_names(k)
 
-    def _tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The add and mul rows, each row from an earlier one in O(order).
+    def _tables(self) -> tuple[list[bytes], list[bytes]]:
+        """The add and mul rows as bytes, built by ``bytes.translate``.
 
-        Let k be the lowest nonzero digit of a > 0 and a' = a - p^k, so a is
-        a' + e_k with e_k the monomial at slot k. Then a + b = a' + (b + e_k),
-        where b + e_k raises digit k of b by one mod p, and a*b = a'*b +
-        e_k*b, where e_k*b moves digit j of b to the slot of the product of
-        monomials k and j, or drops it past the truncation; distinct j give
-        distinct products, so no two digits meet. Both follow from
-        digit-wise addition mod p and bilinearity, so the rows equal those
-        of ``add`` and ``mul``."""
-        p, n, digits = self.p, self.order, self._digit_cache
+        With s = p^k and e_k the monomial at slot k, b -> b + e_k raises
+        digit k of b by one mod p: ``step`` rotates each block of p*s
+        indices by s. For a in [s, p*s), a + b = (a - s) + (b + e_k), so row
+        a of + is step read through row a - s.
+
+        Multiplication by a is F_p-linear, so its row is fixed by v_j =
+        a*e_j: it maps c + d*p^j (c < p^j, d < p) to r[c] + d*v_j, r the row
+        below p^j, so the row below p^(j+1) joins r read d = 0..p-1 times
+        through the add row of v_j. The row of e_i has v_j = e_i*e_j, a
+        monomial or 0 past the truncation (``_posmap``); a*e_j = e_j*a is
+        entry a of that row."""
+        p, n = self.p, self.order
         powers = [p**k for k in range(len(self.monomials))]
-        step = [
-            [b - (p - 1) * s if digits[b][k] == p - 1 else b + s for b in range(n)]
-            for k, s in enumerate(powers)
-        ]
-        mono = [
-            [
-                sum(d * powers[pos] for d, pos in zip(digits[b], row) if pos >= 0)
-                for b in range(n)
-            ]
-            for row in self._posmap
-        ]
-        add, mul = [list(range(n))], [[0] * n]
-        for a in range(1, n):
-            k = next(i for i, d in enumerate(digits[a]) if d)
-            add.append([add[a - powers[k]][s] for s in step[k]])
-        for a in range(1, n):
-            k = next(i for i, d in enumerate(digits[a]) if d)
-            mul.append([add[x][y] for x, y in zip(mul[a - powers[k]], mono[k])])
-        return add, mul
+        R, pad = bytes(range(n)), bytes(256 - n)
+        padded = [R + pad]  # the add rows, padded to translate through
+        for s in powers:
+            step = b"".join(R[o + s : o + p * s] + R[o : o + s] for o in range(0, n, p * s))
+            for a in range(s, p * s):
+                padded.append(step.translate(padded[a - s]) + pad)
+
+        def linear(images) -> bytes:
+            row = bytes(1)
+            for v in images:
+                reads = itertools.accumulate([padded[v]] * (p - 1), bytes.translate, initial=row)
+                row = b"".join(reads)
+            return row
+
+        basis = [linear([powers[q] if q >= 0 else 0 for q in row]) for row in self._posmap]
+        return [row[:n] for row in padded], [linear([r[a] for r in basis]) for a in range(n)]
 
     def encode(self, digits: Sequence[int]) -> int:
         idx = 0
@@ -377,10 +387,10 @@ class TruncatedLocalRing(FiniteRing):
 class TableRing(FiniteRing):
     """A ring given by explicit operation tables.
 
-    Used for quotient rings and for test fixtures. The given tables are
-    its ``add_rows``/``mul_rows`` at any order. Unlike the structured
-    constructors it performs no axiom self-test, so corrupted tables can be
-    built and handed to verify_ring_axioms.
+    Used for quotient rings and for test fixtures. The given tables, kept
+    as lists, are its ``add_rows``/``mul_rows`` at any order. Unlike the
+    structured constructors it performs no axiom self-test, so corrupted
+    tables can be built and handed to verify_ring_axioms.
     """
 
     def __init__(
@@ -515,8 +525,8 @@ def verify_ring_axioms(ring: FiniteRing) -> AxiomReport:
     violation. Past closure every byte x is below n, and ``translate`` maps
     x to T[x], with T[i] row i padded to 256 bytes, so B[j].translate(T[i])
     is [A[i][x] for x in A[j]] entry by entry; column i is the slice
-    [i::n] of the joined rows. So each byte comparison is the list
-    comparison it replaces, with the same first difference.
+    [i::n] of the joined rows. So each byte comparison is the entry-wise
+    comparison of the rows, with the same first difference.
     """
     if ring.order > TABLE_LIMIT:
         return AxiomReport(ok=True, checked=False)
@@ -555,7 +565,8 @@ def _first_diff(left: Sequence[int], right: Sequence[int]) -> int:
 def _axiom_scan(ring: FiniteRing, generated: bool) -> AxiomReport:
     """The lexicographic axiom scan of verify_ring_axioms on the byte rows
     B (+) and C (*), k running inside one row comparison; with
-    generated=True the middle index j runs over ``_additive_generators``."""
+    generated=True the middle index j runs over ``_additive_generators``.
+    ``bytes`` returns kept byte rows unchanged; a table ring's are converted."""
     n = ring.order
     rng = range(n)
     A, M = ring.add_rows(), ring.mul_rows()

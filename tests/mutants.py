@@ -54,6 +54,32 @@ MUTANTS = (
         "if row != flat_a[i::n]:", "if row != flat_a[i + 1::n]:",
         ("tests/test_rings.py",),
     ),
+    # the kept rows as bytes: a product block is the right factor's row
+    # translated by shift[v], v*|B| + y at y; a factor entry out of range
+    # sends the product to its integer entries; a trunc add row is the
+    # step of e_k, each block of p*s indices rotated by s, read through row
+    # a - s, and the mul row of e_i maps e_j to e_i*e_j, zero past the
+    # truncation
+    Mutant(
+        "product-block-shifted-by-left-order", "rings.py",
+        "bytes(range(v * B, v * B + B))", "bytes(range(v * A, v * A + B))",
+        ("tests/test_reductions.py::test_kept_rows_match_methods",),
+    ),
+    Mutant(
+        "product-no-factor-range-check", "rings.py",
+        "if max(map(max, lb)) >= A or max(map(max, rb)) >= B:", "if False:",
+        ("tests/test_rings.py::test_product_over_a_corrupted_factor_fails_cleanly",),
+    ),
+    Mutant(
+        "trunc-add-step-rotates-by-one", "rings.py",
+        "R[o + s : o + p * s] + R[o : o + s]", "R[o + 1 : o + p * s] + R[o : o + 1]",
+        ("tests/test_reductions.py::test_kept_rows_match_methods",),
+    ),
+    Mutant(
+        "trunc-basis-row-past-truncation", "rings.py",
+        "powers[q] if q >= 0 else 0", "powers[q]",
+        ("tests/test_reductions.py::test_kept_rows_match_methods",),
+    ),
     # omega is N, the local-factor bound, exactly
     Mutant(
         "degree-bound-plus-one", "absorbing.py",

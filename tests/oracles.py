@@ -15,7 +15,8 @@ radical walks the powers of every element. The
 reference multiset scan tries each last factor in turn and checks a hit
 subproduct by subproduct, with no hit masks; the reference poly-omega
 scan runs it over sparse exponent->coefficient dicts, not unit classes
-of residue polynomials through the row kernel. The reference integer leg
+of residue polynomials through the row kernel, and sizes its sweep by
+listing the admissible tuples, not by content classes. The reference integer leg
 expands every product in Z[X], never in (Z/m)[X]. Integer contents are
 gcds of the coefficients. ``method_table`` fills an operation table by one
 call of the ring's ``add`` or ``mul`` per entry, against which the kept
@@ -42,8 +43,8 @@ from omegalab.content_checks import (
     DmTable,
     PolyOmegaReport,
     SearchOutcome,
+    _admissible,
     _admissible_draws,
-    _admissible_sweep,
     _convolver,
     _peel,
     _to_polys,
@@ -69,7 +70,7 @@ def method_table(op, n: int) -> list[list[int]]:
 
 def reference_axiom_report(ring) -> AxiomReport:
     """The report of ``verify_ring_axioms`` from plain entry loops on the
-    ring's rows A (+) and M (*): the axioms in their documented order,
+    ring's rows A (+) and M (*), read as lists: the axioms in their documented order,
     each over (i, j) or (i, j, k) in lexicographic order, the first failing
     entry its witness (no witness for zero != one, j for an identity, i
     for an additive inverse)."""
@@ -77,7 +78,7 @@ def reference_axiom_report(ring) -> AxiomReport:
     if n > TABLE_LIMIT:
         return AxiomReport(ok=True, checked=False)
     rng = range(n)
-    A, M = ring.add_rows(), ring.mul_rows()
+    A, M = [list(r) for r in ring.add_rows()], [list(r) for r in ring.mul_rows()]
     z, e = ring.zero, ring.one
 
     def fail(axiom: str, *witness: int) -> AxiomReport:
@@ -543,6 +544,26 @@ class _IdealX:
         return self.members.issuperset(poly.values())
 
 
+def reference_admissible_sweep(ring, slots, skip_inside, size, budget, sample, seed):
+    """(admissible, sweep) for poly-omega by listing: exhaustive when the
+    order**len(slots) tuples and the size(a) items over the a admissible
+    ones fit the budget, admissible then being (coeffs, content id) of each
+    in lex order, one lookup per tuple; else (None, sampled). size grows
+    with a, so the listing stops once it is over."""
+    if ring.order ** len(slots) <= budget:
+        space = ideal_space(ring)
+        adm = []
+        for coeffs in itertools.product(range(ring.order), repeat=len(slots)):
+            cid = space.id_of_coeffs(coeffs)
+            if _admissible(space, cid, skip_inside):
+                adm.append((coeffs, cid))
+                if size(len(adm)) > budget:
+                    break
+        else:
+            return adm, plan_sweep(size(len(adm)), budget, sample, seed)
+    return None, plan_sweep(None, budget, sample, seed)
+
+
 def reference_poly_omega(
     ideal: Ideal,
     max_deg: int = 1,
@@ -582,7 +603,7 @@ def reference_poly_omega(
         )
     # exhaustive only when the whole tuple space fits the budget: the scan
     # walks (n+1)-tuples of admissible polynomials, not single polynomials
-    adm, sweep = _admissible_sweep(
+    adm, sweep = reference_admissible_sweep(
         ring, slots, members, lambda a: a ** (n + 1), budget, sample, seed
     )
 

@@ -536,6 +536,19 @@ def test_pair_search_sizes_its_sweep_before_any_lookup(monkeypatch):
     assert lookups == [706, 0]
 
 
+def test_poly_omega_sizes_its_sweep_before_any_lookup(monkeypatch):
+    # omega((2)) = 1 on zmod:360, so the scan walks pairs of admissible
+    # polynomials, a^2 of them, over the budget: the class table counts
+    # them with no lookup, where listing them until a^2 passed the budget
+    # took 28,866 lookups before the first draw. The draws make the rest
+    ring = make_zmod(360)
+    ideal = ideal_from_generators(ring, (2,))
+    lookups = _lookups(monkeypatch, ideal_space(ring))
+    report = verify_poly_omega(ideal, max_deg=1, sample=500, seed=0)
+    assert (report.mode, report.checked, report.violation) == ("sampled:500", 1, None)
+    assert lookups == [540, 0]
+
+
 def test_armendariz_search_clean_rings():
     out = armendariz_search(M2, num_vars=1, max_deg=1)
     assert not out.found
@@ -781,11 +794,12 @@ def test_poly_omega_residue_products(monkeypatch, m, gens, products):
 
 
 def test_poly_omega_draws_stop_at_first_inadmissible(monkeypatch):
-    # the content lookups of five sampled scans: the listing that decides
-    # to sample, then the draws up to their first inadmissible factor
-    # (40,816 lookups when every factor of a draw was looked up), and the
-    # square of (6), the maximal ideal of the local factor Z/9 = R*10,
-    # which omega's local bound reads from the registry's product table
+    # the content lookups of five sampled scans: the draws up to their
+    # first inadmissible factor (40,816 lookups when every factor of a draw
+    # was looked up), and the square of (6), the maximal ideal of the local
+    # factor Z/9 = R*10, which omega's local bound reads from the
+    # registry's product table. The class table decides to sample with no
+    # lookup; listing the admissible tuples to decide took 163 per scan
     ring = make_zmod(18)
     space = ideal_space(ring)
     lookups = 0
@@ -800,7 +814,7 @@ def test_poly_omega_draws_stop_at_first_inadmissible(monkeypatch):
     zero = ideal_from_generators(ring, ())
     checked = [verify_poly_omega(zero, sample=2000, seed=s).checked for s in range(5)]
     assert checked == [24, 27, 22, 28, 28]
-    assert lookups == 15541
+    assert lookups == 14726
 
 
 def test_poly_omega_prime_ideal():

@@ -59,7 +59,7 @@ from omegalab.absorbing import (
 )
 from omegalab.content_checks import (
     DEFAULT_BUDGET,
-    _admissible_sweep,
+    _admissible_tuples,
     _convolver,
     armendariz_search,
     certify_pair_sweep,
@@ -622,9 +622,7 @@ def scan_inputs(ideal, kind: str, n: int):
         cands = [i for i in ids if i not in inside and i != space.full_id]
         return cands, space.full_id, space.products, inside, None
     slots, convolve = _convolver(ring, 1, 1, n + 1)
-    adm, _ = _admissible_sweep(
-        ring, slots, members, lambda a: 0, DEFAULT_BUDGET, 0, 0
-    )
+    adm = list(_admissible_tuples(ring, slots, members))
     rows = ring.mul_rows()
     reduce, one, table, inside, _, scan = _residue_table(
         coset_minima(ring, members), ring.zero, ring.one, ring.mul, convolve,
@@ -932,6 +930,18 @@ def test_axiom_check_matches_full_scan(ring):
     assert report == _axiom_scan(ring, generated=False) == reference_axiom_report(ring)
 
 
+@examples(max_examples=100)
+@given(corrupted_rings(), st.booleans())
+def test_product_rows_over_corrupted_factors_match_methods(bad, left):
+    # a factor entry outside its factor gives the product its entries as
+    # integers, so the rows and the axiom report are those of add and mul
+    two = ring_of("zmod:2")
+    ring = ProductRing(bad, two) if left else ProductRing(two, bad)
+    for rows, op in ((ring.add_rows(), ring.add), (ring.mul_rows(), ring.mul)):
+        assert [list(r) for r in rows] == method_table(op, ring.order)
+    assert verify_ring_axioms(ring) == reference_axiom_report(ring)
+
+
 def test_additive_generators_per_family():
     def gens(spec):
         return _additive_generators(ring_of(spec).add_rows(), 0)
@@ -982,16 +992,24 @@ def test_axiom_check_matches_reference_on_real_rings():
 def test_kept_rows_match_methods():
     # the kept rows of every zmod, prod and trunc ring of the axiom family
     # and the absorb list, and of nested products, each built by its
-    # family's _tables, against the tables of add and mul
+    # family's _tables as bytes of length order, against the tables of add
+    # and mul; products over a quotient read the quotient's list rows
     specs = {s for s in AXIOM_FAMILY + BUILT_RINGS if s != "cube-quotient"} | {
         "prod:trunc:p=2,vars=2,nil=2,zmod:4",
         "prod:prod:zmod:2,zmod:2,zmod:3",
     }
-    for spec in sorted(specs):
-        ring = parse_ring_spec(spec)
+    quotient = cube_quotient()
+    assert all(type(r) is list for r in quotient.add_rows() + quotient.mul_rows())
+    rings = [parse_ring_spec(spec) for spec in sorted(specs)] + [
+        make_product(quotient, ring_of("zmod:3")),
+        make_product(ring_of("zmod:4"), quotient),
+    ]
+    for ring in rings:
         assert ring.order <= TABLE_LIMIT
-        assert ring.add_rows() == method_table(ring.add, ring.order), spec
-        assert ring.mul_rows() == method_table(ring.mul, ring.order), spec
+        for rows, op in ((ring.add_rows(), ring.add), (ring.mul_rows(), ring.mul)):
+            assert all(type(r) is bytes and len(r) == ring.order for r in rows), ring
+            assert len(rows) == ring.order
+            assert [list(r) for r in rows] == method_table(op, ring.order), ring
 
 
 def test_kept_rows_make_no_method_calls(monkeypatch):

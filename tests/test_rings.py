@@ -153,6 +153,29 @@ def test_axiom_scan_reports_first_violation():
     assert report.witness == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "value, left, message",
+    [
+        # 5 lies outside Z/4: (2,0)*(3,0) would be index 5*2 + 0 = 10
+        (5, True, "prod:bad,zmod:2: axiom closure-mul violated at (4, 6)"),
+        # 3 lies in Z/4 but (2*2)*3 = 0 while 2*(2*3) = 2*3 = 3
+        (3, True, "prod:bad,zmod:2: axiom mul-associative violated at (4, 4, 6)"),
+        # on the right, (1,2)*(1,3) would be index 1*4 + 5 = 9; 5 fits a
+        # byte, so only the range check keeps it from a translate's padding
+        (5, False, "prod:zmod:2,bad: axiom closure-mul violated at (6, 7)"),
+    ],
+)
+def test_product_over_a_corrupted_factor_fails_cleanly(value, left, message):
+    # the product's rows are built from the factor's rows; an entry out of
+    # range must not escape as IndexError, and the report is the scan's
+    add, mul = _z4_tables()
+    mul[2][3] = mul[3][2] = value
+    bad, two = TableRing(add, mul, 0, 1, "bad"), make_zmod(2)
+    with pytest.raises(RingConstructionError) as err:
+        make_product(bad, two) if left else make_product(two, bad)
+    assert str(err.value) == message
+
+
 def test_axiom_scan_zero_identity():
     add, mul = _z4_tables()
     # symmetric corruption so commutativity still holds
