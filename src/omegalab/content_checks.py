@@ -11,13 +11,14 @@ search for violations of the absorbing-degree identity between I and its
 polynomial extension.
 
 Content ideals are ids of the ring's ideal registry (``ideals.IdealSpace``),
-found by folding the coefficients through its dense rows of I + (c); it
-also holds their products, powers and DM exponents. Every sweep is
-planned by ``plan_sweep``: exhaustive when the caller's enumeration fits
-the budget, else seeded draws (``uniform_draws``), with mode and seed
+found by folding the coefficients through its dense rows of I + (c); its
+product table gives their products, powers and DM exponents. Every sweep
+is planned by ``plan_sweep``: exhaustive when the caller's enumeration
+fits the budget, else seeded draws (``uniform_draws``), with mode and seed
 recorded. The DM table and the certify sweep fold over one table of
-pairs grouped by content ids (``_pair_groups``), one per ring when
-exhaustive, so the pairs are walked once for all of them. Per-class
+pairs grouped by content ids (``_pair_groups``), which plans their sweep
+and is kept per ring when exhaustive, so the pairs are walked once for
+all of them and every count is a sum of group weights. Per-class
 counts and first tuples come from a table built slot by slot
 (``_class_table``), which sizes poly-omega and the pair searches with no
 tuple read. On a ring certified Gaussian (``IdealSpace.gaussian``) c(fg) is
@@ -462,18 +463,18 @@ def _class_table(ring: FiniteRing, num_vars: int, max_deg: int) -> tuple[dict, d
 
 
 def _pair_groups(
-    ring: FiniteRing, num_vars: int, max_deg: int, sweep: Sweep,
-    inside: Optional[frozenset[int]] = None,
-) -> dict[tuple[int, int, int, int], list]:
-    """The sweep's (f, g) pairs grouped by (c(f), c(g), c(fg), deg g), as
-    content ids, each group [weight, first pair], in walk order of first
-    pairs. Exhaustive, kept on the ring's registry for the DM table and
-    every certify ideal: on a ring certified Gaussian the class pairs of
-    ``_class_table``; else one pair per pair of unit orbits, by lex-least
-    tuples, weighted |O(f)|*|O(g)| (``_unit_orbits``, consumed whole,
-    shows this covers every pair). Sampled: the draws, weight 1, grouped
-    per call, less those whose c(fg) leaves inside, if given; on a
-    certified ring c(fg) is products[c(f)][c(g)] and nothing is multiplied.
+    ring: FiniteRing, num_vars: int, max_deg: int, budget: int, sample: int, seed: int
+) -> tuple[Sweep, dict[tuple[int, int, int, int], list]]:
+    """(sweep, groups): the plan over the order**(2L) (f, g) pairs, and its
+    pairs grouped by (c(f), c(g), c(fg), deg g), as content ids, each group
+    [weight, first pair], in walk order of first pairs; the weights sum to
+    the pairs swept. Exhaustive, kept on the ring's registry for the DM
+    table and every certify ideal: on a ring certified Gaussian the class
+    pairs of ``_class_table``; else one pair per pair of unit orbits, by
+    lex-least tuples, weighted |O(f)|*|O(g)| (``_unit_orbits``, consumed
+    whole, shows this covers every pair). Sampled: every draw, weight 1,
+    grouped per call; on a certified ring c(fg) is products[c(f)][c(g)]
+    and nothing is multiplied.
 
     On a certified ring the key of (f, g) is (c(f), c(g),
     products[c(f)][c(g)], deg g), so each group is a class pair A x B: A
@@ -498,10 +499,11 @@ def _pair_groups(
     a mirrored rank j*K + i can open a group before a smaller rank arrives
     (Z/2 x F_2[x,y]/(x^2, y^2), degree 1). The table holds the
     representatives and the groups, never one entry per pair."""
+    slots = monomials_up_to(num_vars, max_deg)
+    sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
     space = ideal_space(ring)
     if sweep.exhaustive and (num_vars, max_deg) in space.pair_groups:
-        return space.pair_groups[num_vars, max_deg]
-    slots = monomials_up_to(num_vars, max_deg)
+        return sweep, space.pair_groups[num_vars, max_deg]
     convolve = None if space.gaussian() else _convolver(ring, num_vars, max_deg)[1]
     slot_degs = [sum(e) for e in slots]
     zero = ring.zero
@@ -518,9 +520,8 @@ def _pair_groups(
         for fa, fb in sweep.tuples(ring.order, len(slots), 2):
             ca, cb = id_of(fa), id_of(fb)
             cfg = space.products[ca][cb] if convolve is None else id_of(convolve(fa, fb))
-            if inside is None or space.set_of(cfg) <= inside:
-                groups.setdefault((ca, cb, cfg, degree(fb)), [0, (fa, fb)])[0] += 1
-        return groups
+            groups.setdefault((ca, cb, cfg, degree(fb)), [0, (fa, fb)])[0] += 1
+        return sweep, groups
 
     if convolve is None:
         firsts, seconds = _class_table(ring, num_vars, max_deg)
@@ -552,7 +553,7 @@ def _pair_groups(
             for key, (weight, rank) in sorted(groups.items(), key=lambda g: g[1][1])
         }
     space.pair_groups[num_vars, max_deg] = groups
-    return groups
+    return sweep, groups
 
 
 @dataclass(frozen=True)
@@ -595,8 +596,7 @@ def dm_exponent_table(
     checked = 0
     bound_ok: Optional[bool] = True if num_vars == 1 else None
 
-    sweep = plan_sweep(ring.order ** (2 * len(slots)), budget, sample, seed)
-    groups = _pair_groups(ring, num_vars, max_deg, sweep)
+    sweep, groups = _pair_groups(ring, num_vars, max_deg, budget, sample, seed)
     for (cf, cg, cfg, deg_g), (weight, pair) in groups.items():
         checked += weight
         n = space.dm_exponent(cf, cg, cfg, cap)
@@ -876,26 +876,26 @@ def certify_pair_sweep(
     seed: int = 0,
 ) -> CertifySweep:
     """Certify every bounded pair whose product lands in I[X]: a fold over
-    the groups of ``_pair_groups`` whose c(fg) lies in I, which weight
-    ``qualifying``. Each group's certificate is the peeling of
-    certify_content_product on its content ids.
+    the groups of ``_pair_groups``, whose weights sum to ``pairs``, and to
+    ``qualifying`` over the groups whose c(fg) lies in I. Each group's
+    certificate is the peeling of certify_content_product on its content
+    ids.
     """
     ring = ideal.ring
     slots = monomials_up_to(num_vars, max_deg)
     members = ideal.elements
     space = ideal_space(ring)
 
-    qualifying = 0
+    pairs = qualifying = 0
     max_exp = 0
     exp_ok = True
     chain_ok = True
     final_ok = True
     witness: Optional[tuple[Polynomial, Polynomial]] = None
 
-    total_pairs = ring.order ** (2 * len(slots))
-    sweep = plan_sweep(total_pairs, budget, sample, seed)
-    groups = _pair_groups(ring, num_vars, max_deg, sweep, members)
+    sweep, groups = _pair_groups(ring, num_vars, max_deg, budget, sample, seed)
     for (cf, cg, cfg, _), (weight, pair) in groups.items():
+        pairs += weight
         if not space.set_of(cfg) <= members:
             continue
         qualifying += weight
@@ -914,7 +914,7 @@ def certify_pair_sweep(
     return CertifySweep(
         ideal=ideal,
         max_deg=max_deg,
-        pairs=total_pairs if sweep.exhaustive else sample,
+        pairs=pairs,
         qualifying=qualifying,
         max_exponent=max_exp,
         exp_bound_holds=exp_ok,

@@ -6,15 +6,15 @@ generators it was built from.
 All ideal arithmetic goes through one registry per ring, ``IdealSpace``
 (``ideal_space(ring)``): it interns element sets as ids and memoizes
 I + (c), one product table (``IdealSpace.products``) that powers and
-Dedekind-Mertens exponents walk, minimal generators, the exponents and
-radicals. Closure has one route: (c) is the ring's ``principal(c)``,
-I + (c) is the union of the cosets y + I over y in (c), and the ideal
-generated by a set is a fold of ``IdealSpace.extend`` from the zero
-ideal, so this module never branches on the ring family; the worklist
-closure that tests compare against lives in the tests. The lattice BFS,
-the strong scan and the content formulas all use the registry, so
-``ring.caches`` holds only the registry and the sorted lattice
-(``"all_ideals"``).
+Dedekind-Mertens exponents walk, minimal generators, and one table of
+x^(2^k) that decides radicals. Closure has one route: (c) is the ring's
+``principal(c)``, I + (c) is the union of the cosets y + I over y in
+(c), and the ideal generated by a set is a fold of ``IdealSpace.extend``
+from the zero ideal, so this module never branches on the ring family;
+the worklist closure that tests compare against lives in the tests. The
+lattice BFS, the strong scan and the content formulas all use the
+registry, so ``ring.caches`` holds only the registry and the sorted
+lattice (``"all_ideals"``).
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ class IdealSpace:
 
     Element sets are interned as small integer ids (the zero ideal and R
     first), and the arithmetic is memoized on ids: I + (c), which also
-    builds content ideals, minimal generators, the Dedekind-Mertens
-    exponent, and ``products[a][b]``, the id of IJ, computed once per
-    unordered pair on first read. I^n and every DM exponent are walks
-    through that table. The lattice, the strong scan and the content
-    formulas share the registry of their ring (``ideal_space``), so one
-    ideal has one id everywhere. Every ideal given by generators is a fold
-    of ``extend`` from the zero ideal, starting from the ring's
-    ``principal``; generators come from the module's ``minimal_generators``.
+    builds content ideals, minimal generators, ``products[a][b]``, the id
+    of IJ, computed once per unordered pair on first read, and x^(2^k) per
+    element (``radical``). I^n and every DM exponent are walks through the
+    product table. The lattice, the strong scan and the content formulas
+    share the registry of their ring (``ideal_space``), so one ideal has
+    one id everywhere. Every ideal given by generators is a fold of
+    ``extend`` from the zero ideal, starting from the ring's ``principal``;
+    generators come from the module's ``minimal_generators``.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -131,12 +131,11 @@ class IdealSpace:
         self.full_id = self.intern(frozenset(range(ring.order)))
         self.gens: dict[int, tuple[int, ...]] = {}  # filled by minimal_generators
         self._reps: Optional[dict[int, int]] = None
-        self._cycle: Optional[list[int]] = None
+        self._power: Optional[list[int]] = None  # x^(2^k), see radical
         self._factors: Optional[list[tuple[int, int]]] = None
         self._gaussian: Optional[bool] = None
         # products[I][J] -> IJ, filled on first use under both orders
         self.products = LazyRow(lambda _, a: LazyRow(self._product, a), None)
-        self._dm: dict[tuple[int, int, int, int], Optional[int]] = {}
         # (num_vars, max_deg) -> content_checks' class tables, pair groups
         self.class_tables: dict[tuple[int, int], tuple[dict, dict]] = {}
         self.pair_groups: dict[tuple[int, int], dict] = {}
@@ -218,42 +217,40 @@ class IdealSpace:
         return got
 
     def radical(self, members: frozenset[int]) -> frozenset[int]:
-        """rad(I) = {x : x^t in I for some t >= 1} = {x : c_x in I}, with
-        c_x the first repeated power of x, tabled once. c_x is a power of
-        x, and once a power of x lies in I so does every later one, among
-        them a later c_x, which lies on the cycle of the powers of x."""
-        if self._cycle is None:
-            mul = self.ring.mul
-            self._cycle = []
-            for x in range(self.ring.order):
-                seen, p = set(), x
-                while p not in seen:
-                    seen.add(p)
-                    p = mul(p, x)
-                self._cycle.append(p)
-        return frozenset(x for x, c in enumerate(self._cycle) if c in members)
+        """rad(I) = {x : x^t in I for some t >= 1} = {x : x^(2^k) in I},
+        with 2^k >= bit_length(|R|): x^(2^k) is tabled once, by k squarings
+        of the diagonal of one ``mul_rows()`` read.
+
+        In each local factor Re (``factors``) xe is a unit, and so are all
+        its powers, or nilpotent of index at most bit_length(|R|). So for
+        s >= 2^k the nilpotent parts of x^s vanish and Rx^s = Rf, f the sum
+        of the e where xe is a unit: x^t in I gives x^(t 2^k), so x^(2^k), in I."""
+        if self._power is None:
+            ring = self.ring
+            rows = ring.mul_rows()
+            square = [rows[x][x] for x in range(ring.order)]
+            power, reach = square, 2  # power[x] = x^reach
+            while reach < ring.order.bit_length():
+                power, reach = [square[p] for p in power], 2 * reach
+            self._power = power
+        return frozenset(x for x, p in enumerate(self._power) if p in members)
 
     def factors(self) -> list[tuple[int, int]]:
         """(e, id of m = Re ∩ nil(R)) per primitive idempotent e, ascending:
-        the local factors Re of R = prod Re and their maximal ideals.
+        the local factors Re of R = prod Re and their maximal ideals, with
+        nil(R) the radical of (0).
 
         Primitive e (no idempotent f but 0, e has ef = f) are orthogonal (ef
         lies under both) and sum to 1 (1 - sum has none under it). A power
         of x in Re is 0 or e, so x is nilpotent or a unit: Re is local. If
         x^t = 0, t least, Rx > Rx^2 > ... > Rx^t = 0 is strict (Rx^i =
-        Rx^(i+1) gives x^i = r^t x^(i+t)) and halves each step, so t <=
-        log2|R| + 1 <= 2^k once 2^k >= bit_length(|R|): k squarings of the
-        diagonal of one ``mul_rows()`` read, which gives the idempotents
-        too, decide nil(R)."""
+        Rx^(i+1) gives x^i = r^t x^(i+t)) and halves each step, so
+        t <= log2|R| + 1, which ``radical`` relies on."""
         if self._factors is None:
             ring = self.ring
             rows = ring.mul_rows()
-            square = [rows[x][x] for x in range(ring.order)]
-            idempotents = [e for e, s in enumerate(square) if s == e != ring.zero]
-            power, reach = square, 2  # power[x] = x^reach
-            while reach < ring.order.bit_length():
-                power, reach = [square[p] for p in power], 2 * reach
-            nil = frozenset(x for x, p in enumerate(power) if p == ring.zero)
+            idempotents = [e for e in range(ring.order) if rows[e][e] == e != ring.zero]
+            nil = self.radical(self.set_of(self.zero_id))
             self._factors = [
                 (e, self.intern(self.set_of(self.principal_id(e)) & nil))
                 for e in idempotents
@@ -308,18 +305,13 @@ class IdealSpace:
         """Least n in 1..cap with c(f)^n c(g) = c(f)^(n-1) c(fg), from the
         content ids of f, g and fg; None past cap. p = c(f)^(n-1) steps to
         q = c(f)^n through the product table."""
-        key = (cf, cg, cfg, cap)
-        if key not in self._dm:
-            products = self.products
-            got, p = None, self.full_id
-            for n in range(1, cap + 1):
-                q = products[p][cf]
-                if products[q][cg] == products[p][cfg]:
-                    got = n
-                    break
-                p = q
-            self._dm[key] = got
-        return self._dm[key]
+        products, p = self.products, self.full_id
+        for n in range(1, cap + 1):
+            q = products[p][cf]
+            if products[q][cg] == products[p][cfg]:
+                return n
+            p = q
+        return None
 
 
 def ideal_space(ring: FiniteRing) -> IdealSpace:

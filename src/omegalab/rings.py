@@ -416,6 +416,10 @@ class TableRing(FiniteRing):
                 f"zero {zero} and one {one} must be indices 0..{order - 1}"
             )
         self._displays = list(displays) if displays is not None else [str(i) for i in range(order)]
+        if len(self._displays) != order:
+            raise RingConstructionError(
+                f"{len(self._displays)} displays for {order} elements"
+            )
 
     def add(self, i: int, j: int) -> int:
         return self._add_rows[i][j]

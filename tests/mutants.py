@@ -97,6 +97,13 @@ MUTANTS = (
         "got = self.products[b][a] = self.id_of_coeffs(", "got = self.id_of_coeffs(",
         ("tests/test_ideal_space.py::test_product_table_symmetric_and_filled_once",),
     ),
+    # x^(2^k) needs 2^k >= bit_length(|R|): 2 in zmod:32 has index 5
+    Mutant(
+        "power-table-one-squaring-short", "ideals.py",
+        "while reach < ring.order.bit_length():",
+        "while 2 * reach < ring.order.bit_length():",
+        ("tests/test_ideal_space.py::test_radical_table_matches_reference",),
+    ),
     # a group keeps the least rank folded into it
     Mutant(
         "pair-groups-fold-without-min", "content_checks.py",
@@ -109,6 +116,14 @@ MUTANTS = (
         "pair-groups-unit-weights", "content_checks.py",
         "weight = weights[i] * weights[j]", "weight = 1",
         ("tests/test_content_checks.py",),
+    ),
+    # certify counts every pair swept, not only the qualifying ones
+    Mutant(
+        "certify-counts-only-qualifying-pairs", "content_checks.py",
+        "pairs += weight\n        if not space.set_of(cfg) <= members:\n            continue\n",
+        "if not space.set_of(cfg) <= members:\n            continue\n        pairs += weight\n",
+        ("tests/test_reductions.py::test_exponent_two_sweeps_match_reference",
+         "tests/test_reductions.py::test_certify_sweep_matches_reference"),
     ),
     # the last factor is decided by H(prefix) & ~H(q_0) & .. & ~H(q_(n-1))
     Mutant(

@@ -44,6 +44,7 @@ from oracles import (
     reference_poly_omega,
     reference_product,
     reference_strong_violation,
+    reference_units,
 )
 
 from omegalab import absorbing, polys
@@ -61,6 +62,7 @@ from omegalab.content_checks import (
     DEFAULT_BUDGET,
     _admissible_tuples,
     _convolver,
+    _pair_groups,
     armendariz_search,
     certify_pair_sweep,
     dm_exponent_table,
@@ -348,6 +350,49 @@ def test_exponent_two_sweeps_match_reference():
     sweep = certify_pair_sweep(zero, 1, 1)
     assert sweep.witness is not None
     assert sweep == reference_certify_sweep(zero, 1, 1)
+
+
+# local rings for the Heinzer-Huneke bound; the cube quotient is the one
+# where the DM exponent reaches 2
+HH_RINGS = [
+    "zmod:4", "zmod:8", "zmod:9", "zmod:16", "zmod:27",
+    "trunc:p=2,vars=1,nil=2", "trunc:p=2,vars=1,nil=3",
+    "trunc:p=2,vars=2,nil=2", "trunc:p=3,vars=1,nil=2", "cube-quotient",
+]
+
+
+def test_dm_exponent_within_heinzer_huneke_bound(monkeypatch):
+    """Heinzer and Huneke (Proc. AMS 126, 1998): over a local ring (R, m),
+    c(f)^n c(g) = c(f)^(n-1) c(fg) for n = mu(c(g)), the number of
+    generators of c(g), so the DM exponent is at most max(1, mu(c(g))).
+    mu(J) = dim J/mJ over R/m is log_|R/m| of |J|/|mJ|, from set sizes.
+    Every univariate pair of degree 1, and of degree 2 up to 3e6 pairs,
+    through the groups of the pair table with every product taken (the
+    Gaussian certificate is off); each group's exponent is walked by
+    ``reference_product``."""
+    monkeypatch.setattr(IdealSpace, "gaussian", lambda self: False)
+    pairs = top = 0
+    for spec in HH_RINGS:
+        ring = cube_quotient() if spec == "cube-quotient" else parse_ring_spec(spec)
+        space = ideal_space(ring)
+        ideal = functools.cache(space.set_of)
+        product = functools.cache(functools.partial(reference_product, ring))
+        m = frozenset(range(ring.order)) - reference_units(ring)
+        q = ring.order // len(m)
+        for max_deg in (1, 2):
+            if ring.order ** (2 * max_deg + 2) > 3 * 10**6:
+                continue
+            _, groups = _pair_groups(ring, 1, max_deg, DEFAULT_BUDGET, 0, 0)
+            for (cf, cg, cfg, _), (weight, pair) in groups.items():
+                ratio = len(ideal(cg)) // len(product(m, ideal(cg)))
+                mu = round(math.log(ratio, q))
+                assert q**mu == ratio
+                n, p = 1, frozenset(range(ring.order))  # p = c(f)^(n-1)
+                while product(product(p, ideal(cf)), ideal(cg)) != product(p, ideal(cfg)):
+                    n, p = n + 1, product(p, ideal(cf))
+                assert n <= max(1, mu), (spec, max_deg, pair)
+                pairs, top = pairs + weight, max(top, n)
+    assert (pairs, top) == (2_545_941, 2)
 
 
 @examples(max_examples=40)

@@ -344,6 +344,14 @@ def test_table_ring_rejects_zero_or_one_outside_the_ring(zero, one):
         TableRing(*_z4_tables(), zero, one, "bad:range")
 
 
+@pytest.mark.parametrize("displays", [["0"], ["0", "1", "2"]])
+def test_table_ring_rejects_displays_of_the_wrong_length(displays):
+    # one display for F_2 used to build and pass verification, and
+    # ideal_display over all_ideals then raised IndexError
+    with pytest.raises(RingConstructionError):
+        TableRing([[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, 1, "t2", displays=displays)
+
+
 def test_order_cap_enforced():
     with pytest.raises(RingConstructionError):
         make_zmod(5000)
